@@ -11,13 +11,22 @@ Plancherel form of the Gagliardo seminorm
 agrees with <(-Delta)^s u, u> to rounding.
 
 Dilation (xi * u)(x) = e^{N xi / 2} u(e^xi x) is realized by evaluating the
-trigonometric interpolant of u at the scaled points. That needs a DFT at a
-non-integer frequency spacing, done with a Bluestein chirp transform whose
-quadratic phase is reduced modulo 2 pi in extended precision before
-exponentiation; without the reduction the phase loses digits once
-n^2 * |xi| outgrows the 53-bit mantissa. Points mapped outside the box are
-set to zero, which is harmless exactly when the field decays (the guard
-below enforces that).
+trigonometric interpolant of u at the scaled points, one axis at a time with
+the same one-axis map. Points mapped outside the box are set to zero, which
+is harmless exactly when the field decays (the guard below enforces that).
+The map has two implementations, chosen by dimension:
+
+- In 1D it is a DFT at a non-integer frequency spacing, done with a
+  Bluestein chirp transform whose quadratic phase is reduced modulo 2 pi in
+  extended precision before exponentiation; without the reduction the phase
+  loses digits once n^2 * |xi| outgrows the 53-bit mantissa. It costs
+  O(n log n), so it beats an explicit matrix on a single axis, and it is the
+  reference the matrix is tested against.
+- In 2D and 3D the map is the real n x n matrix of the interpolant, the
+  Dirichlet kernel in closed form (no FFT), built once per call and applied
+  along every axis with BLAS products. Its O(n^2) set-up is shared by all
+  n^{N-1} lines of every axis, where the Bluestein path pays padded
+  complex FFTs on every line of every axis.
 """
 
 from __future__ import annotations
@@ -312,15 +321,44 @@ def _resample_axis(u: np.ndarray, xi: float, n: int, L: float) -> np.ndarray:
     return v
 
 
+def _resampling_matrix(xi: float, n: int, L: float) -> np.ndarray:
+    """Real matrix R with (R @ u)_j = e^{xi/2} * (trig interpolant of u)(e^xi x_j).
+
+    The interpolant with the Nyquist term split is the Dirichlet kernel, so
+    R_jl = (e^{xi/2}/n) sin(n theta/2) / tan(theta/2) with
+    theta = pi (e^xi x_j - x_l) / L, and e^{xi/2} where theta = 0. For even
+    n the kernel is 2 pi periodic, so theta needs no reduction. Rows of
+    points that leave the box are zero, as in _resample_axis.
+    """
+    h = 2.0 * L / n
+    x = -L + h * np.arange(n)
+    sc = float(np.exp(xi))
+    theta = (np.pi / L) * (sc * x[:, None] - x[None, :])
+    kernel = np.full((n, n), float(n))
+    np.divide(np.sin((0.5 * n) * theta), np.tan(0.5 * theta), out=kernel,
+              where=theta != 0.0)
+    kernel *= np.exp(0.5 * xi) / n
+    kernel[np.abs(sc * x) >= L] = 0.0
+    return kernel
+
+
 def _dilate_values(values: np.ndarray, grid: GridSpec, xi: float) -> np.ndarray:
-    """(xi * u) samples, no guards. One scaled-DFT pass per axis."""
+    """(xi * u) samples, no guards.
+
+    1D uses the Bluestein scaled DFT, O(n log n) per call. From 2D on, one
+    resampling matrix serves every axis: each pass contracts the leading
+    axis with it and appends the result as the trailing axis, so after N
+    passes the axes are back in order (R @ u @ R.T in 2D).
+    """
     if xi == 0.0:
         return values.copy()
     n, L = grid.points_per_axis, grid.half_length
+    if grid.dim == 1:
+        return _resample_axis(values, xi, n, L)
+    kernel = _resampling_matrix(xi, n, L)
     v = values
     for _ in range(grid.dim):
-        v = _resample_axis(v, xi, n, L)
-        v = np.moveaxis(v, -1, 0)
+        v = np.tensordot(v, kernel, axes=(0, 1))
     return v
 
 

@@ -65,6 +65,12 @@ class SolveConfig:
             raise ValueError("armijo coefficient must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if not (math.isfinite(self.step_init) and self.step_init > 0.0):
+            raise ValueError("step_init must be finite and positive")
+        if self.stall_window < 1:
+            raise ValueError("stall_window must be at least 1")
+        if self.line_search_max < 1:
+            raise ValueError("line_search_max must be at least 1")
 
 
 @dataclass
@@ -458,9 +464,12 @@ class SweepReport:
 def _thread_cap() -> int:
     raw = os.environ.get("FRAC_NLSE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        return 1
+        cap = 0
+    if cap < 1:
+        raise ValueError("FRAC_NLSE_THREADS must be a positive integer, got %r" % (raw,))
+    return cap
 
 
 def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,

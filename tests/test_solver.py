@@ -123,6 +123,13 @@ def test_solve_config_validation():
         SolveConfig(armijo=1.5)
     with pytest.raises(ValueError, match="max_iters"):
         SolveConfig(max_iters=0)
+    for bad in (0.0, -1e-2, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step_init"):
+            SolveConfig(step_init=bad)
+    with pytest.raises(ValueError, match="stall_window"):
+        SolveConfig(stall_window=0)
+    with pytest.raises(ValueError, match="line_search_max"):
+        SolveConfig(line_search_max=0)
 
 
 def test_iteration_budget_reports_unconverged(params_1d):
@@ -247,6 +254,21 @@ def test_sweep_validations(params_2d):
         sweep_eta(params_2d, [10.0, 5.0], cfg)
     with pytest.raises(ValueError, match="reference grid"):
         sweep_eta(params_2d, [10.0], SolveConfig())
+
+
+@pytest.mark.parametrize("raw", ["two", "", "0", "-3", "1.5"])
+def test_sweep_rejects_malformed_thread_cap(params_2d, monkeypatch, raw):
+    monkeypatch.setenv("FRAC_NLSE_THREADS", raw)
+    cfg = SolveConfig(grid=make_grid(2, 64, 60.0))
+    with pytest.raises(ValueError, match="FRAC_NLSE_THREADS.*%r" % (raw,)):
+        sweep_eta(params_2d, [10.0, 20.0], cfg)
+
+
+def test_thread_cap_reads_positive_integers(monkeypatch):
+    monkeypatch.delenv("FRAC_NLSE_THREADS", raising=False)
+    assert F.solver._thread_cap() == 1
+    monkeypatch.setenv("FRAC_NLSE_THREADS", "3")
+    assert F.solver._thread_cap() == 3
 
 
 def test_mini_sweep_slope_and_scaling(params_2d):
