@@ -10,18 +10,16 @@ Gagliardo-Nirenberg constants, and a battery of self-verification checks
 covering the identities and inequalities the solver relies on.
 """
 
-from .constants import (ConstantsReport, OptimizerConfig, estimate_constants,
-                        estimate_gn, estimate_sobolev, gn_quotient,
-                        load_constants, probe_fields, save_constants,
-                        sobolev_quotient)
+from .constants import (ConstantsReport, estimate_constants, estimate_gn,
+                        estimate_sobolev, gn_quotient, load_constants,
+                        probe_fields, save_constants, sobolev_quotient)
 from .fiber import (DegenerateFiberError, FiberProfile,
                     fiber_derivative_residual, fiber_energy, fiber_pohozaev,
                     fiber_root, scale_summary)
 from .fields import (DecayGuardError, Field, FieldSummary,
                      boundary_mass_fraction, dense_oracle_frac_laplacian,
                      dilate, field_to_csv, frac_laplacian, load_field,
-                     lp_norm_pow, make_field, sample, save_field, seminorm_sq,
-                     summarize)
+                     lp_norm_pow, sample, save_field, seminorm_sq, summarize)
 from .functionals import (GeometryReport, energy, geometry_lower_bound,
                           gradient_field, lagrange_multiplier,
                           manifold_identity_residual, pohozaev, rho)
@@ -49,7 +47,6 @@ __all__ = [
     "GeometryReport",
     "GridSpec",
     "ModelParams",
-    "OptimizerConfig",
     "SolveConfig",
     "SolveReport",
     "SweepEntry",
@@ -77,7 +74,6 @@ __all__ = [
     "load_constants",
     "load_field",
     "lp_norm_pow",
-    "make_field",
     "make_grid",
     "manifold_identity_residual",
     "pohozaev",

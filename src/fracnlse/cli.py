@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import (ConstantsReport, OptimizerConfig, estimate_constants,
-                        load_constants, save_constants)
+from .constants import estimate_constants, load_constants, save_constants
 from .fields import field_to_csv, sample, save_field
 from .grids import GridSpec, make_grid
 from .params import ModelParams, derived_exponents
@@ -56,11 +55,20 @@ def _load_config(path: str | None) -> dict:
     if path:
         parser = configparser.ConfigParser()
         parser.optionxform = str
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise CliError("malformed config file %s: %s" % (path, exc))
         if not read:
             raise CliError("config file not found: %s" % path)
         for sec in parser.sections():
-            conf.setdefault(sec, {}).update({k: v for k, v in parser[sec].items()})
+            if sec not in conf:
+                raise CliError("unknown section [%s] in config file %s" % (sec, path))
+            for key, val in parser[sec].items():
+                if key not in conf[sec]:
+                    raise CliError("unknown key %r in section [%s] of config file %s"
+                                   % (key, sec, path))
+                conf[sec][key] = val
     return conf
 
 
@@ -332,7 +340,7 @@ def cmd_constants(args) -> int:
     if rungs < 1:
         raise CliError("constants ladder needs at least one rung")
     outdir.mkdir(parents=True, exist_ok=True)
-    report = estimate_constants(grid, params, OptimizerConfig(), rungs=rungs)
+    report = estimate_constants(grid, params, rungs=rungs)
     save_constants(report, outdir / "constants.json")
     _write_manifest(outdir, "constants", params, grid, {"rungs": rungs},
                     None, ["constants.json"])

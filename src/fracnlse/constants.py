@@ -22,8 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .fields import (Field, FieldSummary, _lp_values, _seminorm_sq_values,
-                     _summary_values, sample)
+from .fields import Field, FieldSummary, _lp_values, sample
 from .grids import GridSpec, make_grid
 from .params import ModelParams, exponents_for
 
@@ -44,16 +43,6 @@ def gn_quotient(summary: FieldSummary, params: ModelParams) -> float:
     zeta = ex.zeta_p
     return summary.B_p / (summary.A ** (params.p * zeta / 2.0)
                           * summary.M ** (params.p * (1.0 - zeta) / 2.0))
-
-
-@dataclass
-class OptimizerConfig:
-    step_init: float = 0.5
-    armijo: float = 1e-4
-    max_iters: int = 30000
-    stall_rel: float = 1e-12
-    stall_window: int = 30
-    multistart: bool = True
 
 
 @dataclass
@@ -98,6 +87,12 @@ def load_constants(path) -> ConstantsReport:
 # ----------------------------------------------------------------------
 # optimizers
 
+_STEP_INIT = 0.5
+_ARMIJO = 1e-4
+_MAX_ITERS = 30000
+_STALL_REL = 1e-12
+_STALL_WINDOW = 30
+
 
 def _mean_zero(values: np.ndarray) -> np.ndarray:
     return values - np.mean(values)
@@ -110,107 +105,99 @@ def _unit_mass(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return values / norm
 
 
-def _descend_sobolev(grid: GridSpec, params: ModelParams, u0: np.ndarray,
-                     cfg: OptimizerConfig) -> tuple:
+def _descend_quotient(grid: GridSpec, u0: np.ndarray, evaluate, direction) -> tuple:
+    """Backtracking descent of a scale-invariant quotient from u0.
+
+    evaluate(u) returns (value, state) and direction(u, state) returns
+    (d, slope) with slope the pairing of the gradient with d; trial points
+    u - al d are put back on the unit-mass, mean-zero subspace. Returns
+    (best value, iterations, stalled, best field); stalled is False only
+    when the iteration budget ran out while the value was still falling.
+    """
+    u = _unit_mass(_mean_zero(u0), grid)
+    val, state = evaluate(u)
+    al = _STEP_INIT
+    stall = 0
+    for it in range(_MAX_ITERS):
+        d, slope = direction(u, state)
+        if slope <= 0.0:
+            return val, it + 1, True, u
+        for _ in range(60):
+            v = _unit_mass(_mean_zero(u - al * d), grid)
+            val_v, state_v = evaluate(v)
+            if val_v <= val - _ARMIJO * al * slope:
+                break
+            al *= 0.5
+        else:
+            return val, it + 1, True, u
+        rel = (val - val_v) / max(abs(val), 1e-300)
+        u, val, state = v, val_v, state_v
+        stall = stall + 1 if rel < _STALL_REL else 0
+        if stall >= _STALL_WINDOW:
+            return val, it + 1, True, u
+        al = min(2.0 * al, 1e2)
+    return val, _MAX_ITERS, False, u
+
+
+def _descend_sobolev(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tuple:
     """Preconditioned descent on the Sobolev quotient from u0.
 
-    Returns (best quotient, iterations, stalled). The quotient gradient is
-    2 B*^{-2/q} [(-Delta)^s u - (A/B*) |u|^{q-2} u]; the constant in front
-    is irrelevant to the direction and dropped.
+    The quotient gradient is 2 B*^{-2/q} [(-Delta)^s u - (A/B*) |u|^{q-2} u];
+    the constant in front is irrelevant to the direction and dropped.
     """
-    ex = exponents_for(params.dim, params.s, params.p)
-    q = ex.two_star
+    q = exponents_for(params.dim, params.s, params.p).two_star
     hN = grid.cell_volume
     weight = hN / grid.num_points
     sym = grid.symbol(params.s)
     pre = 1.0 / (1.0 + sym)
-    u = _unit_mass(_mean_zero(u0), grid)
-    spec = np.fft.fftn(u)
-    A = float(weight * np.sum(sym * (spec.real ** 2 + spec.imag ** 2)))
-    Bs = _lp_values(u, grid, q)
-    val = A / Bs ** (2.0 / q)
-    al = cfg.step_init
-    stall = 0
-    for it in range(cfg.max_iters):
+
+    def evaluate(u):
+        spec = np.fft.fftn(u)
+        A = float(weight * np.sum(sym * (spec.real ** 2 + spec.imag ** 2)))
+        Bs = _lp_values(u, grid, q)
+        return A / Bs ** (2.0 / q), (spec, A, Bs)
+
+    def direction(u, state):
+        spec, A, Bs = state
         lap = np.fft.ifftn(sym * spec).real
         g = _mean_zero(lap - (A / Bs) * np.sign(u) * np.abs(u) ** (q - 1.0))
         d = _mean_zero(np.fft.ifftn(np.fft.fftn(g) * pre).real)
-        gd = float(hN * np.sum(g * d))
-        if gd <= 0.0:
-            return val, it + 1, True, u
-        accepted = False
-        for _ in range(60):
-            v = _unit_mass(_mean_zero(u - al * d), grid)
-            spec_v = np.fft.fftn(v)
-            A_v = float(weight * np.sum(sym * (spec_v.real ** 2 + spec_v.imag ** 2)))
-            Bs_v = _lp_values(v, grid, q)
-            val_v = A_v / Bs_v ** (2.0 / q)
-            if val_v <= val - cfg.armijo * al * gd:
-                u, spec, A, Bs = v, spec_v, A_v, Bs_v
-                rel = (val - val_v) / max(val, 1e-300)
-                val = val_v
-                accepted = True
-                break
-            al *= 0.5
-        if not accepted:
-            return val, it + 1, True, u
-        stall = stall + 1 if rel < cfg.stall_rel else 0
-        if stall >= cfg.stall_window:
-            return val, it + 1, True, u
-        al = min(2.0 * al, 1e2)
-    return val, cfg.max_iters, False, u
+        return d, float(hN * np.sum(g * d))
+
+    return _descend_quotient(grid, u0, evaluate, direction)
 
 
-def _ascend_gn(grid: GridSpec, params: ModelParams, u0: np.ndarray,
-               cfg: OptimizerConfig) -> tuple:
-    """Plain gradient ascent on the GN quotient from u0."""
-    ex = exponents_for(params.dim, params.s, params.p)
-    p, zeta = params.p, ex.zeta_p
+def _descend_neg_gn(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tuple:
+    """Plain gradient descent on the negated GN quotient from u0.
+
+    Negation is exact in floating point: the value and the gradient (the
+    quotient's gradient with its two terms subtracted the other way round)
+    are the exact negatives of those of the quotient, so this takes the
+    same steps as gradient ascent on it. The value returned is negated.
+    """
+    p = params.p
+    zeta = exponents_for(params.dim, params.s, p).zeta_p
     ea, eb = p * zeta / 2.0, p * (1.0 - zeta) / 2.0
     hN = grid.cell_volume
     weight = hN / grid.num_points
     sym = grid.symbol(params.s)
 
-    def ratio_parts(u):
+    def evaluate(u):
         spec = np.fft.fftn(u)
         A = float(weight * np.sum(sym * (spec.real ** 2 + spec.imag ** 2)))
         M = _lp_values(u, grid, 2.0)
         Bp = _lp_values(u, grid, p)
-        return A, M, Bp, spec
-
-    u = _unit_mass(_mean_zero(u0), grid)
-    A, M, Bp, spec = ratio_parts(u)
-    val = Bp / (A ** ea * M ** eb)
-    al = cfg.step_init
-    stall = 0
-    for it in range(cfg.max_iters):
         den = A ** ea * M ** eb
+        return -(Bp / den), (spec, A, M, Bp, den)
+
+    def direction(u, state):
+        spec, A, M, Bp, den = state
         lap = np.fft.ifftn(sym * spec).real
-        g = (p * np.sign(u) * np.abs(u) ** (p - 1.0) / den
-             - (Bp / den) * (p * zeta * lap / A + p * (1.0 - zeta) * u / M))
-        g = _mean_zero(g)
-        gn2 = float(hN * np.sum(g * g))
-        if gn2 == 0.0:
-            return val, it + 1, True, u
-        accepted = False
-        for _ in range(60):
-            v = _unit_mass(_mean_zero(u + al * g), grid)
-            A_v, M_v, Bp_v, spec_v = ratio_parts(v)
-            val_v = Bp_v / (A_v ** ea * M_v ** eb)
-            if val_v >= val + cfg.armijo * al * gn2:
-                u, A, M, Bp, spec = v, A_v, M_v, Bp_v, spec_v
-                rel = (val_v - val) / max(val, 1e-300)
-                val = val_v
-                accepted = True
-                break
-            al *= 0.5
-        if not accepted:
-            return val, it + 1, True, u
-        stall = stall + 1 if rel < cfg.stall_rel else 0
-        if stall >= cfg.stall_window:
-            return val, it + 1, True, u
-        al = min(2.0 * al, 1e2)
-    return val, cfg.max_iters, False, u
+        g = _mean_zero((Bp / den) * (p * zeta * lap / A + p * (1.0 - zeta) * u / M)
+                       - p * np.sign(u) * np.abs(u) ** (p - 1.0) / den)
+        return g, float(hN * np.sum(g * g))
+
+    return _descend_quotient(grid, u0, evaluate, direction)
 
 
 def _starts(grid: GridSpec, params: ModelParams) -> list:
@@ -238,28 +225,25 @@ def _refine_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _run_ladder(grid: GridSpec, params: ModelParams, cfg: OptimizerConfig,
-                rungs: int, optimizer, pick_best) -> tuple:
+def _run_ladder(grid: GridSpec, params: ModelParams, rungs: int, optimizer) -> tuple:
     """Shared ladder driver: multistart at the base grid, warm-started
-    doublings after that. Returns (final value, trace)."""
+    doublings after that; the lowest value wins. Returns (final value,
+    trace)."""
     trace = []
     g = grid
     best_u = None
     for rung in range(rungs):
-        if rung == 0:
-            starts = _starts(g, params) if cfg.multistart else _starts(g, params)[:1]
-        else:
-            starts = [best_u]
+        starts = _starts(g, params) if rung == 0 else [best_u]
         results = []
         for u0 in starts:
-            val, iters, stalled, u_opt = optimizer(g, params, u0, cfg)
+            val, iters, stalled, u_opt = optimizer(g, params, u0)
             if not stalled:
                 raise RuntimeError(
                     "quotient optimization still improving after %d iterations "
                     "(trace so far: %r)" % (iters, trace)
                 )
             results.append((val, u_opt))
-        val, best_u = pick_best(results)
+        val, best_u = min(results, key=lambda r: r[0])
         trace.append((g.points_per_axis, val))
         if rung + 1 < rungs:
             big = make_grid(g.dim, 2 * g.points_per_axis, g.half_length)
@@ -268,24 +252,18 @@ def _run_ladder(grid: GridSpec, params: ModelParams, cfg: OptimizerConfig,
     return trace[-1][1], trace
 
 
-def estimate_sobolev(grid: GridSpec, params: ModelParams,
-                     opt_config: OptimizerConfig | None = None, rungs: int = 3) -> dict:
+def estimate_sobolev(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
     """Minimize the Sobolev quotient; refinement trace over the ladder."""
-    cfg = opt_config or OptimizerConfig()
-    value, trace = _run_ladder(grid, params, cfg, rungs, _descend_sobolev,
-                               lambda res: min(res, key=lambda r: r[0]))
+    value, trace = _run_ladder(grid, params, rungs, _descend_sobolev)
     return {"value": value, "refinement": trace, "converged": _ladder_converged(trace)}
 
 
-def estimate_gn(grid: GridSpec, params: ModelParams,
-                opt_config: OptimizerConfig | None = None, rungs: int = 3) -> dict:
+def estimate_gn(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
     """Maximize the GN quotient; the constant estimate is the p-th root of
     the optimal quotient."""
-    cfg = opt_config or OptimizerConfig()
-    best_ratio, trace = _run_ladder(grid, params, cfg, rungs, _ascend_gn,
-                                    lambda res: max(res, key=lambda r: r[0]))
-    trace = [(n, r ** (1.0 / params.p)) for n, r in trace]
-    return {"value": best_ratio ** (1.0 / params.p), "refinement": trace,
+    neg_ratio, trace = _run_ladder(grid, params, rungs, _descend_neg_gn)
+    trace = [(n, (-r) ** (1.0 / params.p)) for n, r in trace]
+    return {"value": (-neg_ratio) ** (1.0 / params.p), "refinement": trace,
             "converged": _ladder_converged(trace)}
 
 
@@ -297,10 +275,9 @@ def _ladder_converged(trace: list) -> bool:
 
 
 def estimate_constants(grid: GridSpec, params: ModelParams,
-                       opt_config: OptimizerConfig | None = None,
                        rungs: int = 3) -> ConstantsReport:
-    s_frag = estimate_sobolev(grid, params, opt_config, rungs)
-    c_frag = estimate_gn(grid, params, opt_config, rungs)
+    s_frag = estimate_sobolev(grid, params, rungs)
+    c_frag = estimate_gn(grid, params, rungs)
     return ConstantsReport(
         S_est=s_frag["value"],
         C_est=c_frag["value"],

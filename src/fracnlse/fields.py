@@ -66,7 +66,7 @@ class Field:
     """Real samples of a candidate state on a periodic grid.
 
     Immutable after construction; the spectrum is computed lazily and
-    cached. Use make_field / sample to construct instances.
+    cached. Construct instances directly or with sample.
     """
 
     __slots__ = ("grid", "values", "_spectrum")
@@ -96,10 +96,6 @@ class Field:
             spec.setflags(write=False)
             object.__setattr__(self, "_spectrum", spec)
         return self._spectrum
-
-
-def make_field(grid: GridSpec, values: np.ndarray) -> Field:
-    return Field(grid, values)
 
 
 @dataclass(frozen=True)

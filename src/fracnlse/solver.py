@@ -29,9 +29,7 @@ unconverged rather than burning the full iteration budget.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -155,24 +153,13 @@ class _Workspace:
         self.params = params
         ex = exponents_for(params.dim, params.s, params.p)
         self.q = ex.two_star
-        self.zeta = ex.zeta_p
         self.pz = params.p * ex.zeta_p
         self.hN = grid.cell_volume
-        self.weight = self.hN / grid.num_points
         self.sym = grid.symbol(params.s)
         self.eta = params.eta
         self.p = params.p
         self.s = params.s
         self.m = params.m
-
-    def summ(self, values: np.ndarray) -> FieldSummary:
-        return _summary_values(values, self.grid, self.params)
-
-    def energy(self, summary: FieldSummary) -> float:
-        return functionals.energy(summary, self.params)
-
-    def poho(self, summary: FieldSummary) -> float:
-        return functionals.pohozaev(summary, self.params)
 
     def flap(self, values: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(self.sym * np.fft.fftn(values)).real
@@ -184,8 +171,8 @@ class _Workspace:
         """Iterated fiber projection onto the Pohozaev zero set, keeping
         the mass at m. tol is relative to the current seminorm."""
         for _ in range(rounds):
-            S = self.summ(values)
-            if abs(self.poho(S)) <= tol * S.A:
+            S = _summary_values(values, self.grid, self.params)
+            if abs(functionals.pohozaev(S, self.params)) <= tol * S.A:
                 break
             t = _fiber_root_t(S, self.params)
             xi = math.log(t) / self.s
@@ -245,7 +232,7 @@ def solve_ground_state(init: Field, params: ModelParams, config: SolveConfig,
         rms = math.sqrt(float(np.mean(u * u)))
         u = u + config.init_noise * rms * rng.standard_normal(grid.shape)
     u = ws.renorm(u)
-    A0 = ws.summ(u).A
+    A0 = _summary_values(u, grid, params).A
     if A0 <= 0.0:
         raise ValueError("initializer has zero seminorm (constant fields are inadmissible)")
 
@@ -257,8 +244,8 @@ def solve_ground_state(init: Field, params: ModelParams, config: SolveConfig,
 
 def _descend(ws, u, A0, params, config, constants, grid):
     u = ws.project(u, rounds=30, tol=config.tol_pohozaev)
-    S = ws.summ(u)
-    E = ws.energy(S)
+    S = _summary_values(u, grid, params)
+    E = functionals.energy(S, params)
     al = config.step_init
     history = []
     converged = False
@@ -277,7 +264,7 @@ def _descend(ws, u, A0, params, config, constants, grid):
         g -= (ws.hN * np.sum(g * u) / M) * u
         gn2 = float(ws.hN * np.sum(g * g))
         gn = math.sqrt(gn2)
-        absP = abs(ws.poho(S))
+        absP = abs(functionals.pohozaev(S, params))
         history.append((E, absP, gn))
         if gn <= config.tol_grad * max(1.0, A) and absP <= config.tol_pohozaev * A:
             converged = True
@@ -291,7 +278,7 @@ def _descend(ws, u, A0, params, config, constants, grid):
         for _ in range(config.line_search_max):
             v = u - al * d
             lam = ws.m / math.sqrt(ws.hN * np.sum(v * v))
-            Sv = ws.summ(v)
+            Sv = _summary_values(v, grid, params)
             Svn = FieldSummary(A=lam * lam * Sv.A, M=ws.m * ws.m,
                                B_p=lam ** ws.p * Sv.B_p,
                                B_star=lam ** ws.q * Sv.B_star)
@@ -299,12 +286,12 @@ def _descend(ws, u, A0, params, config, constants, grid):
             Shat = FieldSummary(A=t * t * Svn.A, M=ws.m * ws.m,
                                 B_p=t ** ws.pz * Svn.B_p,
                                 B_star=t ** ws.q * Svn.B_star)
-            if ws.energy(Shat) > E - config.armijo * al * gn2:
+            if functionals.energy(Shat, params) > E - config.armijo * al * gn2:
                 al *= 0.5
                 continue
             w = ws.project(lam * v, rounds=3, tol=config.tol_pohozaev)
-            Sw = ws.summ(w)
-            Ew = ws.energy(Sw)
+            Sw = _summary_values(w, grid, params)
+            Ew = functionals.energy(Sw, params)
             if Ew <= E - config.armijo * al * gn2:
                 u, S, E = w, Sw, Ew
                 accepted = True
@@ -317,8 +304,8 @@ def _descend(ws, u, A0, params, config, constants, grid):
                 and iterations % config.radial_projection_every == 0):
             u = ws.renorm(radial_symmetrize(Field(grid, u)).values)
             u = ws.project(u, rounds=1, tol=config.tol_pohozaev)
-            S = ws.summ(u)
-            E = ws.energy(S)
+            S = _summary_values(u, grid, params)
+            E = functionals.energy(S, params)
 
         if E < best - 1e-14 * max(1.0, abs(best)):
             best = E
@@ -330,8 +317,8 @@ def _descend(ws, u, A0, params, config, constants, grid):
         al = min(2.0 * al, 1e3)
 
     u = ws.project(u, rounds=25, tol=1e-12)
-    S = ws.summ(u)
-    E = ws.energy(S)
+    S = _summary_values(u, grid, params)
+    E = functionals.energy(S, params)
     mu = functionals.lagrange_multiplier(S, params)
     ex = derived_exponents(params)
     mu_identity = abs(mu * S.M - params.eta * (ex.zeta_p - 1.0) * S.B_p)
@@ -343,7 +330,7 @@ def _descend(ws, u, A0, params, config, constants, grid):
         final_field=final,
         summary=S,
         energy_level=E,
-        pohozaev_residual=abs(ws.poho(S)) / S.A,
+        pohozaev_residual=abs(functionals.pohozaev(S, params)) / S.A,
         mu=mu,
         mu_identity_residual=mu_identity,
         pde_residual=stationarity_residual(final, params, mu),
@@ -397,15 +384,12 @@ def diagnose(report: SolveReport, constants, params: ModelParams) -> Diagnostics
     if not report.converged:
         raise ValueError("diagnose requires a converged report")
     S = report.summary
-    ex = derived_exponents(params)
     E = report.energy_level
     mu = report.mu
     threshold = compactness_threshold(params, constants)
-    mu_rhs = params.eta * (ex.zeta_p - 1.0) * S.B_p
-    mu_rel = abs(mu * S.M - mu_rhs) / max(abs(mu * S.M), 1e-300)
-    bracket = ((params.eta / (2.0 * params.p)) * (ex.zeta_p * params.p - 2.0) * S.B_p
-               + (params.s / params.dim) * S.B_star)
-    e_rel = abs(E - bracket) / max(abs(E), 1e-300)
+    mu_rel = report.mu_identity_residual / max(abs(mu * S.M), 1e-300)
+    e_rel = (abs(functionals.manifold_identity_residual(S, params))
+             / max(abs(E), 1e-300))
     return Diagnostics(
         below_threshold=E < threshold,
         threshold_margin=threshold - E,
@@ -461,17 +445,6 @@ class SweepReport:
         }
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("FRAC_NLSE_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError("FRAC_NLSE_THREADS must be a positive integer, got %r" % (raw,))
-    return cap
-
-
 def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
               eta_ref: float | None = None, width_ref: float | None = None,
               scale_box: bool = True, scale_tol: bool = True) -> SweepReport:
@@ -501,46 +474,27 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
     n = config.grid.points_per_axis
     width_ref = float(width_ref if width_ref is not None else L_ref / 40.0)
 
-    def run_one(eta: float):
+    entries, reports = [], []
+    for eta in etas:
         scale = (eta / eta_ref) ** growth if scale_box else 1.0
         grid_i = make_grid(params_base.dim, n, L_ref * scale)
         params_i = replace(params_base, eta=eta)
         tol_i = config.tol_grad * ((eta_ref / eta) ** decay if scale_tol else 1.0)
         config_i = replace(config, grid=grid_i, tol_grad=tol_i)
         init = sample(grid_i, "gaussian", {"width": width_ref * scale})
-        return solve_ground_state(init, params_i, config_i)
-
-    results: dict = {}
-    cap = _thread_cap()
-    if cap > 1 and len(etas) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            futures = {eta: pool.submit(run_one, eta) for eta in etas}
-        for eta, fut in futures.items():
-            try:
-                results[eta] = fut.result()
-            except Exception as exc:
-                results[eta] = exc
-    else:
-        for eta in etas:
-            try:
-                results[eta] = run_one(eta)
-            except Exception as exc:
-                results[eta] = exc
-
-    entries, reports = [], []
-    for eta in etas:
-        res = results[eta]
-        if isinstance(res, Exception):
+        try:
+            res = solve_ground_state(init, params_i, config_i)
+        except Exception as exc:
             entries.append(SweepEntry(eta=eta, energy=None, mu=None,
                                       pohozaev_residual=None, iterations=0,
-                                      converged=False, error=str(res)))
+                                      converged=False, error=str(exc)))
             reports.append(None)
-        else:
-            entries.append(SweepEntry(eta=eta, energy=res.energy_level, mu=res.mu,
-                                      pohozaev_residual=res.pohozaev_residual,
-                                      iterations=res.iterations,
-                                      converged=res.converged))
-            reports.append(res)
+            continue
+        entries.append(SweepEntry(eta=eta, energy=res.energy_level, mu=res.mu,
+                                  pohozaev_residual=res.pohozaev_residual,
+                                  iterations=res.iterations,
+                                  converged=res.converged))
+        reports.append(res)
 
     good = [(e.eta, e.energy) for e in entries if e.converged and e.energy and e.energy > 0]
     slope = None

@@ -17,8 +17,8 @@ import numpy as np
 from . import fiber, functionals
 from .constants import gn_quotient, probe_fields, sobolev_quotient
 from .fields import (Field, FieldSummary, dense_oracle_frac_laplacian, dilate,
-                     frac_laplacian, lp_norm_pow, make_field, sample,
-                     seminorm_sq, summarize)
+                     frac_laplacian, lp_norm_pow, sample, seminorm_sq,
+                     summarize)
 from .grids import make_grid
 from .params import ModelParams, exponents_for
 from .solver import (SolveConfig, compactness_threshold, pohozaev_project,
@@ -84,7 +84,7 @@ def _check_transform_round_trip(ctx):
     worst = 0.0
     for dim, n, L in ((1, 64, 10.0), (2, 16, 5.0), (3, 8, 3.0)):
         grid = make_grid(dim, n, L)
-        u = make_field(grid, ctx.rng.standard_normal(grid.shape))
+        u = Field(grid, ctx.rng.standard_normal(grid.shape))
         back = np.fft.ifftn(u.spectrum).real
         worst = max(worst, float(np.max(np.abs(back - u.values))
                                  / np.max(np.abs(u.values))))
@@ -96,7 +96,7 @@ def _check_operator_dense_oracle(ctx):
     cases = [(1, 16, 4.0, 0.3), (1, 32, 10.0, 0.5), (2, 16, 5.0, 0.7)]
     for dim, n, L, s in cases:
         grid = make_grid(dim, n, L)
-        u = make_field(grid, ctx.rng.standard_normal(grid.shape))
+        u = Field(grid, ctx.rng.standard_normal(grid.shape))
         fast = frac_laplacian(u, s).values
         dense = dense_oracle_frac_laplacian(u, s).values
         scale = np.max(np.abs(dense))
@@ -109,8 +109,8 @@ def _check_operator_self_adjointness(ctx):
     s = 0.4
     worst = 0.0
     for _ in range(5):
-        u = make_field(grid, ctx.rng.standard_normal(grid.shape))
-        v = make_field(grid, ctx.rng.standard_normal(grid.shape))
+        u = Field(grid, ctx.rng.standard_normal(grid.shape))
+        v = Field(grid, ctx.rng.standard_normal(grid.shape))
         au = frac_laplacian(u, s).values
         av = frac_laplacian(v, s).values
         h = grid.cell_volume
@@ -143,7 +143,7 @@ def _wavelet_field(grid):
     can be resolved at full interpolation accuracy on the default grids.
     """
     r2 = grid.radius() ** 2
-    return make_field(grid, (grid.dim - r2) * np.exp(-r2 / 2.0))
+    return Field(grid, (grid.dim - r2) * np.exp(-r2 / 2.0))
 
 
 def _check_dilation_scaling_laws(ctx):
@@ -170,8 +170,8 @@ def _check_dilation_scaling_laws(ctx):
     params2 = ctx.params2d()
     grid2 = make_grid(2, 512, 32.0)
     r2 = grid2.radius() ** 2
-    wav = make_field(grid2, (2.0 - r2 / 0.49) * np.exp(-r2 / 0.98))
-    gau = make_field(grid2, np.exp(-r2 / 0.98))
+    wav = Field(grid2, (2.0 - r2 / 0.49) * np.exp(-r2 / 0.98))
+    gau = Field(grid2, np.exp(-r2 / 0.98))
     base_w = summarize(wav, params2)
     base_g = summarize(gau, params2)
     for xi in (-1.0, -0.3, 0.5, 1.0):
@@ -268,9 +268,9 @@ def _check_gradient_finite_difference(ctx):
         g = functionals.gradient_field(u, params)
         pairing = float(h * np.sum(g.values * phi.values))
         eps = 1e-5
-        ep = functionals.energy(summarize(make_field(grid, u.values + eps * phi.values),
+        ep = functionals.energy(summarize(Field(grid, u.values + eps * phi.values),
                                           params), params)
-        em = functionals.energy(summarize(make_field(grid, u.values - eps * phi.values),
+        em = functionals.energy(summarize(Field(grid, u.values - eps * phi.values),
                                           params), params)
         fd = (ep - em) / (2.0 * eps)
         worst = max(worst, abs(fd - pairing) / max(abs(fd), 1.0))
@@ -327,8 +327,8 @@ def _check_tangent_projection(ctx):
     grid = make_grid(1, 128, 10.0)
     worst = 0.0
     for _ in range(20):
-        u = make_field(grid, ctx.rng.standard_normal(grid.shape))
-        g = make_field(grid, ctx.rng.standard_normal(grid.shape))
+        u = Field(grid, ctx.rng.standard_normal(grid.shape))
+        g = Field(grid, ctx.rng.standard_normal(grid.shape))
         out = project_tangent(g, u)
         h = grid.cell_volume
         ip = abs(float(h * np.sum(out.values * u.values)))
@@ -342,7 +342,7 @@ def _check_mass_renormalization(ctx):
     grid = make_grid(1, 128, 10.0)
     worst = 0.0
     for m in (0.5, 1.0, 2.5):
-        u = make_field(grid, ctx.rng.standard_normal(grid.shape))
+        u = Field(grid, ctx.rng.standard_normal(grid.shape))
         v = renormalize_mass(u, m)
         worst = max(worst, abs(lp_norm_pow(v, 2.0) - m * m) / (m * m))
     return worst <= 1e-12, "max mass error %.2e relative" % worst
@@ -379,12 +379,10 @@ def _check_converged_run(ctx):
     report, params, cfg = ctx.anchor2d()
     if not report.converged:
         return False, "anchor run did not converge"
-    ex = exponents_for(params.dim, params.s, params.p)
     S = report.summary
     mu_rel = report.mu_identity_residual / abs(report.mu * S.M)
-    bracket = ((params.eta / (2.0 * params.p)) * (ex.zeta_p * params.p - 2.0) * S.B_p
-               + (params.s / params.dim) * S.B_star)
-    e_rel = abs(report.energy_level - bracket) / abs(report.energy_level)
+    e_rel = (abs(functionals.manifold_identity_residual(S, params))
+             / abs(report.energy_level))
     resid_ok = report.pde_residual <= cfg.tol_grad * max(1.0, S.A) / math.sqrt(S.M)
     ok = (report.mu < 0 and report.energy_level > 0 and mu_rel <= 1e-8
           and e_rel <= 1e-8 and resid_ok
@@ -411,7 +409,7 @@ def _check_geometry_gap(ctx):
     probes = probe_fields(grid, params, count=200, seed=23)
     worst = math.inf
     for i, u in enumerate(probes):
-        base = summarize(make_field(grid, params.m * u.values), params)
+        base = summarize(Field(grid, params.m * u.values), params)
         target_a = geo.rho * (0.005 + 0.995 * (i / max(1, len(probes) - 1)))
         xi = math.log(target_a / base.A) / (2.0 * params.s)
         small = fiber.scale_summary(base, xi, params)

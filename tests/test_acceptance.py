@@ -22,11 +22,11 @@ import numpy as np
 import pytest
 
 import fracnlse as F
-from fracnlse import (FieldSummary, FiberProfile, ModelParams,
+from fracnlse import (Field, FieldSummary, FiberProfile, ModelParams,
                       compactness_threshold, dense_oracle_frac_laplacian,
                       dilate, energy, fiber_derivative_residual, fiber_root,
                       frac_laplacian, geometry_lower_bound, gn_quotient,
-                      lp_norm_pow, make_field, make_grid,
+                      lp_norm_pow, make_grid,
                       manifold_identity_residual, pohozaev, probe_fields,
                       rho, sample, scale_summary, sobolev_quotient, summarize)
 
@@ -94,7 +94,7 @@ def test_criterion_02_dilation_scaling_laws(params_1d, params_2d, verdict):
     # |k|^{2s} kink that a plain gaussian would feel at this resolution.
     g1 = make_grid(1, 1024, 40.0)
     r2 = g1.radius() ** 2
-    law_errors(make_field(g1, (1.0 - r2) * np.exp(-r2 / 2.0)), params_1d,
+    law_errors(Field(g1, (1.0 - r2) * np.exp(-r2 / 2.0)), params_1d,
                ("A", "M", "B_p", "B_star"))
 
     # 2D needs a finer box than the default grid: holding a wavelet
@@ -103,9 +103,9 @@ def test_criterion_02_dilation_scaling_laws(params_1d, params_2d, verdict):
     # 2.6e-6, so the Lp laws are witnessed on a gaussian instead.
     g2 = make_grid(2, 512, 32.0)
     r2 = g2.radius() ** 2
-    law_errors(make_field(g2, (2.0 - r2 / 0.49) * np.exp(-r2 / 0.98)),
+    law_errors(Field(g2, (2.0 - r2 / 0.49) * np.exp(-r2 / 0.98)),
                params_2d, ("A",))
-    law_errors(make_field(g2, np.exp(-r2 / 0.98)), params_2d,
+    law_errors(Field(g2, np.exp(-r2 / 0.98)), params_2d,
                ("M", "B_p", "B_star"))
 
     # Summary-level action: group law and closed-form exponent transport.
@@ -256,7 +256,7 @@ def test_criterion_09_geometry_gap(params_2d, constants_2d, verdict):
     probes = probe_fields(grid, params_2d, count=200, seed=23)
     min_energy = math.inf
     for i, u in enumerate(probes):
-        base = summarize(make_field(grid, params_2d.m * u.values), params_2d)
+        base = summarize(Field(grid, params_2d.m * u.values), params_2d)
         target = geo.rho * (0.005 + 0.995 * i / (len(probes) - 1))
         xi = math.log(target / base.A) / (2.0 * params_2d.s)
         min_energy = min(min_energy,

@@ -2,19 +2,30 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import fracnlse
 
 SOLVE_2D = ["--grid", "2:128:120", "--params", "0.5,3.5,10,1",
             "--init-width", "12", "--tol-grad", "2e-2",
             "--tol-pohozaev", "1e-9"]
 
 
+# The child interpreter imports the same package as this test process, even
+# when only pytest's own sys.path (not PYTHONPATH) points at it.
+PACKAGE_ROOT = str(Path(fracnlse.__file__).resolve().parent.parent)
+
+
 def run_cli(*argv, cwd=None):
+    path = filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, "-m", "fracnlse.cli", *argv],
-                          capture_output=True, text=True, cwd=cwd,
+                          capture_output=True, text=True, cwd=cwd, env=env,
                           timeout=600)
 
 
@@ -118,6 +129,21 @@ def test_config_file_with_flag_overrides(tmp_path):
     assert report["grid"] == {"dim": 2, "n": 128, "L": 120.0}
     # The flag beats the config value.
     assert report["config"]["tol_grad"] == 2e-2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[solve]\ntol_grd = 1e-2\n", "unknown key 'tol_grd' in section [solve]"),
+    ("[solv]\ntol_grad = 1e-2\n", "unknown section [solv]"),
+    ("tol_grad = 1e-2\n", "malformed config file"),
+])
+def test_bad_config_file_exit_one(tmp_path, text, message):
+    config = tmp_path / "typo.ini"
+    config.write_text(text)
+    proc = run_cli("solve", "--config", str(config), "--out", str(tmp_path / "t"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert not (tmp_path / "t").exists()
 
 
 def test_missing_config_file_exit_one(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 import fracnlse as F
 from fracnlse import (DecayGuardError, Field, dense_oracle_frac_laplacian,
                       dilate, field_to_csv, frac_laplacian, load_field,
-                      lp_norm_pow, make_field, make_grid, sample, save_field,
+                      lp_norm_pow, make_grid, sample, save_field,
                       seminorm_sq, summarize)
 
 # Trapezoid-exact quadrature of a width-1 gaussian on the default 1D box,
@@ -274,7 +274,7 @@ def test_sample_rejects_unknown_family_and_extras():
 def test_field_validates_shape():
     grid = make_grid(2, 16, 5.0)
     with pytest.raises(ValueError):
-        make_field(grid, np.zeros((16,)))
+        Field(grid, np.zeros((16,)))
 
 
 # ----------------------------------------------------------------------

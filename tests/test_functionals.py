@@ -73,9 +73,9 @@ def test_gradient_field_matches_finite_differences(params_1d):
     h = grid.cell_volume
     pairing = h * float(np.sum(g.values * v.values))
     eps = 1e-6
-    e_plus = energy(summarize(F.make_field(grid, u.values + eps * v.values),
+    e_plus = energy(summarize(F.Field(grid, u.values + eps * v.values),
                               params_1d), params_1d)
-    e_minus = energy(summarize(F.make_field(grid, u.values - eps * v.values),
+    e_minus = energy(summarize(F.Field(grid, u.values - eps * v.values),
                                params_1d), params_1d)
     fd = (e_plus - e_minus) / (2.0 * eps)
     assert pairing == pytest.approx(fd, rel=1e-5)

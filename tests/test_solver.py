@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-import fracnlse as F
 from fracnlse import (Field, ModelParams, SolveConfig, compactness_threshold,
-                      diagnose, lp_norm_pow, make_field, make_grid, pohozaev,
+                      diagnose, lp_norm_pow, make_grid, pohozaev,
                       pohozaev_project, project_tangent, radial_symmetrize,
                       renormalize_mass, sample, solve_ground_state,
                       stationarity_residual, summarize, sweep_eta)
@@ -37,7 +36,7 @@ def test_project_tangent_orthogonality_and_idempotence(params_1d):
 
 def test_project_tangent_rejects_zero_base(params_1d):
     grid = make_grid(1, 64, 10.0)
-    zero = make_field(grid, np.zeros(grid.shape))
+    zero = Field(grid, np.zeros(grid.shape))
     g = sample(grid, "gaussian", {"width": 1.0})
     with pytest.raises(ValueError, match="zero field"):
         project_tangent(g, zero)
@@ -49,7 +48,7 @@ def test_renormalize_mass_exact(params_1d):
     for m in (1.0, 3.5):
         v = renormalize_mass(u, m)
         assert lp_norm_pow(v, 2.0) == pytest.approx(m * m, rel=1e-12)
-    zero = make_field(grid, np.zeros(grid.shape))
+    zero = Field(grid, np.zeros(grid.shape))
     with pytest.raises(ValueError, match="zero field"):
         renormalize_mass(zero, 1.0)
 
@@ -70,7 +69,7 @@ def test_pohozaev_projection_contract(params_1d):
 def test_radial_symmetrize_is_constant_on_radius_bins():
     grid = make_grid(2, 64, 10.0)
     rng = np.random.default_rng(11)
-    u = make_field(grid, rng.normal(size=grid.shape))
+    u = Field(grid, rng.normal(size=grid.shape))
     out = radial_symmetrize(u)
     bins = np.floor(grid.radius() / grid.spacing).astype(np.int64).reshape(-1)
     vals = out.values.reshape(-1)
@@ -111,7 +110,7 @@ def test_solve_validates_inputs(params_1d, params_2d):
                            SolveConfig(grid=make_grid(1, 64, 20.0)))
     with pytest.raises(ValueError, match="dimension"):
         solve_ground_state(init, params_2d, SolveConfig())
-    flat = make_field(grid, np.full(grid.shape, 0.3))
+    flat = Field(grid, np.full(grid.shape, 0.3))
     with pytest.raises(ValueError, match="zero seminorm"):
         solve_ground_state(flat, params_1d, SolveConfig())
 
@@ -254,21 +253,6 @@ def test_sweep_validations(params_2d):
         sweep_eta(params_2d, [10.0, 5.0], cfg)
     with pytest.raises(ValueError, match="reference grid"):
         sweep_eta(params_2d, [10.0], SolveConfig())
-
-
-@pytest.mark.parametrize("raw", ["two", "", "0", "-3", "1.5"])
-def test_sweep_rejects_malformed_thread_cap(params_2d, monkeypatch, raw):
-    monkeypatch.setenv("FRAC_NLSE_THREADS", raw)
-    cfg = SolveConfig(grid=make_grid(2, 64, 60.0))
-    with pytest.raises(ValueError, match="FRAC_NLSE_THREADS.*%r" % (raw,)):
-        sweep_eta(params_2d, [10.0, 20.0], cfg)
-
-
-def test_thread_cap_reads_positive_integers(monkeypatch):
-    monkeypatch.delenv("FRAC_NLSE_THREADS", raising=False)
-    assert F.solver._thread_cap() == 1
-    monkeypatch.setenv("FRAC_NLSE_THREADS", "3")
-    assert F.solver._thread_cap() == 3
 
 
 def test_mini_sweep_slope_and_scaling(params_2d):
