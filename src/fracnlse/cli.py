@@ -15,17 +15,14 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .constants import estimate_constants, load_constants, save_constants
 from .fields import field_to_csv, sample, save_field
 from .grids import GridSpec, make_grid
-from .params import ModelParams, derived_exponents
+from .params import ModelParams
 from .solver import (SolveConfig, diagnose, solve_ground_state, sweep_eta)
 from .svg import loglog_svg, profile_svg, write_svg
 from .verify import FAIL, PASS, SKIP, run_checks

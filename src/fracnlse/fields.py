@@ -43,7 +43,7 @@ from .params import ModelParams, exponents_for
 _LD = np.longdouble
 _TWO_PI = 2.0 * np.pi
 
-XI_MAX_DEFAULT = 3.0
+XI_MAX = 3.0
 DECAY_GUARD_DEFAULT = 1e-8
 
 
@@ -358,15 +358,16 @@ def _dilate_values(values: np.ndarray, grid: GridSpec, xi: float) -> np.ndarray:
     return v
 
 
-def dilate(field: Field, xi: float, xi_max: float = XI_MAX_DEFAULT,
+def dilate(field: Field, xi: float,
            decay_guard: float | None = DECAY_GUARD_DEFAULT) -> Field:
-    """Mass-preserving dilation (xi * u)(x) = e^{N xi/2} u(e^xi x).
+    """Mass-preserving dilation (xi * u)(x) = e^{N xi/2} u(e^xi x), for
+    |xi| <= XI_MAX.
 
     decay_guard is the admissible boundary mass fraction; pass None to skip
     the check (only sensible for callers that police decay themselves).
     """
-    if abs(xi) > xi_max:
-        raise ValueError("dilation parameter |xi| = %g exceeds the limit %g" % (abs(xi), xi_max))
+    if abs(xi) > XI_MAX:
+        raise ValueError("dilation parameter |xi| = %g exceeds the limit %g" % (abs(xi), XI_MAX))
     if decay_guard is not None:
         frac = boundary_mass_fraction(field)
         if frac >= decay_guard:

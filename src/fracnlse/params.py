@@ -71,11 +71,14 @@ class ModelParams:
         if not (self.m > 0.0):
             raise ValueError("mass parameter m must be positive, got %r" % (self.m,))
         ex = exponents_for(self.dim, self.s, self.p)
-        if not (self.p > ex.mass_critical_p):
+        # The exponents must agree with the window in floating point too: a
+        # p an ulp above 2 + 4s/N can round zeta_p * p to exactly 2.
+        if not (self.p > ex.mass_critical_p and ex.zeta_p * self.p > 2.0
+                and ex.level_decay_exponent > 0.0):
             raise ValueError(
-                "p must exceed 2 + 4s/N = %.6g (got p = %g)" % (ex.mass_critical_p, self.p)
+                "p must exceed 2 + 4s/N = %.6g (got p = %r)" % (ex.mass_critical_p, self.p)
             )
-        if not (self.p < ex.two_star):
+        if not (self.p < ex.two_star and ex.zeta_p < 1.0):
             raise ValueError(
                 "p must stay below the critical exponent 2N/(N-2s) = %.6g (got p = %g)"
                 % (ex.two_star, self.p)
@@ -91,10 +94,7 @@ class ModelParams:
 
 
 def derived_exponents(params: ModelParams) -> DerivedExponents:
-    """All four derived exponents of a validated parameter set."""
-    ex = exponents_for(params.dim, params.s, params.p)
-    # Admissibility of params pins these ranges; assert the arithmetic once.
-    assert 0.0 < ex.zeta_p < 1.0
-    assert ex.zeta_p * params.p > 2.0
-    assert ex.level_decay_exponent > 0.0
-    return ex
+    """All four derived exponents of a validated parameter set; ModelParams
+    guarantees 0 < zeta_p < 1, zeta_p * p > 2 and a positive decay
+    exponent."""
+    return exponents_for(params.dim, params.s, params.p)

@@ -41,6 +41,9 @@ from .fiber import DegenerateFiberError, _fiber_root_t
 from .grids import GridSpec, make_grid
 from .params import ModelParams, derived_exponents, exponents_for
 
+_STALL_WINDOW = 200     # iterations without a new best energy before a stop
+_LINE_SEARCH_MAX = 60   # step halvings per iteration
+
 
 @dataclass
 class SolveConfig:
@@ -53,8 +56,6 @@ class SolveConfig:
     radial_projection_every: int = 0
     seed: int = 0
     init_noise: float = 0.0
-    stall_window: int = 200
-    line_search_max: int = 60
 
     def __post_init__(self):
         if not (self.tol_grad > 0.0 and self.tol_pohozaev > 0.0):
@@ -65,10 +66,6 @@ class SolveConfig:
             raise ValueError("max_iters must be at least 1")
         if not (math.isfinite(self.step_init) and self.step_init > 0.0):
             raise ValueError("step_init must be finite and positive")
-        if self.stall_window < 1:
-            raise ValueError("stall_window must be at least 1")
-        if self.line_search_max < 1:
-            raise ValueError("line_search_max must be at least 1")
 
 
 @dataclass
@@ -275,7 +272,7 @@ def _descend(ws, u, A0, params, config, constants, grid):
         d -= (ws.hN * np.sum(d * u) / M) * u
 
         accepted = False
-        for _ in range(config.line_search_max):
+        for _ in range(_LINE_SEARCH_MAX):
             v = u - al * d
             lam = ws.m / math.sqrt(ws.hN * np.sum(v * v))
             Sv = _summary_values(v, grid, params)
@@ -312,7 +309,7 @@ def _descend(ws, u, A0, params, config, constants, grid):
             since_best = 0
         else:
             since_best += 1
-            if since_best >= config.stall_window:
+            if since_best >= _STALL_WINDOW:
                 break
         al = min(2.0 * al, 1e3)
 
@@ -446,8 +443,8 @@ class SweepReport:
 
 
 def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
-              eta_ref: float | None = None, width_ref: float | None = None,
-              scale_box: bool = True, scale_tol: bool = True) -> SweepReport:
+              eta_ref: float | None = None,
+              width_ref: float | None = None) -> SweepReport:
     """Solve across couplings with self-similar grids and tolerances.
 
     The soliton width grows like eta^{d/2s} (d the level decay exponent),
@@ -476,10 +473,10 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
 
     entries, reports = [], []
     for eta in etas:
-        scale = (eta / eta_ref) ** growth if scale_box else 1.0
+        scale = (eta / eta_ref) ** growth
         grid_i = make_grid(params_base.dim, n, L_ref * scale)
         params_i = replace(params_base, eta=eta)
-        tol_i = config.tol_grad * ((eta_ref / eta) ** decay if scale_tol else 1.0)
+        tol_i = config.tol_grad * (eta_ref / eta) ** decay
         config_i = replace(config, grid=grid_i, tol_grad=tol_i)
         init = sample(grid_i, "gaussian", {"width": width_ref * scale})
         try:

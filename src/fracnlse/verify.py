@@ -35,18 +35,19 @@ class CheckResult:
 
 
 class _Context:
-    """Lazy shared state: random generators, anchor solves, probe sets."""
+    """Lazy shared state: anchor solves, and the random generator of the
+    row being run (run_checks sets a fresh one per row)."""
 
-    def __init__(self, constants=None, seed: int = 7):
+    def __init__(self, constants=None):
         self.constants = constants
-        self.rng = np.random.default_rng(seed)
+        self.rng = None
         self._cache: dict = {}
 
     def params1d(self) -> ModelParams:
         return ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0)
 
     def params2d(self) -> ModelParams:
-        return ModelParams(dim=2, s=0.5, p=3.5, eta=1.0, m=1.0)
+        return ModelParams(dim=2, s=0.5, p=3.5, eta=10.0, m=1.0)
 
     def random_summary(self) -> FieldSummary:
         vals = np.exp(self.rng.normal(size=4))
@@ -56,7 +57,7 @@ class _Context:
         """Converged compact solve: 2D, eta = 10, wide box."""
         if "anchor2d" not in self._cache:
             grid = make_grid(2, 256, 240.0)
-            params = ModelParams(dim=2, s=0.5, p=3.5, eta=10.0, m=1.0)
+            params = self.params2d()
             cfg = SolveConfig(grid=grid, tol_grad=5e-3, tol_pohozaev=1e-9)
             init = sample(grid, "gaussian", {"width": 12.0})
             self._cache["anchor2d"] = (solve_ground_state(init, params, cfg), params, cfg)
@@ -92,16 +93,28 @@ def _check_transform_round_trip(ctx):
 
 
 def _check_operator_dense_oracle(ctx):
-    worst = 0.0
-    cases = [(1, 16, 4.0, 0.3), (1, 32, 10.0, 0.5), (2, 16, 5.0, 0.7)]
-    for dim, n, L, s in cases:
+    """Spectral operator vs the dense oracle on random fields, and on a
+    band-limited and a gaussian field at L = 10; deviations relative in
+    max-abs and in L2."""
+    fields = []
+    for dim, n, L, s in ((1, 16, 4.0, 0.3), (1, 32, 10.0, 0.5), (2, 16, 5.0, 0.7)):
         grid = make_grid(dim, n, L)
-        u = Field(grid, ctx.rng.standard_normal(grid.shape))
+        fields.append((Field(grid, ctx.rng.standard_normal(grid.shape)), s))
+    for dim, n, s in ((1, 16, 0.4), (1, 32, 0.4), (2, 16, 0.5)):
+        grid = make_grid(dim, n, 10.0)
+        fields.append((sample(grid, "random_bandlimited", {"cutoff": 1.0}, seed=3), s))
+        fields.append((sample(grid, "gaussian", {"width": 2.0}), s))
+    worst_max, worst_l2 = 0.0, 0.0
+    for u, s in fields:
         fast = frac_laplacian(u, s).values
         dense = dense_oracle_frac_laplacian(u, s).values
-        scale = np.max(np.abs(dense))
-        worst = max(worst, float(np.max(np.abs(fast - dense)) / scale))
-    return worst <= 1e-10, "max operator deviation %.2e" % worst
+        worst_max = max(worst_max, float(np.max(np.abs(fast - dense))
+                                         / np.max(np.abs(dense))))
+        worst_l2 = max(worst_l2, float(np.linalg.norm(fast - dense)
+                                       / np.linalg.norm(dense)))
+    ok = worst_max <= 1e-10 and worst_l2 <= 1e-10
+    return ok, ("max operator deviation %.2e (max-abs), %.2e (L2) over %d fields"
+                % (worst_max, worst_l2, len(fields)))
 
 
 def _check_operator_self_adjointness(ctx):
@@ -147,7 +160,8 @@ def _wavelet_field(grid):
 
 
 def _check_dilation_scaling_laws(ctx):
-    """All four summary transport laws under grid dilation, |xi| <= 1.
+    """All four summary transport laws under grid dilation, |xi| <= 1:
+    the grid action agrees with fiber.scale_summary.
 
     The 1D default grid holds a single wavelet across the whole dilation
     range. In 2D the range e^{-1}..e^{1} of widths does not fit between the
@@ -161,7 +175,7 @@ def _check_dilation_scaling_laws(ctx):
     grid1 = make_grid(1, 1024, 40.0)
     u = _wavelet_field(grid1)
     base = summarize(u, params1)
-    for xi in (-1.0, -0.3, 0.5, 1.0):
+    for xi in (-1.0, -0.8, -0.3, 0.5, 0.6, 1.0):
         got = summarize(dilate(u, xi), params1)
         want = fiber.scale_summary(base, xi, params1)
         for g, w in zip(got.as_tuple(), want.as_tuple()):
@@ -197,28 +211,29 @@ def _check_dilation_mass_invariance(ctx):
 
 
 def _check_summary_action_exactness(ctx):
-    params = ctx.params1d()
-    worst = 0.0
-    for _ in range(50):
+    """fiber.scale_summary against its closed form, the group law
+    xi -> a then b equals a + b, and mass invariance, in 1D and 2D."""
+    worst_law, worst_closed = 0.0, 0.0
+    for i in range(100):
+        params = ctx.params1d() if i % 2 == 0 else ctx.params2d()
+        n, s = params.dim, params.s
         base = ctx.random_summary()
         a, b = ctx.rng.uniform(-2, 2, size=2)
-        once = fiber.scale_summary(fiber.scale_summary(base, a, params), b, params)
+        moved = fiber.scale_summary(base, a, params)
+        if moved.M != base.M:
+            return False, "mass not invariant under the summary action"
+        closed = (math.exp(2.0 * s * a) * base.A, base.M,
+                  math.exp((params.p - 2.0) * n * a / 2.0) * base.B_p,
+                  math.exp((params.two_star - 2.0) * n * a / 2.0) * base.B_star)
+        for g, w in zip(moved.as_tuple(), closed):
+            worst_closed = max(worst_closed, abs(g - w) / abs(w))
+        once = fiber.scale_summary(moved, b, params)
         straight = fiber.scale_summary(base, a + b, params)
         for g, w in zip(once.as_tuple(), straight.as_tuple()):
-            worst = max(worst, abs(g - w) / max(abs(w), 1e-300))
-        if fiber.scale_summary(base, a, params).M != base.M:
-            return False, "mass not invariant under the summary action"
-    grid = make_grid(1, 1024, 40.0)
-    u = _wavelet_field(grid)
-    base = summarize(u, params)
-    for xi in (-0.8, 0.6):
-        got = summarize(dilate(u, xi), params)
-        want = fiber.scale_summary(base, xi, params)
-        for g, w in zip(got.as_tuple(), want.as_tuple()):
-            worst_grid = abs(g - w) / abs(w)
-            if worst_grid > 1e-6:
-                return False, "grid/summary action mismatch %.2e" % worst_grid
-    return worst <= 1e-12, "max group-law deviation %.2e" % worst
+            worst_law = max(worst_law, abs(g - w) / max(abs(w), 1e-300))
+    ok = worst_law <= 1e-12 and worst_closed <= 1e-12
+    return ok, ("max group-law deviation %.2e, closed-form transport %.2e"
+                % (worst_law, worst_closed))
 
 
 def _check_fiber_derivative_identity(ctx):
@@ -292,7 +307,7 @@ def _check_multiplier_sign_identity(ctx):
 
 
 def _check_manifold_energy_identity(ctx):
-    worst = 0.0
+    worst, worst_on_manifold = 0.0, 0.0
     for i in range(200):
         params = ctx.params1d() if i % 2 == 0 else ctx.params2d()
         summary = ctx.random_summary()
@@ -300,7 +315,16 @@ def _check_manifold_energy_identity(ctx):
         half_p = 0.5 * functionals.pohozaev(summary, params)
         scale = max(abs(half_p), summary.A + summary.B_star)
         worst = max(worst, abs(res - half_p) / scale)
-    return worst <= 1e-12, "max identity deviation %.2e (200 summaries)" % worst
+        if i % 4 == 0:
+            xi = fiber.fiber_root(fiber.FiberProfile(summary, params))
+            projected = fiber.scale_summary(summary, xi, params)
+            worst_on_manifold = max(
+                worst_on_manifold,
+                abs(functionals.manifold_identity_residual(projected, params))
+                / max(1.0, projected.A))
+    ok = worst <= 1e-12 and worst_on_manifold <= 1e-12
+    return ok, ("max deviation from P/2 %.2e (200 summaries), at P = 0 %.2e"
+                % (worst, worst_on_manifold))
 
 
 def _check_quotient_invariance(ctx):
@@ -436,7 +460,8 @@ def _check_geometry_radius_decay(ctx):
     strict_after_1 = all(b < a for a, b, br in zip(values, values[1:], branches[1:])
                          if br == 1)
     ok = nonincreasing and strict_after_1 and values[-1] < 1e-3 * values[0]
-    return ok, "rho falls from %.4g to %.4g across eta = 1..1e6" % (values[0], values[-1])
+    return ok, ("rho falls from %.4g to %.4g across eta = 1..1e6 (ratio %.2e)"
+                % (values[0], values[-1], values[-1] / values[0]))
 
 
 def _probe_grid(rep):
@@ -452,7 +477,8 @@ def _check_sobolev_inequality(ctx):
     lo = math.inf
     for u in probe_fields(grid, rep.params, count=50, seed=5):
         lo = min(lo, sobolev_quotient(summarize(u, rep.params), rep.params))
-    return lo >= rep.S_est, "min probe quotient %.4f vs estimate %.4f" % (lo, rep.S_est)
+    return lo > rep.S_est, ("min probe quotient %.4f vs estimate %.4f, margin %.3f"
+                            % (lo, rep.S_est, lo - rep.S_est))
 
 
 def _check_gn_inequality(ctx):
@@ -464,7 +490,8 @@ def _check_gn_inequality(ctx):
     for u in probe_fields(grid, rep.params, count=50, seed=5):
         hi = max(hi, gn_quotient(summarize(u, rep.params), rep.params))
     cap = rep.C_est ** rep.params.p
-    return hi <= cap, "max probe quotient %.4f vs estimate^p %.4f" % (hi, cap)
+    return hi < cap, ("max probe quotient %.4f vs estimate^p %.4f, margin %.3f"
+                      % (hi, cap, cap - hi))
 
 
 def _check_threshold_margin(ctx):
@@ -512,12 +539,17 @@ CHECKS = [
 
 
 def run_checks(constants=None, names=None, seed: int = 7) -> list:
-    """Run the table; returns CheckResult rows in registry order."""
-    ctx = _Context(constants=constants, seed=seed)
+    """Run the table; returns CheckResult rows in registry order.
+
+    Each row draws from its own generator, seeded by (seed, registry
+    position), so its detail does not depend on which rows are selected.
+    """
+    ctx = _Context(constants=constants)
     rows = []
-    for name, fn in CHECKS:
+    for position, (name, fn) in enumerate(CHECKS):
         if names is not None and name not in names:
             continue
+        ctx.rng = np.random.default_rng([seed, position])
         try:
             out = fn(ctx)
         except Exception as exc:  # noqa: BLE001 - failures become table rows

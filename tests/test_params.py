@@ -59,6 +59,9 @@ def test_params_validation_p_window():
         ModelParams(dim=1, s=0.4, p=10.5, eta=1.0, m=1.0)
     with pytest.raises(ValueError, match="p must stay below"):
         ModelParams(dim=2, s=0.5, p=4.0, eta=1.0, m=1.0)
+    # One ulp above 2 + 4s/N, where zeta_p * p rounds to exactly 2.
+    with pytest.raises(ValueError, match="p must exceed"):
+        ModelParams(dim=3, s=0.89, p=3.186666666666667, eta=1.0, m=1.0)
 
 
 def test_params_validation_eta_and_mass_positive():

@@ -1,7 +1,10 @@
 """The self-verification battery: full table, filtering, failure detection."""
 
-import pytest
+import dataclasses
+import math
+import re
 
+import fracnlse.fiber
 import fracnlse.functionals
 from fracnlse import run_checks
 from fracnlse.verify import CHECKS
@@ -38,23 +41,58 @@ def test_name_filter_preserves_registry_order():
     assert rows == []
 
 
+RANDOMIZED = [
+    "transform-round-trip", "operator-dense-oracle",
+    "operator-self-adjointness", "summary-action-exactness",
+    "fiber-derivative-identity", "fiber-root-contract",
+    "gradient-finite-difference", "multiplier-sign-identity",
+    "manifold-energy-identity", "quotient-invariance",
+    "tangent-projection-orthogonality", "mass-renormalization",
+]
+
+
 def test_battery_detects_broken_identities(monkeypatch):
-    # Flip the sign of the Pohozaev functional: the two checks that compare
-    # independent computations of it must fail, while a check that never
-    # touches it must keep passing. This guards the battery itself.
-    names = ["fiber-derivative-identity", "manifold-energy-identity",
-             "multiplier-sign-identity"]
-    true_pohozaev = fracnlse.functionals.pohozaev
-    monkeypatch.setattr(fracnlse.functionals, "pohozaev",
-                        lambda s4, params: -true_pohozaev(s4, params))
-    rows = {r.name: r.status for r in run_checks(names=names)}
-    assert rows["fiber-derivative-identity"] == "fail"
-    assert rows["manifold-energy-identity"] == "fail"
-    assert rows["multiplier-sign-identity"] == "pass"
+    # Break one identity at a time: the checks that compare independent
+    # computations of it must fail, while a check that never touches it
+    # must keep passing. This guards the battery itself.
+    with monkeypatch.context() as patch:
+        # Flip the sign of the Pohozaev functional.
+        true_pohozaev = fracnlse.functionals.pohozaev
+        patch.setattr(fracnlse.functionals, "pohozaev",
+                      lambda s4, params: -true_pohozaev(s4, params))
+        rows = {r.name: r.status for r in run_checks(
+            names=["fiber-derivative-identity", "manifold-energy-identity",
+                   "multiplier-sign-identity"])}
+        assert rows["fiber-derivative-identity"] == "fail"
+        assert rows["manifold-energy-identity"] == "fail"
+        assert rows["multiplier-sign-identity"] == "pass"
+
+    with monkeypatch.context() as patch:
+        # A wrong B_star exponent in the summary action: the grid laws and
+        # the closed form catch it; the group law holds for any exponent.
+        true_scale = fracnlse.fiber.scale_summary
+
+        def wrong_scale(summary, xi, params):
+            out = true_scale(summary, xi, params)
+            return dataclasses.replace(out, B_star=out.B_star * math.exp(0.1 * xi))
+
+        patch.setattr(fracnlse.fiber, "scale_summary", wrong_scale)
+        rows = {r.name: r for r in run_checks(
+            names=["dilation-scaling-laws", "summary-action-exactness"])}
+        assert rows["dilation-scaling-laws"].status == "fail"
+        assert rows["summary-action-exactness"].status == "fail"
+        law, closed = re.search(
+            r"group-law deviation (\S+), closed-form transport (\S+)",
+            rows["summary-action-exactness"].detail).groups()
+        assert float(law) <= 1e-12 < float(closed)
 
 
-def test_seed_controls_randomized_rows(constants_1d):
+def test_seed_controls_randomized_rows():
     names = ["fiber-derivative-identity"]
     a = run_checks(names=names, seed=1)[0]
     b = run_checks(names=names, seed=1)[0]
     assert a.detail == b.detail
+    # Each row draws its own inputs: alone it reads as inside a larger run.
+    together = {r.name: r.detail for r in run_checks(names=RANDOMIZED)}
+    for name in RANDOMIZED:
+        assert run_checks(names=[name])[0].detail == together[name], name
