@@ -38,9 +38,9 @@ class CliError(Exception):
 _DEFAULTS = {
     "params": {"dim": "1", "s": "0.4", "p": "6.0", "eta": "1.0", "m": "1.0"},
     "grid": {"n": "1024", "L": "40.0"},
-    "solve": {"tol_grad": "1e-8", "tol_pohozaev": "1e-8", "step_init": "1e-2",
-              "armijo": "1e-4", "max_iters": "50000", "radial_projection_every": "0",
-              "seed": "0", "init_width": "", "init_noise": "0.0"},
+    "solve": {"tol_grad": "1e-8", "tol_pohozaev": "1e-8", "max_iters": "50000",
+              "radial_projection_every": "0", "seed": "0", "init_width": "",
+              "init_noise": "0.0"},
     "sweep": {"eta": "", "eta_ref": "", "width_ref": ""},
     "constants": {"rungs": "3"},
     "output": {"dir": ""},
@@ -122,8 +122,6 @@ def _parse_run(conf: dict, command: str):
             grid=grid,
             tol_grad=float(conf["solve"]["tol_grad"]),
             tol_pohozaev=float(conf["solve"]["tol_pohozaev"]),
-            step_init=float(conf["solve"]["step_init"]),
-            armijo=float(conf["solve"]["armijo"]),
             max_iters=int(conf["solve"]["max_iters"]),
             radial_projection_every=int(conf["solve"]["radial_projection_every"]),
             seed=int(conf["solve"]["seed"]),
@@ -245,7 +243,6 @@ def cmd_solve(args) -> int:
         "grid": {"dim": grid.dim, "n": grid.points_per_axis, "L": grid.half_length},
         "config": {"tol_grad": solve_cfg.tol_grad,
                    "tol_pohozaev": solve_cfg.tol_pohozaev,
-                   "step_init": solve_cfg.step_init, "armijo": solve_cfg.armijo,
                    "max_iters": solve_cfg.max_iters,
                    "radial_projection_every": solve_cfg.radial_projection_every,
                    "seed": solve_cfg.seed, "init_width": init_width,
@@ -435,7 +432,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .fields import Field, FieldSummary, _lp_values, sample
+from .fields import Field, FieldSummary, _lp_values, _seminorm_sq_values, sample
+from .functionals import odd_power
 from .grids import GridSpec, make_grid
 from .params import ModelParams, exponents_for
 
@@ -147,20 +148,19 @@ def _descend_sobolev(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tup
     """
     q = exponents_for(params.dim, params.s, params.p).two_star
     hN = grid.cell_volume
-    weight = hN / grid.num_points
     sym = grid.symbol(params.s)
     pre = 1.0 / (1.0 + sym)
 
     def evaluate(u):
         spec = np.fft.fftn(u)
-        A = float(weight * np.sum(sym * (spec.real ** 2 + spec.imag ** 2)))
+        A = _seminorm_sq_values(u, grid, params.s, spec)
         Bs = _lp_values(u, grid, q)
         return A / Bs ** (2.0 / q), (spec, A, Bs)
 
     def direction(u, state):
         spec, A, Bs = state
         lap = np.fft.ifftn(sym * spec).real
-        g = _mean_zero(lap - (A / Bs) * np.sign(u) * np.abs(u) ** (q - 1.0))
+        g = _mean_zero(lap - (A / Bs) * odd_power(u, q))
         d = _mean_zero(np.fft.ifftn(np.fft.fftn(g) * pre).real)
         return d, float(hN * np.sum(g * d))
 
@@ -179,12 +179,11 @@ def _descend_neg_gn(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tupl
     zeta = exponents_for(params.dim, params.s, p).zeta_p
     ea, eb = p * zeta / 2.0, p * (1.0 - zeta) / 2.0
     hN = grid.cell_volume
-    weight = hN / grid.num_points
     sym = grid.symbol(params.s)
 
     def evaluate(u):
         spec = np.fft.fftn(u)
-        A = float(weight * np.sum(sym * (spec.real ** 2 + spec.imag ** 2)))
+        A = _seminorm_sq_values(u, grid, params.s, spec)
         M = _lp_values(u, grid, 2.0)
         Bp = _lp_values(u, grid, p)
         den = A ** ea * M ** eb
@@ -194,7 +193,7 @@ def _descend_neg_gn(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tupl
         spec, A, M, Bp, den = state
         lap = np.fft.ifftn(sym * spec).real
         g = _mean_zero((Bp / den) * (p * zeta * lap / A + p * (1.0 - zeta) * u / M)
-                       - p * np.sign(u) * np.abs(u) ** (p - 1.0) / den)
+                       - p * odd_power(u, p) / den)
         return g, float(hN * np.sum(g * g))
 
     return _descend_quotient(grid, u0, evaluate, direction)

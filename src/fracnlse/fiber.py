@@ -70,14 +70,13 @@ def fiber_derivative_residual(profile: FiberProfile, xi: float, step: float = 1e
     return abs(deriv - target) / max(1.0, abs(target))
 
 
-def _fiber_root_t(summary: FieldSummary, params: ModelParams,
-                  return_iterations: bool = False):
-    """Root of phi(t) on t > 0 by bracket doubling from t = 1 and bisection."""
-    if summary.A <= 0.0 or (summary.B_star <= 0.0 and summary.B_p <= 0.0):
-        raise DegenerateFiberError(
-            "degenerate fiber profile (needs A > 0 and a nonzero nonlinear term)")
+def fiber_root(profile: FiberProfile, return_iterations: bool = False):
+    """The unique xi* with fiber_pohozaev(profile, xi*) = 0; the fiber
+    energy is maximal there. The root t* = e^{s xi*} of phi is bracketed by
+    doubling from t = 1 and then bisected."""
+    params = profile.params
     ex = exponents_for(params.dim, params.s, params.p)
-    A, Bp, Bs = summary.A, summary.B_p, summary.B_star
+    A, Bp, Bs = profile.base.A, profile.base.B_p, profile.base.B_star
     cp = params.eta * ex.zeta_p
     e_star = ex.two_star - 2.0
     e_p = ex.zeta_p * params.p - 2.0
@@ -102,8 +101,6 @@ def _fiber_root_t(summary: FieldSummary, params: ModelParams,
             if iters > 200:
                 raise RuntimeError("fiber root bracket expansion failed")
         hi = lo * 2.0
-    else:
-        return (1.0, iters) if return_iterations else 1.0
     while hi - lo > 1e-17 * hi and iters < 200:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -113,15 +110,5 @@ def _fiber_root_t(summary: FieldSummary, params: ModelParams,
         else:
             hi = mid
         iters += 1
-    t = 0.5 * (lo + hi)
-    return (t, iters) if return_iterations else t
-
-
-def fiber_root(profile: FiberProfile, return_iterations: bool = False):
-    """The unique xi* with fiber_pohozaev(profile, xi*) = 0; the fiber
-    energy is maximal there."""
-    out = _fiber_root_t(profile.base, profile.params, return_iterations)
-    if return_iterations:
-        t, iters = out
-        return math.log(t) / profile.params.s, iters
-    return math.log(out) / profile.params.s
+    xi = math.log(0.5 * (lo + hi)) / params.s
+    return (xi, iters) if return_iterations else xi

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, FieldSummary, frac_laplacian
+from .fields import Field, FieldSummary
+from .grids import GridSpec
 from .params import ModelParams, exponents_for
 
 
@@ -43,10 +44,13 @@ def odd_power(values: np.ndarray, q: float) -> np.ndarray:
 def gradient_field(field: Field, params: ModelParams) -> Field:
     """Unconstrained L2 gradient of the energy:
     (-Delta)^s u - |u|^{2*_s - 2} u - eta |u|^{p-2} u."""
+    return Field(field.grid, _gradient_values(field.values, field.grid, params))
+
+
+def _gradient_values(values: np.ndarray, grid: GridSpec, params: ModelParams) -> np.ndarray:
     ex = exponents_for(params.dim, params.s, params.p)
-    lap = frac_laplacian(field, params.s).values
-    g = lap - odd_power(field.values, ex.two_star) - params.eta * odd_power(field.values, params.p)
-    return Field(field.grid, g)
+    lap = np.fft.ifftn(grid.symbol(params.s) * np.fft.fftn(values)).real
+    return lap - odd_power(values, ex.two_star) - params.eta * odd_power(values, params.p)
 
 
 def lagrange_multiplier(summary: FieldSummary, params: ModelParams) -> float:

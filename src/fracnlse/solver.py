@@ -9,8 +9,13 @@ tangent-projected, multiplier-shifted gradient
     g = (-Delta)^s u - |u|^{2*-2} u - eta |u|^{p-2} u - mu u,
     mu = (A - B_star - eta B_p)/M,
 
-so the fixed point solves the Euler-Lagrange equation on the sphere. Two
-performance choices matter. The descent direction is preconditioned in
+so the fixed point solves the Euler-Lagrange equation on the sphere. The
+loop keeps no copy of a formula: the gradient and the multiplier come from
+functionals, the fiber root and the dilation transport of summaries from
+fiber, and the projection returns the summary it measured last, so no
+projected state is summarized twice.
+
+Two performance choices matter. The descent direction is preconditioned in
 Fourier space by 1/(1 + max(0, -mu) + |k|^{2s}), without which the stiff
 high-frequency part of the operator makes plain descent impractically
 slow. And each trial step is prescreened with the exact fiber algebra
@@ -36,11 +41,13 @@ import numpy as np
 
 from . import functionals
 from .fields import (Field, FieldSummary, _dilate_values, _lp_values,
-                     _summary_values, sample)
-from .fiber import DegenerateFiberError, _fiber_root_t
+                     _seminorm_sq_values, _summary_values, sample)
+from .fiber import DegenerateFiberError, FiberProfile, fiber_root, scale_summary
 from .grids import GridSpec, make_grid
 from .params import ModelParams, derived_exponents, exponents_for
 
+_STEP_INIT = 1e-2       # first line-search step
+_ARMIJO = 1e-4          # sufficient-decrease coefficient
 _STALL_WINDOW = 200     # iterations without a new best energy before a stop
 _LINE_SEARCH_MAX = 60   # step halvings per iteration
 
@@ -48,8 +55,6 @@ _LINE_SEARCH_MAX = 60   # step halvings per iteration
 @dataclass
 class SolveConfig:
     grid: GridSpec | None = None
-    step_init: float = 1e-2
-    armijo: float = 1e-4
     tol_grad: float = 1e-8
     tol_pohozaev: float = 1e-8
     max_iters: int = 50000
@@ -60,12 +65,8 @@ class SolveConfig:
     def __post_init__(self):
         if not (self.tol_grad > 0.0 and self.tol_pohozaev > 0.0):
             raise ValueError("tolerances must be positive")
-        if not (0.0 < self.armijo < 1.0):
-            raise ValueError("armijo coefficient must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (math.isfinite(self.step_init) and self.step_init > 0.0):
-            raise ValueError("step_init must be finite and positive")
 
 
 @dataclass
@@ -104,19 +105,25 @@ class SolveReport:
 def project_tangent(gradient: Field, u: Field) -> Field:
     """L2-orthogonal projection of a gradient onto the tangent space of
     the mass sphere at u."""
-    hN = u.grid.cell_volume
-    M = float(hN * np.sum(u.values * u.values))
+    return Field(u.grid, _tangent(gradient.values, u.values, u.grid))
+
+
+def _tangent(g: np.ndarray, u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    M = _lp_values(u, grid, 2.0)
     if M <= 0.0:
         raise ValueError("tangent projection undefined at the zero field")
-    coef = float(hN * np.sum(gradient.values * u.values)) / M
-    return Field(u.grid, gradient.values - coef * u.values)
+    return g - (grid.cell_volume * np.sum(g * u) / M) * u
 
 
 def renormalize_mass(u: Field, m: float) -> Field:
-    norm = math.sqrt(_lp_values(u.values, u.grid, 2.0))
+    return Field(u.grid, _renorm(u.values, u.grid, m))
+
+
+def _renorm(values: np.ndarray, grid: GridSpec, m: float) -> np.ndarray:
+    norm = math.sqrt(_lp_values(values, grid, 2.0))
     if norm == 0.0:
         raise ValueError("cannot renormalize the zero field")
-    return Field(u.grid, (m / norm) * u.values)
+    return (m / norm) * values
 
 
 def radial_symmetrize(u: Field) -> Field:
@@ -141,40 +148,21 @@ def radial_symmetrize(u: Field) -> Field:
 
 
 # ----------------------------------------------------------------------
-# workspace: ndarray-level kernels shared by the hot loop
+# the Pohozaev projection
 
 
-class _Workspace:
-    def __init__(self, grid: GridSpec, params: ModelParams):
-        self.grid = grid
-        self.params = params
-        ex = exponents_for(params.dim, params.s, params.p)
-        self.q = ex.two_star
-        self.pz = params.p * ex.zeta_p
-        self.hN = grid.cell_volume
-        self.sym = grid.symbol(params.s)
-        self.eta = params.eta
-        self.p = params.p
-        self.s = params.s
-        self.m = params.m
-
-    def flap(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(self.sym * np.fft.fftn(values)).real
-
-    def renorm(self, values: np.ndarray) -> np.ndarray:
-        return values * (self.m / math.sqrt(self.hN * np.sum(values * values)))
-
-    def project(self, values: np.ndarray, rounds: int, tol: float) -> np.ndarray:
-        """Iterated fiber projection onto the Pohozaev zero set, keeping
-        the mass at m. tol is relative to the current seminorm."""
-        for _ in range(rounds):
-            S = _summary_values(values, self.grid, self.params)
-            if abs(functionals.pohozaev(S, self.params)) <= tol * S.A:
-                break
-            t = _fiber_root_t(S, self.params)
-            xi = math.log(t) / self.s
-            values = self.renorm(_dilate_values(values, self.grid, xi))
-        return values
+def _project(values: np.ndarray, grid: GridSpec, params: ModelParams, rounds: int,
+             tol: float) -> tuple:
+    """Iterated fiber projection onto the Pohozaev zero set at mass m;
+    tol is relative to the current seminorm. Returns the projected values
+    and their summary."""
+    for _ in range(rounds):
+        S = _summary_values(values, grid, params)
+        if abs(functionals.pohozaev(S, params)) <= tol * S.A:
+            return values, S
+        xi = fiber_root(FiberProfile(S, params))
+        values = _renorm(_dilate_values(values, grid, xi), grid, params.m)
+    return values, _summary_values(values, grid, params)
 
 
 def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
@@ -191,16 +179,14 @@ def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
         if frac >= DECAY_GUARD_DEFAULT:
             raise DecayGuardError(frac)
     mass = math.sqrt(_lp_values(u.values, u.grid, 2.0))
-    ws = _Workspace(u.grid, replace(params, m=mass))
-    return Field(u.grid, ws.project(u.values, rounds=rounds, tol=tol))
+    values, _ = _project(u.values, u.grid, replace(params, m=mass), rounds, tol)
+    return Field(u.grid, values)
 
 
 def stationarity_residual(field: Field, params: ModelParams, mu: float) -> float:
     """Relative L2 residual of the Euler-Lagrange equation at (field, mu)."""
-    ws = _Workspace(field.grid, params)
     u = field.values
-    r = (ws.flap(u) - functionals.odd_power(u, ws.q)
-         - params.eta * functionals.odd_power(u, params.p) - mu * u)
+    r = functionals._gradient_values(u, field.grid, params) - mu * u
     return math.sqrt(_lp_values(r, field.grid, 2.0) / _lp_values(u, field.grid, 2.0))
 
 
@@ -221,29 +207,28 @@ def solve_ground_state(init: Field, params: ModelParams, config: SolveConfig,
         raise ValueError("config grid does not match the initializer's grid")
     if params.dim != grid.dim:
         raise ValueError("params dimension does not match the grid")
-    ws = _Workspace(grid, params)
-
     u = np.array(init.values, dtype=float)
     if config.init_noise > 0.0:
         rng = np.random.default_rng(config.seed)
         rms = math.sqrt(float(np.mean(u * u)))
         u = u + config.init_noise * rms * rng.standard_normal(grid.shape)
-    u = ws.renorm(u)
-    A0 = _summary_values(u, grid, params).A
+    u = _renorm(u, grid, params.m)
+    A0 = _seminorm_sq_values(u, grid, params.s)
     if A0 <= 0.0:
         raise ValueError("initializer has zero seminorm (constant fields are inadmissible)")
 
     try:
-        return _descend(ws, u, A0, params, config, constants, grid)
+        return _descend(u, A0, params, config, constants, grid)
     except DegenerateFiberError as exc:
         raise RuntimeError("fiber degenerated") from exc
 
 
-def _descend(ws, u, A0, params, config, constants, grid):
-    u = ws.project(u, rounds=30, tol=config.tol_pohozaev)
-    S = _summary_values(u, grid, params)
+def _descend(u, A0, params, config, constants, grid):
+    m, sym = params.m, grid.symbol(params.s)
+    ex = derived_exponents(params)
+    u, S = _project(u, grid, params, rounds=30, tol=config.tol_pohozaev)
     E = functionals.energy(S, params)
-    al = config.step_init
+    al = _STEP_INIT
     history = []
     converged = False
     gn = math.inf
@@ -252,14 +237,12 @@ def _descend(ws, u, A0, params, config, constants, grid):
     iterations = 0
 
     for iterations in range(1, config.max_iters + 1):
-        A, M = S.A, S.M
+        A = S.A
         if A < 1e-12 * A0:
             raise RuntimeError("fiber degenerated")
-        mu = (A - S.B_star - ws.eta * S.B_p) / M
-        g = (ws.flap(u) - functionals.odd_power(u, ws.q)
-             - ws.eta * functionals.odd_power(u, ws.p) - mu * u)
-        g -= (ws.hN * np.sum(g * u) / M) * u
-        gn2 = float(ws.hN * np.sum(g * g))
+        mu = functionals.lagrange_multiplier(S, params)
+        g = _tangent(functionals._gradient_values(u, grid, params) - mu * u, u, grid)
+        gn2 = _lp_values(g, grid, 2.0)
         gn = math.sqrt(gn2)
         absP = abs(functionals.pohozaev(S, params))
         history.append((E, absP, gn))
@@ -268,28 +251,25 @@ def _descend(ws, u, A0, params, config, constants, grid):
             break
 
         c0 = 1.0 + max(0.0, -mu)
-        d = np.fft.ifftn(np.fft.fftn(g) / (c0 + ws.sym)).real
-        d -= (ws.hN * np.sum(d * u) / M) * u
+        d = _tangent(np.fft.ifftn(np.fft.fftn(g) / (c0 + sym)).real, u, grid)
 
         accepted = False
         for _ in range(_LINE_SEARCH_MAX):
+            # The amplitude law (A ~ lam^2, B_beta ~ lam^beta) carries the
+            # trial's summary to mass m; summarizing lam * v instead differs
+            # in the last bits, which can flip a prescreen decision.
             v = u - al * d
-            lam = ws.m / math.sqrt(ws.hN * np.sum(v * v))
             Sv = _summary_values(v, grid, params)
-            Svn = FieldSummary(A=lam * lam * Sv.A, M=ws.m * ws.m,
-                               B_p=lam ** ws.p * Sv.B_p,
-                               B_star=lam ** ws.q * Sv.B_star)
-            t = _fiber_root_t(Svn, params)
-            Shat = FieldSummary(A=t * t * Svn.A, M=ws.m * ws.m,
-                                B_p=t ** ws.pz * Svn.B_p,
-                                B_star=t ** ws.q * Svn.B_star)
-            if functionals.energy(Shat, params) > E - config.armijo * al * gn2:
+            lam = m / math.sqrt(Sv.M)
+            Sv = FieldSummary(A=lam * lam * Sv.A, M=m * m, B_p=lam ** params.p * Sv.B_p,
+                              B_star=lam ** ex.two_star * Sv.B_star)
+            Shat = scale_summary(Sv, fiber_root(FiberProfile(Sv, params)), params)
+            if functionals.energy(Shat, params) > E - _ARMIJO * al * gn2:
                 al *= 0.5
                 continue
-            w = ws.project(lam * v, rounds=3, tol=config.tol_pohozaev)
-            Sw = _summary_values(w, grid, params)
+            w, Sw = _project(lam * v, grid, params, rounds=3, tol=config.tol_pohozaev)
             Ew = functionals.energy(Sw, params)
-            if Ew <= E - config.armijo * al * gn2:
+            if Ew <= E - _ARMIJO * al * gn2:
                 u, S, E = w, Sw, Ew
                 accepted = True
                 break
@@ -299,9 +279,8 @@ def _descend(ws, u, A0, params, config, constants, grid):
 
         if (config.radial_projection_every > 0 and grid.dim >= 2
                 and iterations % config.radial_projection_every == 0):
-            u = ws.renorm(radial_symmetrize(Field(grid, u)).values)
-            u = ws.project(u, rounds=1, tol=config.tol_pohozaev)
-            S = _summary_values(u, grid, params)
+            u = _renorm(radial_symmetrize(Field(grid, u)).values, grid, m)
+            u, S = _project(u, grid, params, rounds=1, tol=config.tol_pohozaev)
             E = functionals.energy(S, params)
 
         if E < best - 1e-14 * max(1.0, abs(best)):
@@ -313,11 +292,9 @@ def _descend(ws, u, A0, params, config, constants, grid):
                 break
         al = min(2.0 * al, 1e3)
 
-    u = ws.project(u, rounds=25, tol=1e-12)
-    S = _summary_values(u, grid, params)
+    u, S = _project(u, grid, params, rounds=25, tol=1e-12)
     E = functionals.energy(S, params)
     mu = functionals.lagrange_multiplier(S, params)
-    ex = derived_exponents(params)
     mu_identity = abs(mu * S.M - params.eta * (ex.zeta_p - 1.0) * S.B_p)
     final = Field(grid, u)
     margin = None

@@ -109,6 +109,17 @@ def test_inadmissible_parameters_exit_one(tmp_path):
     assert "p must exceed" in proc.stderr
 
 
+def test_degenerate_solve_exit_one_without_traceback(tmp_path):
+    # A soliton wider than the box collapses its fiber; the solver raises
+    # RuntimeError, which the CLI reports as one error line.
+    proc = run_cli("solve", "--grid", "2:64:40", "--params", "0.5,3.5,10,1",
+                   "--init-width", "12", "--tol-grad", "2e-2",
+                   "--tol-pohozaev", "1e-9", "--out", str(tmp_path / "d"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: fiber degenerated\n"
+
+
 def test_bad_grid_flag_exit_one(tmp_path):
     proc = run_cli("solve", "--grid", "2x128x120", "--out", str(tmp_path / "g"))
     assert proc.returncode == 1

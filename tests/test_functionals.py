@@ -1,7 +1,5 @@
 """Energy, Pohozaev, multiplier, manifold identity, and the geometry gap."""
 
-import math
-
 import numpy as np
 import pytest
 

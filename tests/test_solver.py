@@ -1,6 +1,7 @@
 """Constrained descent: projections, anchor solves, sweeps, diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from fracnlse import (Field, ModelParams, SolveConfig, compactness_threshold,
                       pohozaev_project, project_tangent, radial_symmetrize,
                       renormalize_mass, sample, solve_ground_state,
                       stationarity_residual, summarize, sweep_eta)
+from fracnlse.fields import _summary_values
+from fracnlse.solver import _project
 
 # Energy levels pinned from converged (2D) and stalled-but-stable (1D) runs
 # of this package; both are deterministic.
@@ -66,6 +69,18 @@ def test_pohozaev_projection_contract(params_1d):
     assert rel_move <= 1e-6
 
 
+@pytest.mark.parametrize("rounds, tol", [(30, 1e-10), (1, 0.0)])
+def test_project_returns_the_summary_of_its_values(params_1d, rounds, tol):
+    params = replace(params_1d, m=1.5)
+    grid = make_grid(1, 1024, 40.0)
+    u = renormalize_mass(sample(grid, "gaussian", {"width": 1.0}), params.m)
+    values, S = _project(u.values, grid, params, rounds, tol)
+    assert S == _summary_values(values, grid, params)
+    assert math.sqrt(S.M) == pytest.approx(params.m, abs=1e-12)
+    # tol = 0 cannot be met, so (1, 0.0) measures after its last dilation.
+    assert (abs(pohozaev(S, params)) <= tol * S.A) == (tol > 0.0)
+
+
 def test_radial_symmetrize_is_constant_on_radius_bins():
     grid = make_grid(2, 64, 10.0)
     rng = np.random.default_rng(11)
@@ -118,13 +133,8 @@ def test_solve_validates_inputs(params_1d, params_2d):
 def test_solve_config_validation():
     with pytest.raises(ValueError, match="tolerances"):
         SolveConfig(tol_grad=0.0)
-    with pytest.raises(ValueError, match="armijo"):
-        SolveConfig(armijo=1.5)
     with pytest.raises(ValueError, match="max_iters"):
         SolveConfig(max_iters=0)
-    for bad in (0.0, -1e-2, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="step_init"):
-            SolveConfig(step_init=bad)
 
 
 def test_iteration_budget_reports_unconverged(params_1d):
