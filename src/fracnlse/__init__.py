@@ -27,9 +27,8 @@ from .grids import GridSpec, make_grid
 from .params import DerivedExponents, ModelParams, derived_exponents
 from .solver import (Diagnostics, SolveConfig, SolveReport, SweepEntry,
                      SweepReport, compactness_threshold, diagnose,
-                     pohozaev_project, project_tangent, radial_symmetrize,
-                     renormalize_mass, solve_ground_state,
-                     stationarity_residual, sweep_eta)
+                     pohozaev_project, project_tangent, renormalize_mass,
+                     solve_ground_state, stationarity_residual, sweep_eta)
 from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
@@ -80,7 +79,6 @@ __all__ = [
     "pohozaev_project",
     "probe_fields",
     "project_tangent",
-    "radial_symmetrize",
     "renormalize_mass",
     "rho",
     "run_checks",

@@ -32,6 +32,14 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CliError (exit 1), since exit 2 means a
+    run that failed its quality gate."""
+
+    def error(self, message):
+        raise CliError("%s: %s" % (self.prog, message))
+
+
 # ----------------------------------------------------------------------
 # configuration assembly
 
@@ -39,8 +47,7 @@ _DEFAULTS = {
     "params": {"dim": "1", "s": "0.4", "p": "6.0", "eta": "1.0", "m": "1.0"},
     "grid": {"n": "1024", "L": "40.0"},
     "solve": {"tol_grad": "1e-8", "tol_pohozaev": "1e-8", "max_iters": "50000",
-              "radial_projection_every": "0", "seed": "0", "init_width": "",
-              "init_noise": "0.0"},
+              "seed": "0", "init_width": "", "init_noise": "0.0"},
     "sweep": {"eta": "", "eta_ref": "", "width_ref": ""},
     "constants": {"rungs": "3"},
     "output": {"dir": ""},
@@ -91,8 +98,6 @@ def _apply_flags(conf: dict, args: argparse.Namespace) -> dict:
         conf["sweep"]["eta"] = args.eta
     if getattr(args, "seed", None) is not None:
         conf["solve"]["seed"] = str(args.seed)
-    if getattr(args, "radial_every", None) is not None:
-        conf["solve"]["radial_projection_every"] = str(args.radial_every)
     if getattr(args, "max_iters", None) is not None:
         conf["solve"]["max_iters"] = str(args.max_iters)
     if getattr(args, "tol_grad", None) is not None:
@@ -123,7 +128,6 @@ def _parse_run(conf: dict, command: str):
             tol_grad=float(conf["solve"]["tol_grad"]),
             tol_pohozaev=float(conf["solve"]["tol_pohozaev"]),
             max_iters=int(conf["solve"]["max_iters"]),
-            radial_projection_every=int(conf["solve"]["radial_projection_every"]),
             seed=int(conf["solve"]["seed"]),
             init_noise=float(conf["solve"]["init_noise"]),
         )
@@ -244,7 +248,6 @@ def cmd_solve(args) -> int:
         "config": {"tol_grad": solve_cfg.tol_grad,
                    "tol_pohozaev": solve_cfg.tol_pohozaev,
                    "max_iters": solve_cfg.max_iters,
-                   "radial_projection_every": solve_cfg.radial_projection_every,
                    "seed": solve_cfg.seed, "init_width": init_width,
                    "init_noise": solve_cfg.init_noise},
         "report": report.to_dict(),
@@ -395,8 +398,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid", help="grid as N:n:L")
     sub.add_argument("--params", help="model parameters as s,p,eta,m")
     sub.add_argument("--seed", type=int, help="seed for initializer perturbation")
-    sub.add_argument("--radial-every", type=int, dest="radial_every",
-                     help="symmetrize every k iterations (0 = off)")
     sub.add_argument("--constants", help="path to a constants report JSON")
     sub.add_argument("--max-iters", type=int, dest="max_iters")
     sub.add_argument("--tol-grad", type=float, dest="tol_grad")
@@ -406,7 +407,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracnlse",
         description="Ground-state laboratory for a fractional NLS energy "
                     "with combined critical and subcritical nonlinearities.")
@@ -425,14 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (CliError, ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

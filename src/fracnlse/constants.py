@@ -22,7 +22,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .fields import Field, FieldSummary, _lp_values, _seminorm_sq_values, sample
+from .fields import (Field, FieldSummary, _frac_laplacian_values, _lp_values,
+                     _seminorm_sq_values, sample)
 from .functionals import odd_power
 from .grids import GridSpec, make_grid
 from .params import ModelParams, exponents_for
@@ -148,8 +149,7 @@ def _descend_sobolev(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tup
     """
     q = exponents_for(params.dim, params.s, params.p).two_star
     hN = grid.cell_volume
-    sym = grid.symbol(params.s)
-    pre = 1.0 / (1.0 + sym)
+    pre = 1.0 / (1.0 + grid.symbol(params.s))
 
     def evaluate(u):
         spec = np.fft.fftn(u)
@@ -159,7 +159,7 @@ def _descend_sobolev(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tup
 
     def direction(u, state):
         spec, A, Bs = state
-        lap = np.fft.ifftn(sym * spec).real
+        lap = _frac_laplacian_values(u, grid, params.s, spec)
         g = _mean_zero(lap - (A / Bs) * odd_power(u, q))
         d = _mean_zero(np.fft.ifftn(np.fft.fftn(g) * pre).real)
         return d, float(hN * np.sum(g * d))
@@ -179,7 +179,6 @@ def _descend_neg_gn(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tupl
     zeta = exponents_for(params.dim, params.s, p).zeta_p
     ea, eb = p * zeta / 2.0, p * (1.0 - zeta) / 2.0
     hN = grid.cell_volume
-    sym = grid.symbol(params.s)
 
     def evaluate(u):
         spec = np.fft.fftn(u)
@@ -191,7 +190,7 @@ def _descend_neg_gn(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tupl
 
     def direction(u, state):
         spec, A, M, Bp, den = state
-        lap = np.fft.ifftn(sym * spec).real
+        lap = _frac_laplacian_values(u, grid, params.s, spec)
         g = _mean_zero((Bp / den) * (p * zeta * lap / A + p * (1.0 - zeta) * u / M)
                        - p * odd_power(u, p) / den)
         return g, float(hN * np.sum(g * g))

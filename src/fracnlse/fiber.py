@@ -62,9 +62,10 @@ def fiber_pohozaev(profile: FiberProfile, xi: float) -> float:
     return functionals.pohozaev(scale_summary(profile.base, xi, profile.params), profile.params)
 
 
-def fiber_derivative_residual(profile: FiberProfile, xi: float, step: float = 1e-6) -> float:
+def fiber_derivative_residual(profile: FiberProfile, xi: float) -> float:
     """|d/dxi of the fiber energy - s * fiber Pohozaev| at xi, by central
-    differences, normalized by max(1, |s P|)."""
+    differences of step 1e-6, normalized by max(1, |s P|)."""
+    step = 1e-6
     deriv = (fiber_energy(profile, xi + step) - fiber_energy(profile, xi - step)) / (2.0 * step)
     target = profile.params.s * fiber_pohozaev(profile, xi)
     return abs(deriv - target) / max(1.0, abs(target))

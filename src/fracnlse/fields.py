@@ -186,6 +186,17 @@ def frac_laplacian(field: Field, s: float) -> Field:
     return Field(field.grid, out.real)
 
 
+def _frac_laplacian_values(values: np.ndarray, grid: GridSpec, s: float,
+                           spectrum: np.ndarray | None = None) -> np.ndarray:
+    """(-Delta)^s of real samples, no checks: the real part of the inverse
+    DFT of |k|^{2s} times the spectrum. A spectrum computed here is freed
+    before the inverse transform, which keeps the peak at two complex
+    arrays."""
+    if spectrum is None:
+        return np.fft.ifftn(grid.symbol(s) * np.fft.fftn(values)).real
+    return np.fft.ifftn(grid.symbol(s) * spectrum).real
+
+
 def dense_oracle_frac_laplacian(field: Field, s: float) -> Field:
     """Reference operator built from the explicit dense DFT matrix.
 
@@ -253,16 +264,13 @@ def _summary_values(values: np.ndarray, grid: GridSpec, params: ModelParams,
     )
 
 
-def boundary_mass_fraction(field_or_values, grid: GridSpec | None = None) -> float:
+def boundary_mass_fraction(field: Field) -> float:
     """Fraction of the L2 mass outside |x|_inf > L/2."""
-    if isinstance(field_or_values, Field):
-        values, grid = field_or_values.values, field_or_values.grid
-    else:
-        values = np.asarray(field_or_values)
+    values = field.values
     total = float(np.sum(values * values))
     if total == 0.0:
         return 0.0
-    tail = float(np.sum(values[grid.boundary_tail_mask()] ** 2))
+    tail = float(np.sum(values[field.grid.boundary_tail_mask()] ** 2))
     return tail / total
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, FieldSummary
+from .fields import Field, FieldSummary, _frac_laplacian_values
 from .grids import GridSpec
 from .params import ModelParams, exponents_for
 
@@ -49,7 +49,7 @@ def gradient_field(field: Field, params: ModelParams) -> Field:
 
 def _gradient_values(values: np.ndarray, grid: GridSpec, params: ModelParams) -> np.ndarray:
     ex = exponents_for(params.dim, params.s, params.p)
-    lap = np.fft.ifftn(grid.symbol(params.s) * np.fft.fftn(values)).real
+    lap = _frac_laplacian_values(values, grid, params.s)
     return lap - odd_power(values, ex.two_star) - params.eta * odd_power(values, params.p)
 
 

@@ -1,5 +1,5 @@
 """Ground-state computation by manifold-projected descent on the mass
-sphere, plus diagnostics, the coupling sweep, and radial symmetrization.
+sphere, plus diagnostics and the coupling sweep.
 
 The iteration follows the constrained first-order optimality structure:
 renormalize the mass, move the iterate onto the zero set of the Pohozaev
@@ -34,7 +34,6 @@ unconverged rather than burning the full iteration budget.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -58,7 +57,6 @@ class SolveConfig:
     tol_grad: float = 1e-8
     tol_pohozaev: float = 1e-8
     max_iters: int = 50000
-    radial_projection_every: int = 0
     seed: int = 0
     init_noise: float = 0.0
 
@@ -67,6 +65,8 @@ class SolveConfig:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if not 0.0 <= self.init_noise < math.inf:
+            raise ValueError("init_noise must be finite and at least 0")
 
 
 @dataclass
@@ -126,27 +126,6 @@ def _renorm(values: np.ndarray, grid: GridSpec, m: float) -> np.ndarray:
     return (m / norm) * values
 
 
-def radial_symmetrize(u: Field) -> Field:
-    """Angular average: each sample is replaced by the mean over its
-    radius bin (bin width h), then the mass is rescaled to the input's.
-    In one dimension this is the identity (with a warning)."""
-    if u.grid.dim == 1:
-        warnings.warn("radial symmetrization is the identity in one dimension")
-        return u
-    grid = u.grid
-    r = grid.radius()
-    bins = np.floor(r / grid.spacing).astype(np.int64).reshape(-1)
-    vals = u.values.reshape(-1)
-    count = np.bincount(bins)
-    mean = np.bincount(bins, weights=vals) / count
-    out = mean[bins].reshape(grid.shape)
-    mass_in = _lp_values(u.values, grid, 2.0)
-    mass_out = _lp_values(out, grid, 2.0)
-    if mass_out <= 1e-30 * mass_in:
-        return Field(grid, np.zeros(grid.shape))
-    return Field(grid, out * math.sqrt(mass_in / mass_out))
-
-
 # ----------------------------------------------------------------------
 # the Pohozaev projection
 
@@ -166,8 +145,9 @@ def _project(values: np.ndarray, grid: GridSpec, params: ModelParams, rounds: in
 
 
 def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
-                     tol: float = 1e-10, decay_guard: bool = True) -> Field:
-    """Move u along its dilation fiber to the Pohozaev zero set.
+                     decay_guard: bool = True) -> Field:
+    """Move u along its dilation fiber to the Pohozaev zero set, stopping
+    once |P| <= 1e-10 A or after the given number of rounds.
 
     The projected field keeps the input's mass. With decay_guard the
     boundary-decay check of dilate applies to the input; the solver's
@@ -179,7 +159,7 @@ def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
         if frac >= DECAY_GUARD_DEFAULT:
             raise DecayGuardError(frac)
     mass = math.sqrt(_lp_values(u.values, u.grid, 2.0))
-    values, _ = _project(u.values, u.grid, replace(params, m=mass), rounds, tol)
+    values, _ = _project(u.values, u.grid, replace(params, m=mass), rounds, 1e-10)
     return Field(u.grid, values)
 
 
@@ -276,12 +256,6 @@ def _descend(u, A0, params, config, constants, grid):
             al *= 0.5
         if not accepted:
             break
-
-        if (config.radial_projection_every > 0 and grid.dim >= 2
-                and iterations % config.radial_projection_every == 0):
-            u = _renorm(radial_symmetrize(Field(grid, u)).values, grid, m)
-            u, S = _project(u, grid, params, rounds=1, tol=config.tol_pohozaev)
-            E = functionals.energy(S, params)
 
         if E < best - 1e-14 * max(1.0, abs(best)):
             best = E

@@ -1,5 +1,6 @@
 """End-to-end command-line runs in subprocesses: artifacts, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fracnlse
+from fracnlse.cli import _DEFAULTS
 
 SOLVE_2D = ["--grid", "2:128:120", "--params", "0.5,3.5,10,1",
             "--init-width", "12", "--tol-grad", "2e-2",
@@ -62,6 +64,16 @@ def test_solve_report_contents(solve_run):
     assert body["mu"] < 0.0
     # No constants supplied, so no diagnostics block.
     assert report["diagnostics"] is None
+
+
+def test_solve_knobs_agree_across_ini_config_and_report(solve_run):
+    # A knob removed from one of the three lists must not linger in another.
+    _, out = solve_run
+    knobs = {f.name for f in dataclasses.fields(fracnlse.SolveConfig)} - {"grid"}
+    cli_knobs = knobs | {"init_width"}
+    assert set(_DEFAULTS["solve"]) == cli_knobs
+    report = json.loads((out / "report.json").read_text())
+    assert set(report["config"]) == cli_knobs
 
 
 def test_solve_history_csv_matches_iterations(solve_run):
@@ -118,6 +130,37 @@ def test_degenerate_solve_exit_one_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: fiber degenerated\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--max-iters", "abc"], "invalid int value: 'abc'"),
+    (["solve", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ([], "the following arguments are required: command"),
+    (["solve", "--radial-every", "10"], "unrecognized arguments: --radial-every 10"),
+], ids=["bad-int", "unknown-flag", "no-command", "radial-every"])
+def test_usage_error_exit_one(tmp_path, argv, message):
+    # Exit 2 is reserved for a run that failed its quality gate.
+    proc = run_cli(*argv, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_exit_zero():
+    proc = run_cli("solve", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: fracnlse solve")
+
+
+@pytest.mark.parametrize("noise", ["-1", "nan"])
+def test_bad_init_noise_exit_one(tmp_path, noise):
+    proc = run_cli("solve", "--grid", "1:256:40", "--params", "0.4,6,10,1",
+                   "--init-noise", noise, "--out", str(tmp_path / "n"))
+    assert proc.returncode == 1
+    assert "init_noise must be finite and at least 0" in proc.stderr
+    assert not (tmp_path / "n").exists()
 
 
 def test_bad_grid_flag_exit_one(tmp_path):
