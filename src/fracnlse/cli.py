@@ -260,8 +260,8 @@ def cmd_solve(args) -> int:
                     solve_cfg.seed,
                     ["report.json", "history.csv", "field.bin", "field.csv",
                      "profile.svg"])
-    print("solve: converged=%s E=%.8g mu=%.6g |P|/A=%.3e iterations=%d"
-          % (report.converged, report.energy_level, report.mu,
+    print("solve: converged=%s stop=%s E=%.8g mu=%.6g |P|/A=%.3e iterations=%d"
+          % (report.converged, report.stop_reason, report.energy_level, report.mu,
              report.pohozaev_residual, report.iterations))
     return 0 if report.converged else 2
 
@@ -293,14 +293,14 @@ def cmd_sweep(args) -> int:
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eta", "energy", "mu", "poho_residual", "iterations",
-                         "converged", "error"])
+                         "converged", "stop_reason", "error"])
         for e in sweep.entries:
             writer.writerow([
                 "%.17g" % e.eta,
                 "" if e.energy is None else "%.17g" % e.energy,
                 "" if e.mu is None else "%.17g" % e.mu,
                 "" if e.pohozaev_residual is None else "%.17g" % e.pohozaev_residual,
-                e.iterations, int(e.converged), e.error or ""])
+                e.iterations, int(e.converged), e.stop_reason or "", e.error or ""])
     _dump_json(outdir / "slope.json", {
         "slope": sweep.slope,
         "reference_slope": sweep.reference_slope,
@@ -392,13 +392,14 @@ def cmd_plot(args) -> int:
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI config file; flags override it")
-    sub.add_argument("--out", help="output directory")
     sub.add_argument("--grid", help="grid as N:n:L")
     sub.add_argument("--params", help="model parameters as s,p,eta,m")
+
+
+def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="seed for initializer perturbation")
-    sub.add_argument("--constants", help="path to a constants report JSON")
     sub.add_argument("--max-iters", type=int, dest="max_iters")
     sub.add_argument("--tol-grad", type=float, dest="tol_grad")
     sub.add_argument("--tol-pohozaev", type=float, dest="tol_pohozaev")
@@ -407,6 +408,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads, so a flag it would
+    ignore is a usage error."""
     parser = _Parser(
         prog="fracnlse",
         description="Ground-state laboratory for a fractional NLS energy "
@@ -416,7 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
                      ("constants", cmd_constants), ("verify", cmd_verify),
                      ("plot", cmd_plot)):
         sub = subs.add_parser(name)
-        _add_common(sub)
+        sub.add_argument("--out", help="output directory")
+        if name in ("solve", "sweep", "constants"):
+            _add_run_flags(sub)
+        if name in ("solve", "sweep"):
+            _add_solve_flags(sub)
+        if name in ("solve", "verify"):
+            sub.add_argument("--constants", help="path to a constants report JSON")
         if name == "sweep":
             sub.add_argument("--eta", help="comma-separated coupling list")
         if name == "constants":

@@ -149,10 +149,10 @@ def _descend_sobolev(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tup
     """
     q = exponents_for(params.dim, params.s, params.p).two_star
     hN = grid.cell_volume
-    pre = 1.0 / (1.0 + grid.symbol(params.s))
+    pre = 1.0 / (1.0 + grid.half_symbol(params.s))
 
     def evaluate(u):
-        spec = np.fft.fftn(u)
+        spec = np.fft.rfftn(u)
         A = _seminorm_sq_values(u, grid, params.s, spec)
         Bs = _lp_values(u, grid, q)
         return A / Bs ** (2.0 / q), (spec, A, Bs)
@@ -161,7 +161,7 @@ def _descend_sobolev(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tup
         spec, A, Bs = state
         lap = _frac_laplacian_values(u, grid, params.s, spec)
         g = _mean_zero(lap - (A / Bs) * odd_power(u, q))
-        d = _mean_zero(np.fft.ifftn(np.fft.fftn(g) * pre).real)
+        d = _mean_zero(np.fft.irfftn(np.fft.rfftn(g) * pre))
         return d, float(hN * np.sum(g * d))
 
     return _descend_quotient(grid, u0, evaluate, direction)
@@ -181,7 +181,7 @@ def _descend_neg_gn(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tupl
     hN = grid.cell_volume
 
     def evaluate(u):
-        spec = np.fft.fftn(u)
+        spec = np.fft.rfftn(u)
         A = _seminorm_sq_values(u, grid, params.s, spec)
         M = _lp_values(u, grid, 2.0)
         Bp = _lp_values(u, grid, p)

@@ -10,6 +10,18 @@ Plancherel form of the Gagliardo seminorm
 
 agrees with <(-Delta)^s u, u> to rounding.
 
+Samples are real, so their spectrum is Hermitian and the array-level paths
+keep only its rfftn half: the last axis runs over k = 0 .. n/2. A sum over
+the full spectrum of a Hermitian-even quantity is then the half sum with
+weight 1 on the k = 0 and k = n/2 columns of the last axis and 2 on the
+others, whose mirror images the half spectrum omits. The half transforms
+cost a fraction of the complex ones on the same samples, the symbol is a
+view of the full one and the weight a 1-D vector, so no second n-D array
+is cached. Grids have an even n, so irfftn recovers all n samples of the
+last axis without being told n. The public frac_laplacian and
+Field.spectrum keep the full complex DFT and, with the dense oracle,
+cross-check the half path.
+
 Dilation (xi * u)(x) = e^{N xi / 2} u(e^xi x) is realized by evaluating the
 trigonometric interpolant of u at the scaled points, one axis at a time with
 the same one-axis map. Points mapped outside the box are set to zero, which
@@ -188,13 +200,25 @@ def frac_laplacian(field: Field, s: float) -> Field:
 
 def _frac_laplacian_values(values: np.ndarray, grid: GridSpec, s: float,
                            spectrum: np.ndarray | None = None) -> np.ndarray:
-    """(-Delta)^s of real samples, no checks: the real part of the inverse
-    DFT of |k|^{2s} times the spectrum. A spectrum computed here is freed
-    before the inverse transform, which keeps the peak at two complex
-    arrays."""
+    """(-Delta)^s of real samples, no checks: the inverse rfftn of |k|^{2s}
+    times the half spectrum (rfftn of values unless given)."""
     if spectrum is None:
-        return np.fft.ifftn(grid.symbol(s) * np.fft.fftn(values)).real
-    return np.fft.ifftn(grid.symbol(s) * spectrum).real
+        spectrum = np.fft.rfftn(values)
+    return np.fft.irfftn(grid.half_symbol(s) * spectrum)
+
+
+def _plancherel(grid: GridSpec, a: np.ndarray, b: np.ndarray,
+                weight: np.ndarray | None = None) -> float:
+    """h^N <weight * F^-1 a, F^-1 b> from half spectra a and b:
+    (h^N / n^N) * sum over the full spectrum of weight * Re(a conj(b)),
+    with the Hermitian column weights (1, 2, ..., 2, 1) on the last axis."""
+    x = a.real * b.real
+    x += a.imag * b.imag
+    if weight is not None:
+        x *= weight
+    columns = np.full(x.shape[-1], 2.0)
+    columns[0] = columns[-1] = 1.0
+    return float(grid.cell_volume / grid.num_points * np.sum(x @ columns))
 
 
 def dense_oracle_frac_laplacian(field: Field, s: float) -> Field:
@@ -223,15 +247,16 @@ def dense_oracle_frac_laplacian(field: Field, s: float) -> Field:
 
 def seminorm_sq(field: Field, s: float) -> float:
     _check_s(s)
-    return _seminorm_sq_values(field.values, field.grid, s, field.spectrum)
+    return _seminorm_sq_values(field.values, field.grid, s)
 
 
 def _seminorm_sq_values(values: np.ndarray, grid: GridSpec, s: float,
                         spectrum: np.ndarray | None = None) -> float:
+    """A by Plancherel from the half spectrum (rfftn of values unless
+    given)."""
     if spectrum is None:
-        spectrum = np.fft.fftn(values)
-    weight = grid.cell_volume / grid.num_points
-    return float(weight * np.sum(grid.symbol(s) * (spectrum.real ** 2 + spectrum.imag ** 2)))
+        spectrum = np.fft.rfftn(values)
+    return _plancherel(grid, spectrum, spectrum, grid.half_symbol(s))
 
 
 def lp_norm_pow(field: Field, q: float) -> float:
@@ -241,20 +266,41 @@ def lp_norm_pow(field: Field, q: float) -> float:
 
 
 def _lp_values(values: np.ndarray, grid: GridSpec, q: float) -> float:
-    if q == 2.0:
-        return float(grid.cell_volume * np.sum(values * values))
-    return float(grid.cell_volume * np.sum(np.abs(values) ** q))
+    return float(grid.cell_volume * np.sum(_abs_power(values, q)))
+
+
+def _abs_power(values: np.ndarray, q: float) -> np.ndarray:
+    """|u|^q. An integer q >= 2 takes a multiply chain on u*u (binary
+    powering, times |u| when q is odd), which agrees with the pow ufunc to a
+    few ulps at a fraction of its cost: 2*_s is 4 in 2D and 10 in 1D, and p
+    is 6 in 1D, at the paper's parameters."""
+    k = int(q)
+    if k != q or k < 2:
+        return np.abs(values) ** q
+    square = values * values
+    out = None
+    half = k // 2
+    while True:
+        if half & 1:
+            out = square if out is None else out * square
+        half >>= 1
+        if not half:
+            break
+        square = square * square
+    return out * np.abs(values) if k & 1 else out
 
 
 def summarize(field: Field, params: ModelParams) -> FieldSummary:
     if params.dim != field.grid.dim:
         raise ValueError("params dimension %d does not match grid dimension %d"
                          % (params.dim, field.grid.dim))
-    return _summary_values(field.values, field.grid, params, field.spectrum)
+    return _summary_values(field.values, field.grid, params)
 
 
 def _summary_values(values: np.ndarray, grid: GridSpec, params: ModelParams,
                     spectrum: np.ndarray | None = None) -> FieldSummary:
+    """(A, M, B_p, B_star) of real samples; spectrum is their rfftn half
+    spectrum, computed here unless given."""
     ex = exponents_for(params.dim, params.s, params.p)
     return FieldSummary(
         A=_seminorm_sq_values(values, grid, params.s, spectrum),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, FieldSummary, _frac_laplacian_values
+from .fields import Field, FieldSummary, _abs_power, _frac_laplacian_values
 from .grids import GridSpec
 from .params import ModelParams, exponents_for
 
@@ -37,8 +37,16 @@ def pohozaev(summary: FieldSummary, params: ModelParams) -> float:
 
 
 def odd_power(values: np.ndarray, q: float) -> np.ndarray:
-    """|u|^{q-2} u as sign(u) |u|^{q-1}, the odd extension used throughout."""
-    return np.sign(values) * np.abs(values) ** (q - 1.0)
+    """|u|^{q-2} u, the odd extension used throughout; an integer q - 2
+    takes the multiply chain of _abs_power."""
+    return _abs_power(values, q - 2.0) * values
+
+
+def _nonlinear_values(values: np.ndarray, params: ModelParams) -> np.ndarray:
+    """N(u) = |u|^{2*_s - 2} u + eta |u|^{p-2} u, the nonlinear part of the
+    gradient."""
+    ex = exponents_for(params.dim, params.s, params.p)
+    return odd_power(values, ex.two_star) + params.eta * odd_power(values, params.p)
 
 
 def gradient_field(field: Field, params: ModelParams) -> Field:
@@ -48,9 +56,7 @@ def gradient_field(field: Field, params: ModelParams) -> Field:
 
 
 def _gradient_values(values: np.ndarray, grid: GridSpec, params: ModelParams) -> np.ndarray:
-    ex = exponents_for(params.dim, params.s, params.p)
-    lap = _frac_laplacian_values(values, grid, params.s)
-    return lap - odd_power(values, ex.two_star) - params.eta * odd_power(values, params.p)
+    return _frac_laplacian_values(values, grid, params.s) - _nonlinear_values(values, params)
 
 
 def lagrange_multiplier(summary: FieldSummary, params: ModelParams) -> float:

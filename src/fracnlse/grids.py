@@ -86,6 +86,13 @@ class GridSpec:
             _SYMBOL_CACHE[key] = self.wavenumber_sq() ** float(s)
         return _SYMBOL_CACHE[key]
 
+    def half_symbol(self, s: float) -> np.ndarray:
+        """|k|^{2s} on the rfftn half spectrum: a view of symbol(s) over the
+        first n//2 + 1 frequencies of the last axis. The last of them is
+        -n/2 in DFT order and +n/2 in rfft order; the symbol is even, so the
+        two agree."""
+        return self.symbol(s)[..., : self.points_per_axis // 2 + 1]
+
     def boundary_tail_mask(self) -> np.ndarray:
         """Boolean mask of points with |x|_inf > L/2 (the outer shell)."""
         key = (self.dim, self.points_per_axis, self.half_length)

@@ -10,25 +10,38 @@ tangent-projected, multiplier-shifted gradient
     mu = (A - B_star - eta B_p)/M,
 
 so the fixed point solves the Euler-Lagrange equation on the sphere. The
-loop keeps no copy of a formula: the gradient and the multiplier come from
-functionals, the fiber root and the dilation transport of summaries from
-fiber, and the projection returns the summary it measured last, so no
-projected state is summarized twice.
+loop keeps no copy of a formula: the nonlinear part of the gradient and
+the multiplier come from functionals, the fiber root and the dilation
+transport of summaries from fiber, and the projection returns the
+spectrum and summary it measured last, so no projected state is
+transformed or summarized twice.
 
-Two performance choices matter. The descent direction is preconditioned in
-Fourier space by 1/(1 + max(0, -mu) + |k|^{2s}), without which the stiff
-high-frequency part of the operator makes plain descent impractically
-slow. And each trial step is prescreened with the exact fiber algebra
-(trial summary, fiber root, closed-form projected energy) so that only
-steps already passing the decrease test on the exact prediction pay for a
-grid dilation; acceptance itself always uses the realized post-projection
-energy.
+Two performance choices matter. The loop works in Fourier space on the
+rfftn half spectrum uh, which it carries beside the iterate u: the
+gradient is formed as (|k|^{2s} - mu) uh - F[N(u)], preconditioned by
+1/(1 + max(0, -mu) + |k|^{2s}), without which the stiff high-frequency
+part of the operator makes plain descent impractically slow, and its
+norm, the multiplier shift and both tangent projections are Plancherel
+sums on the half spectra, so an iteration needs one forward transform of
+N(u) and one inverse transform for the direction d. And each trial step
+is prescreened with the exact fiber algebra (trial summary, fiber root,
+closed-form projected energy) so that only steps already passing the
+decrease test on the exact prediction pay for a grid dilation. A trial's
+seminorm and mass are quadratic in the step and come in closed form from
+spectra already in hand, so a trial touches the grid only for B_p and
+B_star. Acceptance itself always uses the realized post-projection
+energy: the realized state is transformed and summarized afresh, and that
+transform is the next uh, which therefore equals the rfftn of the iterate
+exactly. (Reusing the prescreen's transported summary instead, and
+carrying uh without a transform, left the 2D sweep unchanged but made 1D
+baseline solves run for hundreds to thousands of extra iterations.)
 
 Each realized projection re-injects a small amount of box-truncation noise
 into the energy, so once the guaranteed decrease falls below that noise
 the line search cannot terminate. A stall guard therefore ends runs that
 make no measurable progress over a trailing window and reports them as
-unconverged rather than burning the full iteration budget.
+unconverged rather than burning the full iteration budget. Every report
+names its exit in stop_reason (see STOP_REASONS).
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from . import functionals
-from .fields import (Field, FieldSummary, _dilate_values, _lp_values,
+from .fields import (Field, FieldSummary, _dilate_values, _lp_values, _plancherel,
                      _seminorm_sq_values, _summary_values, sample)
 from .fiber import DegenerateFiberError, FiberProfile, fiber_root, scale_summary
 from .grids import GridSpec, make_grid
@@ -49,6 +62,10 @@ _STEP_INIT = 1e-2       # first line-search step
 _ARMIJO = 1e-4          # sufficient-decrease coefficient
 _STALL_WINDOW = 200     # iterations without a new best energy before a stop
 _LINE_SEARCH_MAX = 60   # step halvings per iteration
+# Why a descent ended: the tolerance test passed, the iteration budget ran
+# out, no new best energy over the stall window, or no step of the line
+# search passed the decrease test.
+STOP_REASONS = ("converged", "max-iters", "stall", "line-search")
 
 
 @dataclass
@@ -81,6 +98,7 @@ class SolveReport:
     iterations: int
     history: list
     converged: bool
+    stop_reason: str
     compactness_margin: float | None = None
 
     def to_dict(self) -> dict:
@@ -92,6 +110,7 @@ class SolveReport:
             "pde_residual": self.pde_residual,
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "compactness_margin": self.compactness_margin,
             "summary": {"A": self.summary.A, "M": self.summary.M,
                         "B_p": self.summary.B_p, "B_star": self.summary.B_star},
@@ -133,15 +152,18 @@ def _renorm(values: np.ndarray, grid: GridSpec, m: float) -> np.ndarray:
 def _project(values: np.ndarray, grid: GridSpec, params: ModelParams, rounds: int,
              tol: float) -> tuple:
     """Iterated fiber projection onto the Pohozaev zero set at mass m;
-    tol is relative to the current seminorm. Returns the projected values
-    and their summary."""
+    tol is relative to the current seminorm. Returns the projected values,
+    their rfftn half spectrum and their summary, all measured on the
+    returned values."""
     for _ in range(rounds):
-        S = _summary_values(values, grid, params)
+        spectrum = np.fft.rfftn(values)
+        S = _summary_values(values, grid, params, spectrum)
         if abs(functionals.pohozaev(S, params)) <= tol * S.A:
-            return values, S
+            return values, spectrum, S
         xi = fiber_root(FiberProfile(S, params))
         values = _renorm(_dilate_values(values, grid, xi), grid, params.m)
-    return values, _summary_values(values, grid, params)
+    spectrum = np.fft.rfftn(values)
+    return values, spectrum, _summary_values(values, grid, params, spectrum)
 
 
 def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
@@ -159,7 +181,7 @@ def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
         if frac >= DECAY_GUARD_DEFAULT:
             raise DecayGuardError(frac)
     mass = math.sqrt(_lp_values(u.values, u.grid, 2.0))
-    values, _ = _project(u.values, u.grid, replace(params, m=mass), rounds, 1e-10)
+    values, _, _ = _project(u.values, u.grid, replace(params, m=mass), rounds, 1e-10)
     return Field(u.grid, values)
 
 
@@ -203,15 +225,43 @@ def solve_ground_state(init: Field, params: ModelParams, config: SolveConfig,
         raise RuntimeError("fiber degenerated") from exc
 
 
+def _direction(u, uh, S, params, grid):
+    """Descent data at the projected iterate u, with uh its rfftn half
+    spectrum and S its summary, formed in Fourier space.
+
+    The tangent-projected gradient is g_hat = (|k|^{2s} - mu) uh - F[N(u)]
+    minus its uh component, and the direction d is the tangent projection
+    of F^-1[g_hat / (c0 + |k|^{2s})] with c0 = 1 + max(0, -mu); every inner
+    product is taken by Plancherel on the half spectra. Returns
+    (mu, |g|^2, d, price), where price(al) gives (A, M) of u - al d from
+    the quadratic laws A(u - al d) = A - 2 al <u, d>_s + al^2 A(d) and
+    M(u - al d) = M - 2 al <u, d> + al^2 M(d).
+    """
+    sym = grid.half_symbol(params.s)
+    mu = functionals.lagrange_multiplier(S, params)
+    gh = (sym - mu) * uh - np.fft.rfftn(functionals._nonlinear_values(u, params))
+    gh -= (_plancherel(grid, gh, uh) / S.M) * uh
+    gn2 = _plancherel(grid, gh, gh)
+    dh = gh / ((1.0 + max(0.0, -mu)) + sym)
+    dh -= (_plancherel(grid, dh, uh) / S.M) * uh
+    A_ud, A_dd = _plancherel(grid, uh, dh, sym), _plancherel(grid, dh, dh, sym)
+    M_ud, M_dd = _plancherel(grid, uh, dh), _plancherel(grid, dh, dh)
+
+    def price(al):
+        return (S.A - al * (2.0 * A_ud - al * A_dd),
+                S.M - al * (2.0 * M_ud - al * M_dd))
+
+    return mu, gn2, np.fft.irfftn(dh), price
+
+
 def _descend(u, A0, params, config, constants, grid):
-    m, sym = params.m, grid.symbol(params.s)
+    m = params.m
     ex = derived_exponents(params)
-    u, S = _project(u, grid, params, rounds=30, tol=config.tol_pohozaev)
+    u, uh, S = _project(u, grid, params, rounds=30, tol=config.tol_pohozaev)
     E = functionals.energy(S, params)
     al = _STEP_INIT
     history = []
-    converged = False
-    gn = math.inf
+    stop_reason = "max-iters"
     best = E
     since_best = 0
     iterations = 0
@@ -220,41 +270,39 @@ def _descend(u, A0, params, config, constants, grid):
         A = S.A
         if A < 1e-12 * A0:
             raise RuntimeError("fiber degenerated")
-        mu = functionals.lagrange_multiplier(S, params)
-        g = _tangent(functionals._gradient_values(u, grid, params) - mu * u, u, grid)
-        gn2 = _lp_values(g, grid, 2.0)
+        mu, gn2, d, price = _direction(u, uh, S, params, grid)
         gn = math.sqrt(gn2)
         absP = abs(functionals.pohozaev(S, params))
         history.append((E, absP, gn))
         if gn <= config.tol_grad * max(1.0, A) and absP <= config.tol_pohozaev * A:
-            converged = True
+            stop_reason = "converged"
             break
-
-        c0 = 1.0 + max(0.0, -mu)
-        d = _tangent(np.fft.ifftn(np.fft.fftn(g) / (c0 + sym)).real, u, grid)
 
         accepted = False
         for _ in range(_LINE_SEARCH_MAX):
-            # The amplitude law (A ~ lam^2, B_beta ~ lam^beta) carries the
-            # trial's summary to mass m; summarizing lam * v instead differs
-            # in the last bits, which can flip a prescreen decision.
+            # The trial is priced at mass m by the amplitude law (A ~ lam^2,
+            # B_beta ~ lam^beta), with A and M in closed form; only B_p and
+            # B_star touch the grid. The realized state is always measured
+            # afresh by the projection, whose transform is the next uh.
             v = u - al * d
-            Sv = _summary_values(v, grid, params)
-            lam = m / math.sqrt(Sv.M)
-            Sv = FieldSummary(A=lam * lam * Sv.A, M=m * m, B_p=lam ** params.p * Sv.B_p,
-                              B_star=lam ** ex.two_star * Sv.B_star)
+            Av, Mv = price(al)
+            lam = m / math.sqrt(Mv)
+            Sv = FieldSummary(A=lam * lam * Av, M=m * m,
+                              B_p=lam ** params.p * _lp_values(v, grid, params.p),
+                              B_star=lam ** ex.two_star * _lp_values(v, grid, ex.two_star))
             Shat = scale_summary(Sv, fiber_root(FiberProfile(Sv, params)), params)
             if functionals.energy(Shat, params) > E - _ARMIJO * al * gn2:
                 al *= 0.5
                 continue
-            w, Sw = _project(lam * v, grid, params, rounds=3, tol=config.tol_pohozaev)
+            w, wh, Sw = _project(lam * v, grid, params, rounds=3, tol=config.tol_pohozaev)
             Ew = functionals.energy(Sw, params)
             if Ew <= E - _ARMIJO * al * gn2:
-                u, S, E = w, Sw, Ew
+                u, uh, S, E = w, wh, Sw, Ew
                 accepted = True
                 break
             al *= 0.5
         if not accepted:
+            stop_reason = "line-search"
             break
 
         if E < best - 1e-14 * max(1.0, abs(best)):
@@ -263,10 +311,11 @@ def _descend(u, A0, params, config, constants, grid):
         else:
             since_best += 1
             if since_best >= _STALL_WINDOW:
+                stop_reason = "stall"
                 break
         al = min(2.0 * al, 1e3)
 
-    u, S = _project(u, grid, params, rounds=25, tol=1e-12)
+    u, _, S = _project(u, grid, params, rounds=25, tol=1e-12)
     E = functionals.energy(S, params)
     mu = functionals.lagrange_multiplier(S, params)
     mu_identity = abs(mu * S.M - params.eta * (ex.zeta_p - 1.0) * S.B_p)
@@ -284,7 +333,8 @@ def _descend(u, A0, params, config, constants, grid):
         pde_residual=stationarity_residual(final, params, mu),
         iterations=iterations,
         history=history,
-        converged=converged,
+        converged=stop_reason == "converged",
+        stop_reason=stop_reason,
         compactness_margin=margin,
     )
 
@@ -364,6 +414,7 @@ class SweepEntry:
     pohozaev_residual: float | None
     iterations: int
     converged: bool
+    stop_reason: str | None = None
     error: str | None = None
 
     def to_dict(self) -> dict:
@@ -441,7 +492,8 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
         entries.append(SweepEntry(eta=eta, energy=res.energy_level, mu=res.mu,
                                   pohozaev_residual=res.pohozaev_residual,
                                   iterations=res.iterations,
-                                  converged=res.converged))
+                                  converged=res.converged,
+                                  stop_reason=res.stop_reason))
         reports.append(res)
 
     good = [(e.eta, e.energy) for e in entries if e.converged and e.energy and e.energy > 0]

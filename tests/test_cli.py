@@ -60,6 +60,7 @@ def test_solve_report_contents(solve_run):
     assert report["config"]["tol_grad"] == 2e-2
     body = report["report"]
     assert body["converged"] is True
+    assert body["stop_reason"] == "converged"
     assert body["energy_level"] == pytest.approx(0.016867117, rel=1e-4)
     assert body["mu"] < 0.0
     # No constants supplied, so no diagnostics block.
@@ -137,13 +138,19 @@ def test_degenerate_solve_exit_one_without_traceback(tmp_path):
     (["solve", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     ([], "the following arguments are required: command"),
     (["solve", "--radial-every", "10"], "unrecognized arguments: --radial-every 10"),
-], ids=["bad-int", "unknown-flag", "no-command", "radial-every"])
+    (["verify", "--init-noise", "-1", "--tol-grad", "-5", "--max-iters", "0"],
+     "unrecognized arguments: --init-noise -1 --tol-grad -5 --max-iters 0"),
+    (["plot", "--out", "run", "--grid", "2:64:40", "--tol-grad", "1e-3"],
+     "unrecognized arguments: --grid 2:64:40 --tol-grad 1e-3"),
+], ids=["bad-int", "unknown-flag", "no-command", "radial-every", "verify-solve-flags",
+        "plot-solve-flags"])
 def test_usage_error_exit_one(tmp_path, argv, message):
     # Exit 2 is reserved for a run that failed its quality gate.
     proc = run_cli(*argv, cwd=tmp_path)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
     assert message in proc.stderr
     assert not any(tmp_path.iterdir())
 
@@ -211,8 +218,10 @@ def test_sweep_single_coupling(tmp_path):
     proc = run_cli("sweep", *SOLVE_2D, "--eta", "10", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     lines = (out / "sweep.csv").read_text().strip().splitlines()
-    assert lines[0] == "eta,energy,mu,poho_residual,iterations,converged,error"
+    assert lines[0] == ("eta,energy,mu,poho_residual,iterations,converged,"
+                        "stop_reason,error")
     assert len(lines) == 2
+    assert lines[1].split(",")[5:] == ["1", "converged", ""]
     slope = json.loads((out / "slope.json").read_text())
     assert slope["slope"] is None
     assert (out / "sweep.svg").exists()

@@ -124,6 +124,50 @@ def test_seminorm_is_quadratic_form_of_operator():
     assert seminorm_sq(u, 0.4) == pytest.approx(quad, rel=1e-12)
 
 
+HALF_SPECTRUM_CASES = [(1, 256, 20.0, 0.4), (2, 64, 20.0, 0.5), (3, 16, 10.0, 0.75)]
+
+
+def half_spectrum_inputs(grid):
+    # A band-limited field with cutoff 1 keeps the Nyquist modes, which the
+    # Hermitian column weights must count once, not twice.
+    return [gaussian(grid, 0.15 * grid.half_length),
+            sample(grid, "random_bandlimited", {"cutoff": 1.0}, seed=5)]
+
+
+@pytest.mark.parametrize("dim, n, L, s", HALF_SPECTRUM_CASES)
+def test_half_spectrum_seminorm_matches_full_dft(dim, n, L, s):
+    grid = make_grid(dim, n, L)
+    for u in half_spectrum_inputs(grid):
+        full = (grid.cell_volume / grid.num_points
+                * np.sum(grid.symbol(s) * np.abs(u.spectrum) ** 2))
+        half = F.fields._seminorm_sq_values(u.values, grid, s)
+        assert half == pytest.approx(full, rel=1e-12)
+        spectrum = np.fft.rfftn(u.values)
+        assert F.fields._seminorm_sq_values(u.values, grid, s, spectrum) == half
+
+
+@pytest.mark.parametrize("dim, n, L, s", HALF_SPECTRUM_CASES)
+def test_half_spectrum_operator_matches_full_dft(dim, n, L, s):
+    grid = make_grid(dim, n, L)
+    for u in half_spectrum_inputs(grid):
+        full = frac_laplacian(u, s).values
+        half = F.fields._frac_laplacian_values(u.values, grid, s)
+        assert half.shape == grid.shape
+        assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("q", [3.5, 4.0, 6.0, 10.0, 3.0, 5.0])
+def test_integer_power_chains_match_pow(q):
+    grid = make_grid(2, 32, 4.0)
+    u = np.random.default_rng(7).standard_normal(grid.shape)
+    reference = np.abs(u) ** q
+    assert np.max(np.abs(F.fields._abs_power(u, q) / reference - 1.0)) <= 1e-13
+    assert F.fields._lp_values(u, grid, q) == pytest.approx(
+        grid.cell_volume * np.sum(reference), rel=1e-13)
+    odd = np.sign(u) * np.abs(u) ** (q - 1.0)
+    assert np.max(np.abs(F.functionals.odd_power(u, q) / odd - 1.0)) <= 1e-13
+
+
 def test_operator_rejects_bad_order():
     grid = make_grid(1, 64, 10.0)
     u = gaussian(grid, 1.0)

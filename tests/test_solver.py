@@ -11,8 +11,9 @@ from fracnlse import (Field, ModelParams, SolveConfig, compactness_threshold,
                       pohozaev_project, project_tangent, renormalize_mass,
                       sample, solve_ground_state, stationarity_residual,
                       summarize, sweep_eta)
+from fracnlse import solver
 from fracnlse.fields import _summary_values
-from fracnlse.solver import _project
+from fracnlse.solver import STOP_REASONS, _direction, _project
 
 # Energy levels pinned from converged (2D) and stalled-but-stable (1D) runs
 # of this package; both are deterministic.
@@ -74,11 +75,51 @@ def test_project_returns_the_summary_of_its_values(params_1d, rounds, tol):
     params = replace(params_1d, m=1.5)
     grid = make_grid(1, 1024, 40.0)
     u = renormalize_mass(sample(grid, "gaussian", {"width": 1.0}), params.m)
-    values, S = _project(u.values, grid, params, rounds, tol)
+    values, spectrum, S = _project(u.values, grid, params, rounds, tol)
     assert S == _summary_values(values, grid, params)
+    assert np.array_equal(spectrum, np.fft.rfftn(values))
     assert math.sqrt(S.M) == pytest.approx(params.m, abs=1e-12)
     # tol = 0 cannot be met, so (1, 0.0) measures after its last dilation.
     assert (abs(pohozaev(S, params)) <= tol * S.A) == (tol > 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_trial_pricing_matches_measured_summary(params_1d, params_2d, dim):
+    # A(u - al d) and M(u - al d) in closed form from the spectra in hand
+    # must equal the summary measured on the trial itself.
+    if dim == 1:
+        params, grid, width = params_1d, make_grid(1, 1024, 40.0), 1.0
+    else:
+        params, grid, width = params_2d, make_grid(2, 128, 120.0), 12.0
+    u = renormalize_mass(sample(grid, "gaussian", {"width": width}), params.m)
+    values, spectrum, S = _project(u.values, grid, params, 30, 1e-10)
+    _, gn2, d, price = _direction(values, spectrum, S, params, grid)
+    assert gn2 > 0.0
+    for al in (1e-3, 1e-2, 1e-1, 1.0, 10.0):
+        A, M = price(al)
+        measured = _summary_values(values - al * d, grid, params)
+        assert A == pytest.approx(measured.A, rel=1e-12)
+        assert M == pytest.approx(measured.M, rel=1e-12)
+
+
+def test_carried_spectrum_is_the_transform_of_the_iterate(monkeypatch, params_2d):
+    # The loop hands its carried half spectrum to _direction at every
+    # iteration, the first and every one after an accepted step.
+    seen = []
+
+    def spy(u, uh, S, params, grid):
+        seen.append(np.array_equal(uh, np.fft.rfftn(u)))
+        return direction(u, uh, S, params, grid)
+
+    direction = solver._direction
+    monkeypatch.setattr(solver, "_direction", spy)
+    grid = make_grid(2, 128, 120.0)
+    init = sample(grid, "gaussian", {"width": 12.0})
+    rep = solve_ground_state(init, params_2d,
+                             SolveConfig(grid=grid, tol_grad=2e-2,
+                                         tol_pohozaev=1e-9))
+    assert rep.converged and rep.iterations > 5
+    assert seen == [True] * rep.iterations
 
 
 # ----------------------------------------------------------------------
@@ -115,6 +156,29 @@ def test_iteration_budget_reports_unconverged(params_1d):
                                 SolveConfig(grid=grid, max_iters=1))
     assert not report.converged
     assert report.iterations == 1
+    assert report.stop_reason == "max-iters"
+    assert report.to_dict()["stop_reason"] == "max-iters"
+
+
+def test_exhausted_line_search_names_its_exit(monkeypatch, params_1d):
+    monkeypatch.setattr(solver, "_LINE_SEARCH_MAX", 0)
+    grid = make_grid(1, 128, 20.0)
+    init = sample(grid, "gaussian", {"width": 1.0})
+    report = solve_ground_state(init, params_1d, SolveConfig(grid=grid))
+    assert (report.stop_reason, report.iterations) == ("line-search", 1)
+    assert not report.converged
+
+
+def test_stall_guard_names_its_exit(monkeypatch, params_1d):
+    # With a one-iteration window the first accepted step that sets no new
+    # best energy ends the run.
+    monkeypatch.setattr(solver, "_STALL_WINDOW", 1)
+    grid = make_grid(1, 512, 40.0)
+    init = sample(grid, "gaussian", {"width": 1.0})
+    report = solve_ground_state(init, params_1d, SolveConfig(grid=grid))
+    assert report.stop_reason == "stall"
+    assert not report.converged
+    assert set(STOP_REASONS) == {"converged", "max-iters", "stall", "line-search"}
 
 
 def test_windowed_collapse_raises(params_2d):
@@ -130,6 +194,7 @@ def test_windowed_collapse_raises(params_2d):
 def test_anchor_2d_converges_to_pinned_level(anchor_2d, params_2d):
     rep = anchor_2d
     assert rep.converged
+    assert rep.stop_reason == "converged"
     assert rep.iterations <= 60
     assert rep.energy_level == pytest.approx(ANCHOR_2D_ENERGY, rel=1e-4)
     assert rep.mu == pytest.approx(-1.6424e-2, rel=1e-3)
