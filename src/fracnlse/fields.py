@@ -209,9 +209,10 @@ def _frac_laplacian_values(values: np.ndarray, grid: GridSpec, s: float,
 
 def _plancherel(grid: GridSpec, a: np.ndarray, b: np.ndarray,
                 weight: np.ndarray | None = None) -> float:
-    """h^N <weight * F^-1 a, F^-1 b> from half spectra a and b:
-    (h^N / n^N) * sum over the full spectrum of weight * Re(a conj(b)),
-    with the Hermitian column weights (1, 2, ..., 2, 1) on the last axis."""
+    """h^N <F^-1[weight a], F^-1[b]> from half spectra a and b with a
+    real, even weight: (h^N / n^N) * sum over the full spectrum of
+    weight * Re(a conj(b)), taken on the half spectrum with the Hermitian
+    column weights (1, 2, ..., 2, 1) on the last axis."""
     x = a.real * b.real
     x += a.imag * b.imag
     if weight is not None:

@@ -240,8 +240,9 @@ def test_diagnose_requires_convergence(anchor_2d, constants_2d, params_2d,
 def test_anchor_1d_level_is_stable_despite_gradient_floor():
     # At this coupling the discrete Pohozaev manifold misses the discrete
     # critical point, so the tangent gradient floors above the tolerance
-    # and the run ends on the stall guard; the level and the manifold
-    # residual are still sharp anchors.
+    # and the run ends unconverged (its line search runs out after 15
+    # iterations); the level and the manifold residual are still sharp
+    # anchors.
     params = ModelParams(dim=1, s=0.4, p=6.0, eta=10.0, m=1.0)
     grid = make_grid(1, 512, 40.0)
     init = sample(grid, "gaussian", {"width": 3.0})
