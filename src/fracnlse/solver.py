@@ -233,7 +233,7 @@ def _direction(u, uh, S, params, grid):
     minus its uh component, and the direction d is the tangent projection
     of F^-1[g_hat / (c0 + |k|^{2s})] with c0 = 1 + max(0, -mu); every inner
     product is taken by Plancherel on the half spectra. Returns
-    (mu, |g|^2, d, price), where price(al) gives (A, M) of u - al d from
+    (|g|^2, d, price), where price(al) gives (A, M) of u - al d from
     the quadratic laws A(u - al d) = A - 2 al <u, d>_s + al^2 A(d) and
     M(u - al d) = M - 2 al <u, d> + al^2 M(d).
     """
@@ -251,7 +251,7 @@ def _direction(u, uh, S, params, grid):
         return (S.A - al * (2.0 * A_ud - al * A_dd),
                 S.M - al * (2.0 * M_ud - al * M_dd))
 
-    return mu, gn2, np.fft.irfftn(dh), price
+    return gn2, np.fft.irfftn(dh), price
 
 
 def _descend(u, A0, params, config, constants, grid):
@@ -270,7 +270,7 @@ def _descend(u, A0, params, config, constants, grid):
         A = S.A
         if A < 1e-12 * A0:
             raise RuntimeError("fiber degenerated")
-        mu, gn2, d, price = _direction(u, uh, S, params, grid)
+        gn2, d, price = _direction(u, uh, S, params, grid)
         gn = math.sqrt(gn2)
         absP = abs(functionals.pohozaev(S, params))
         history.append((E, absP, gn))

@@ -93,7 +93,7 @@ def test_trial_pricing_matches_measured_summary(params_1d, params_2d, dim):
         params, grid, width = params_2d, make_grid(2, 128, 120.0), 12.0
     u = renormalize_mass(sample(grid, "gaussian", {"width": width}), params.m)
     values, spectrum, S = _project(u.values, grid, params, 30, 1e-10)
-    _, gn2, d, price = _direction(values, spectrum, S, params, grid)
+    gn2, d, price = _direction(values, spectrum, S, params, grid)
     assert gn2 > 0.0
     for al in (1e-3, 1e-2, 1e-1, 1.0, 10.0):
         A, M = price(al)
