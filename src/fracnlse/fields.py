@@ -36,9 +36,13 @@ The map has two implementations, chosen by dimension:
   reference the matrix is tested against.
 - In 2D and 3D the map is the real n x n matrix of the interpolant, the
   Dirichlet kernel in closed form (no FFT), built once per call and applied
-  along every axis with BLAS products. Its O(n^2) set-up is shared by all
-  n^{N-1} lines of every axis, where the Bluestein path pays padded
-  complex FFTs on every line of every axis.
+  along every axis with one BLAS product per axis. Splitting each sample's
+  scaled position into a grid index and a remainder makes the kernel's
+  sines and tangents functions of a row or of a wrapped index difference
+  alone, so the build takes O(n) transcendental calls and O(n^2) arithmetic
+  with no angle formed by cancellation (see _resampling_matrix). The
+  set-up is shared by all n^{N-1} lines of every axis, where the Bluestein
+  path pays padded complex FFTs on every line of every axis.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import GridSpec, make_grid
 from .params import ModelParams, exponents_for
@@ -272,10 +277,20 @@ def _lp_values(values: np.ndarray, grid: GridSpec, q: float) -> float:
 
 def _abs_power(values: np.ndarray, q: float) -> np.ndarray:
     """|u|^q. An integer q >= 2 takes a multiply chain on u*u (binary
-    powering, times |u| when q is odd), which agrees with the pow ufunc to a
-    few ulps at a fraction of its cost: 2*_s is 4 in 2D and 10 in 1D, and p
-    is 6 in 1D, at the paper's parameters."""
+    powering, times |u| when q is odd), and a half-integer q = k + 1/2
+    multiplies sqrt|u| by u k times in place (then takes |.| for odd k), so
+    it makes one temporary of the field's size where sqrt|u| times a chain
+    would make two, each of them fresh pages. Both agree with the pow
+    ufunc to a few ulps at a fraction of its cost: 2*_s is 4 in 2D and 10
+    in 1D, p is 6 in 1D and 3.5 in 2D at the paper's parameters, and the
+    gradient's |u|^{p-2} is then |u|^{1.5}."""
     k = int(q)
+    if q - k == 0.5:
+        out = np.abs(values)
+        np.sqrt(out, out=out)
+        for _ in range(k):
+            out *= values
+        return np.abs(out, out=out) if k & 1 else out
     if k != q or k < 2:
         return np.abs(values) ** q
     square = values * values
@@ -377,18 +392,49 @@ def _resampling_matrix(xi: float, n: int, L: float) -> np.ndarray:
 
     The interpolant with the Nyquist term split is the Dirichlet kernel, so
     R_jl = (e^{xi/2}/n) sin(n theta/2) / tan(theta/2) with
-    theta = pi (e^xi x_j - x_l) / L, and e^{xi/2} where theta = 0. For even
-    n the kernel is 2 pi periodic, so theta needs no reduction. Rows of
+    theta = pi (e^xi x_j - x_l) / L, and e^{xi/2} where theta = 0. Rows of
     points that leave the box are zero, as in _resample_axis.
+
+    With x_j = h (j - n/2) the half angle is theta/2 = (pi/n) (y_j + j - l),
+    y_j = expm1(xi) (j - n/2). Splitting y_j = s_j + r_j into its nearest
+    integer and a remainder |r_j| <= 1/2 (exact in floating point) gives
+    theta/2 = a_j + b_K with a_j = pi r_j / n and b_K = pi K / n, where the
+    integer K = j + s_j - l is wrapped into [-n/2, n/2) (tan has period pi
+    and n is even, so neither factor changes). Then
+    sin(n theta/2) = (-1)^K sin(pi r_j) takes n sines, and
+    1/tan(a_j + b_K) = (1 - t_j t_K) / (t_j + t_K) takes n tangents t_j of a_j
+    and n tangents t_K of b_K. No angle is formed by cancellation: the
+    kernel peak K = 0 reduces to sin(pi r_j) / tan(pi r_j / n) exactly, and
+    elsewhere |t_K| >= tan(pi/n) > 2 |t_j|. Row j reads t_K at K = c_j - l
+    with c_j = (j + s_j) mod n, a window of one table, and the sign
+    (-1)^K = (-1)^{c_j} (-1)^l splits into a row and a column factor.
     """
     h = 2.0 * L / n
     x = -L + h * np.arange(n)
     sc = float(np.exp(xi))
-    theta = (np.pi / L) * (sc * x[:, None] - x[None, :])
-    kernel = np.full((n, n), float(n))
-    np.divide(np.sin((0.5 * n) * theta), np.tan(0.5 * theta), out=kernel,
-              where=theta != 0.0)
-    kernel *= np.exp(0.5 * xi) / n
+    j = np.arange(n)
+    y = np.expm1(xi) * (j - n // 2)
+    s = np.rint(y)
+    r = y - s
+    c = (j + s.astype(np.int64)) % n
+    # table[i] = t_K at K = n - 1 - i wrapped, so row j is table[n-1-c_j:][:n]
+    K = (np.arange(n - 1, -n, -1) + n // 2) % n - n // 2
+    table = np.tan((np.pi / n) * K)
+    sign = np.where(j % 2, -1.0, 1.0)
+    t = np.tan((np.pi / n) * r)[:, None]
+    row = (np.exp(0.5 * xi) / n) * np.sin(np.pi * r) * sign[c]
+    kernel = sliding_window_view(table, n)[n - 1 - c]
+    den = kernel + t
+    kernel *= -t
+    kernel += 1.0
+    # A row with r_j = 0 samples a grid point: its entries are 0 except at
+    # K = 0, which is 0 * (1/0) here and is set below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel /= den
+        kernel *= row[:, None]
+    kernel *= sign
+    exact = r == 0.0
+    kernel[exact, c[exact]] = np.exp(0.5 * xi)
     kernel[np.abs(sc * x) >= L] = 0.0
     return kernel
 
@@ -399,7 +445,8 @@ def _dilate_values(values: np.ndarray, grid: GridSpec, xi: float) -> np.ndarray:
     1D uses the Bluestein scaled DFT, O(n log n) per call. From 2D on, one
     resampling matrix serves every axis: each pass contracts the leading
     axis with it and appends the result as the trailing axis, so after N
-    passes the axes are back in order (R @ u @ R.T in 2D).
+    passes the axes are back in order (R @ u @ R.T in 2D). A pass is one
+    matrix product of transposed views, which BLAS takes without copies.
     """
     if xi == 0.0:
         return values.copy()
@@ -409,8 +456,8 @@ def _dilate_values(values: np.ndarray, grid: GridSpec, xi: float) -> np.ndarray:
     kernel = _resampling_matrix(xi, n, L)
     v = values
     for _ in range(grid.dim):
-        v = np.tensordot(v, kernel, axes=(0, 1))
-    return v
+        v = v.reshape(n, -1).T @ kernel.T
+    return v.reshape(grid.shape)
 
 
 def dilate(field: Field, xi: float,

@@ -3,8 +3,9 @@
 The computational domain is the periodic cube [-L, L)^N with n samples per
 axis, spacing h = 2L/n. Wavenumbers follow the standard DFT layout: the
 per-axis frequencies are integer multiples of pi/L with the zero mode first.
-Derived arrays (coordinates, |k|^2, the multiplier |k|^{2s}) are cached per
-grid because every operator evaluation reuses them.
+Derived arrays that operator evaluations reuse (coordinates, the multiplier
+|k|^{2s}, the boundary mask) are cached per grid; |k|^2 is read only to build
+a symbol or a band-limited sample, so it is computed on demand.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _COORD_CACHE: dict = {}
-_KSQ_CACHE: dict = {}
 _SYMBOL_CACHE: dict = {}
 _TAIL_MASK_CACHE: dict = {}
 
@@ -71,13 +71,10 @@ class GridSpec:
         return np.sqrt(sum(c * c for c in mesh))
 
     def wavenumber_sq(self) -> np.ndarray:
-        """|k|^2 on the full N-dimensional frequency grid."""
-        key = (self.dim, self.points_per_axis, self.half_length)
-        if key not in _KSQ_CACHE:
-            k = self.frequencies
-            mesh = np.meshgrid(*([k] * self.dim), indexing="ij")
-            _KSQ_CACHE[key] = sum(c * c for c in mesh)
-        return _KSQ_CACHE[key]
+        """|k|^2 on the full N-dimensional frequency grid (not cached)."""
+        k = self.frequencies
+        mesh = np.meshgrid(*([k] * self.dim), indexing="ij")
+        return sum(c * c for c in mesh)
 
     def symbol(self, s: float) -> np.ndarray:
         """Fourier multiplier |k|^{2s} of the fractional Laplacian."""

@@ -13,8 +13,8 @@ so the fixed point solves the Euler-Lagrange equation on the sphere. The
 loop keeps no copy of a formula: the nonlinear part of the gradient and
 the multiplier come from functionals, the fiber root and the dilation
 transport of summaries from fiber, and the projection returns the
-spectrum and summary it measured last, so no projected state is
-transformed or summarized twice.
+spectrum and summary it measured last, so no state is transformed or
+summarized twice.
 
 Two performance choices matter. The loop works in Fourier space on the
 rfftn half spectrum uh, which it carries beside the iterate u: the
@@ -29,12 +29,16 @@ closed-form projected energy) so that only steps already passing the
 decrease test on the exact prediction pay for a grid dilation. A trial's
 seminorm and mass are quadratic in the step and come in closed form from
 spectra already in hand, so a trial touches the grid only for B_p and
-B_star. Acceptance itself always uses the realized post-projection
-energy: the realized state is transformed and summarized afresh, and that
-transform is the next uh, which therefore equals the rfftn of the iterate
-exactly. (Reusing the prescreen's transported summary instead, and
-carrying uh without a transform, left the 2D sweep unchanged but made 1D
-baseline solves run for hundreds to thousands of extra iterations.)
+B_star. The prescreen's summary and fiber root then start the realized
+projection: its first dilation uses that root, so the trial itself is
+never transformed unless it already lies on the Pohozaev set. Acceptance
+always uses the realized post-projection energy: every state a dilation
+produces is transformed and summarized afresh, and the last transform is
+the next uh, which therefore equals the rfftn of the iterate exactly.
+(Reusing the prescreen's transported summary for the realized state
+instead, and carrying uh without a transform, left the 2D sweep unchanged
+but made 1D baseline solves run for hundreds to thousands of extra
+iterations.)
 
 Each realized projection re-injects a small amount of box-truncation noise
 into the energy, so once the guaranteed decrease falls below that noise
@@ -150,11 +154,24 @@ def _renorm(values: np.ndarray, grid: GridSpec, m: float) -> np.ndarray:
 
 
 def _project(values: np.ndarray, grid: GridSpec, params: ModelParams, rounds: int,
-             tol: float) -> tuple:
-    """Iterated fiber projection onto the Pohozaev zero set at mass m;
-    tol is relative to the current seminorm. Returns the projected values,
-    their rfftn half spectrum and their summary, all measured on the
-    returned values."""
+             tol: float, start: tuple | None = None) -> tuple:
+    """Iterated fiber projection onto the Pohozaev zero set at mass m, at
+    most `rounds` dilations; tol is relative to the current seminorm.
+    Returns the projected values, their rfftn half spectrum and their
+    summary, all measured on the returned values.
+
+    Each round measures its state (one transform and a summary), stops if
+    it meets tol, and else dilates by the state's fiber root. With start =
+    (S, xi), a summary of values found without a transform and its fiber
+    root, the first round tests and dilates with those instead of
+    measuring; every state a dilation produces is still measured."""
+    if start is not None:
+        S, xi = start
+        if abs(functionals.pohozaev(S, params)) <= tol * S.A:
+            rounds = 0
+        else:
+            values = _renorm(_dilate_values(values, grid, xi), grid, params.m)
+            rounds -= 1
     for _ in range(rounds):
         spectrum = np.fft.rfftn(values)
         S = _summary_values(values, grid, params, spectrum)
@@ -282,19 +299,21 @@ def _descend(u, A0, params, config, constants, grid):
         for _ in range(_LINE_SEARCH_MAX):
             # The trial is priced at mass m by the amplitude law (A ~ lam^2,
             # B_beta ~ lam^beta), with A and M in closed form; only B_p and
-            # B_star touch the grid. The realized state is always measured
-            # afresh by the projection, whose transform is the next uh.
+            # B_star touch the grid. The realized projection starts from
+            # the priced summary and its fiber root, and measures every
+            # state it dilates to afresh; its last transform is the next uh.
             v = u - al * d
             Av, Mv = price(al)
             lam = m / math.sqrt(Mv)
             Sv = FieldSummary(A=lam * lam * Av, M=m * m,
                               B_p=lam ** params.p * _lp_values(v, grid, params.p),
                               B_star=lam ** ex.two_star * _lp_values(v, grid, ex.two_star))
-            Shat = scale_summary(Sv, fiber_root(FiberProfile(Sv, params)), params)
-            if functionals.energy(Shat, params) > E - _ARMIJO * al * gn2:
+            xi = fiber_root(FiberProfile(Sv, params))
+            if functionals.energy(scale_summary(Sv, xi, params), params) > E - _ARMIJO * al * gn2:
                 al *= 0.5
                 continue
-            w, wh, Sw = _project(lam * v, grid, params, rounds=3, tol=config.tol_pohozaev)
+            w, wh, Sw = _project(lam * v, grid, params, rounds=3, tol=config.tol_pohozaev,
+                                 start=(Sv, xi))
             Ew = functionals.energy(Sw, params)
             if Ew <= E - _ARMIJO * al * gn2:
                 u, uh, S, E = w, wh, Sw, Ew
@@ -316,6 +335,10 @@ def _descend(u, A0, params, config, constants, grid):
         al = min(2.0 * al, 1e3)
 
     u, _, S = _project(u, grid, params, rounds=25, tol=1e-12)
+    # The line-search and stall exits skip the loop's guard, so the final
+    # state is checked too: a collapsed iterate never comes back as a report.
+    if S.A < 1e-12 * A0:
+        raise RuntimeError("fiber degenerated")
     E = functionals.energy(S, params)
     mu = functionals.lagrange_multiplier(S, params)
     mu_identity = abs(mu * S.M - params.eta * (ex.zeta_p - 1.0) * S.B_p)

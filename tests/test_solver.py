@@ -122,6 +122,58 @@ def test_carried_spectrum_is_the_transform_of_the_iterate(monkeypatch, params_2d
     assert seen == [True] * rep.iterations
 
 
+def test_transforms_per_accepted_step(monkeypatch, params_2d):
+    # An iteration transforms N(u) forward and d back (2), and each realized
+    # projection transforms only the states it measures: every state a
+    # dilation produces, or the priced trial itself when it already meets
+    # the tolerance. The trial's first fiber root comes from the prescreen.
+    fft_calls = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            fft_calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    dilations = [0]
+    dilate = solver._dilate_values
+
+    def counting_dilate(*args):
+        dilations[0] += 1
+        return dilate(*args)
+
+    monkeypatch.setattr(solver, "_dilate_values", counting_dilate)
+    expected, seen = [0], []
+    project = solver._project
+
+    def counting_project(*args, start=None, **kwargs):
+        before = dilations[0]
+        out = project(*args, start=start, **kwargs)
+        if start is not None:
+            expected[0] += max(1, dilations[0] - before)
+        return out
+
+    monkeypatch.setattr(solver, "_project", counting_project)
+    direction = solver._direction
+
+    def counting_direction(*args):
+        seen.append((fft_calls[0], expected[0]))
+        expected[0] += 2
+        return direction(*args)
+
+    monkeypatch.setattr(solver, "_direction", counting_direction)
+    grid = make_grid(2, 128, 120.0)
+    init = sample(grid, "gaussian", {"width": 12.0})
+    rep = solve_ground_state(init, params_2d,
+                             SolveConfig(grid=grid, tol_grad=2e-2,
+                                         tol_pohozaev=1e-9))
+    assert rep.converged and rep.iterations > 5
+    calls0, expected0 = seen[0]
+    assert [calls - calls0 for calls, _ in seen] == [exp - expected0 for _, exp in seen]
+
+
 # ----------------------------------------------------------------------
 # solve contracts
 
@@ -189,6 +241,23 @@ def test_windowed_collapse_raises(params_2d):
     with pytest.raises(RuntimeError, match="fiber degenerated"):
         solve_ground_state(init, params_2d,
                            SolveConfig(grid=grid, tol_grad=1e-2))
+
+
+@pytest.mark.parametrize("n", [48, 64, 96])
+@pytest.mark.parametrize("width", [10.0, 12.0, 14.0])
+def test_collapsed_solve_never_returns_a_report(params_2d, n, width):
+    # Solitons wider than the box collapse to a constant field (A ~ 1e-32).
+    # Whichever exit the descent takes, a solve either raises or returns a
+    # state whose seminorm kept at least the degeneracy floor 1e-12 A0.
+    grid = make_grid(2, n, 40.0)
+    init = sample(grid, "gaussian", {"width": width})
+    A0 = summarize(renormalize_mass(init, params_2d.m), params_2d).A
+    try:
+        rep = solve_ground_state(init, params_2d, SolveConfig(grid=grid, tol_grad=1e-2))
+    except RuntimeError as exc:
+        assert str(exc) == "fiber degenerated"
+        return
+    assert rep.summary.A >= 1e-12 * A0
 
 
 def test_anchor_2d_converges_to_pinned_level(anchor_2d, params_2d):
