@@ -5,7 +5,8 @@ axis, spacing h = 2L/n. Wavenumbers follow the standard DFT layout: the
 per-axis frequencies are integer multiples of pi/L with the zero mode first.
 Derived arrays that operator evaluations reuse (coordinates, the multiplier
 |k|^{2s}, the boundary mask) are cached per grid; |k|^2 is read only to build
-a symbol or a band-limited sample, so it is computed on demand.
+a symbol, a band-limited sample or the classical-limit check, so it is
+computed on demand.
 """
 
 from __future__ import annotations

@@ -243,9 +243,10 @@ def test_resampling_matrix_matches_long_double_kernel(n):
     # Entry-wise accuracy of the closed-form matrix against its definition.
     # Small |xi| is where the second projection round lives (median 1.4e-6)
     # and where a kernel that splits sin(n theta/2) from an angle formed by
-    # cancellation loses about 1/|xi| digits near the peak. The direct
-    # float64 evaluation of the definition (n^2 sines) errs by 6e-16 to
-    # 1.4e-13 on these inputs; 5e-14 is below twice that at every one.
+    # cancellation loses about 1/|xi| digits near the peak. The bound is
+    # at least as tight as max(5e-14, twice the error of the direct float64
+    # evaluation of the definition with n^2 sines), which errs by 6e-16 to
+    # 1.4e-13 on these inputs.
     L = 20.0
     for xi in (1e-12, -1e-12, -1e-9, -1.4e-6, -1.3e-3, 0.02, 0.7, -1.0, 2.5):
         reference = _dirichlet_kernel_long_double(xi, n, L)
