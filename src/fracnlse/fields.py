@@ -10,17 +10,17 @@ Plancherel form of the Gagliardo seminorm
 
 agrees with <(-Delta)^s u, u> to rounding.
 
-Samples are real, so their spectrum is Hermitian and the array-level paths
-keep only its rfftn half: the last axis runs over k = 0 .. n/2. A sum over
+Samples are real, so their spectrum is Hermitian and every operator path
+keeps only its rfftn half: the last axis runs over k = 0 .. n/2. A sum over
 the full spectrum of a Hermitian-even quantity is then the half sum with
 weight 1 on the k = 0 and k = n/2 columns of the last axis and 2 on the
 others, whose mirror images the half spectrum omits. The half transforms
 cost a fraction of the complex ones on the same samples, the symbol is a
 view of the full one and the weight a 1-D vector, so no second n-D array
 is cached. Grids have an even n, so irfftn recovers all n samples of the
-last axis without being told n. The public frac_laplacian and
-Field.spectrum keep the full complex DFT and, with the dense oracle,
-cross-check the half path.
+last axis without being told n. The public frac_laplacian runs the same
+half-spectrum operator as the solver, so the dense oracle checks the path
+the solver takes.
 
 Dilation (xi * u)(x) = e^{N xi / 2} u(e^xi x) is realized by evaluating the
 trigonometric interpolant of u at the scaled points, one axis at a time with
@@ -48,6 +48,7 @@ The map has two implementations, chosen by dimension:
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -82,11 +83,11 @@ class DecayGuardError(ValueError):
 class Field:
     """Real samples of a candidate state on a periodic grid.
 
-    Immutable after construction; the spectrum is computed lazily and
-    cached. Construct instances directly or with sample.
+    Immutable after construction. Construct instances directly or with
+    sample.
     """
 
-    __slots__ = ("grid", "values", "_spectrum")
+    __slots__ = ("grid", "values")
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -100,19 +101,9 @@ class Field:
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_spectrum", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Cached forward DFT of the samples."""
-        if self._spectrum is None:
-            spec = np.fft.fftn(self.values)
-            spec.setflags(write=False)
-            object.__setattr__(self, "_spectrum", spec)
-        return self._spectrum
 
 
 @dataclass(frozen=True)
@@ -196,11 +187,7 @@ def _reject_extras(family: str, leftover: dict):
 def frac_laplacian(field: Field, s: float) -> Field:
     """Apply (-Delta)^s as the Fourier multiplier |k|^{2s}."""
     _check_s(s)
-    out = np.fft.ifftn(field.grid.symbol(s) * field.spectrum)
-    scale = np.max(np.abs(out))
-    if scale > 0 and np.max(np.abs(out.imag)) > 1e-12 * scale:
-        raise ValueError("imaginary residue above 1e-12 of output magnitude")
-    return Field(field.grid, out.real)
+    return Field(field.grid, _frac_laplacian_values(field.values, field.grid, s))
 
 
 def _frac_laplacian_values(values: np.ndarray, grid: GridSpec, s: float,
@@ -230,9 +217,9 @@ def _plancherel(grid: GridSpec, a: np.ndarray, b: np.ndarray,
 def dense_oracle_frac_laplacian(field: Field, s: float) -> Field:
     """Reference operator built from the explicit dense DFT matrix.
 
-    Semantically identical to frac_laplacian; kept independent of the fast
-    path (matrix conjugation of the diagonal multiplier) so the two can
-    cross-check each other. Guarded to small grids.
+    Semantically identical to frac_laplacian; kept independent of the
+    half-spectrum path (matrix conjugation of the diagonal multiplier) so
+    the two can cross-check each other. Guarded to small grids.
     """
     _check_s(s)
     grid = field.grid
@@ -493,17 +480,20 @@ def save_field(field: Field, path, s: float = 0.0) -> None:
 
 
 def load_field(path) -> tuple:
-    """Inverse of save_field; returns (field, s)."""
+    """Inverse of save_field; returns (field, s). The file must hold the
+    header and exactly the payload the header implies."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise ValueError("truncated field container header")
         dim, n, L, s = _HEADER.unpack(head)
         grid = make_grid(int(dim), int(n), float(L))
-        payload = fh.read(8 * grid.num_points)
-        if len(payload) != 8 * grid.num_points:
-            raise ValueError("truncated field container payload")
-        values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape)
+        size = 8 * grid.num_points
+        left = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if left != size:
+            raise ValueError("field container payload is %d bytes, its header implies %d"
+                             " (truncated or trailing data)" % (left, size))
+        values = np.frombuffer(fh.read(size), dtype="<f8").reshape(grid.shape)
     return Field(grid, values), float(s)
 
 

@@ -85,10 +85,9 @@ def _check_transform_round_trip(ctx):
     worst = 0.0
     for dim, n, L in ((1, 64, 10.0), (2, 16, 5.0), (3, 8, 3.0)):
         grid = make_grid(dim, n, L)
-        u = Field(grid, ctx.rng.standard_normal(grid.shape))
-        back = np.fft.ifftn(u.spectrum).real
-        worst = max(worst, float(np.max(np.abs(back - u.values))
-                                 / np.max(np.abs(u.values))))
+        u = ctx.rng.standard_normal(grid.shape)
+        back = np.fft.irfftn(np.fft.rfftn(u))
+        worst = max(worst, float(np.max(np.abs(back - u)) / np.max(np.abs(u))))
     return worst <= 1e-12, "max round-trip error %.2e" % worst
 
 
@@ -139,7 +138,7 @@ def _check_seminorm_classical_limit(ctx):
     grid = make_grid(1, 256, 20.0)
     u = sample(grid, "gaussian", {"width": 1.0})
     a_frac = seminorm_sq(u, 0.999)
-    spec = u.spectrum
+    spec = np.fft.fftn(u.values)
     weight = grid.cell_volume / grid.num_points
     a_classic = float(weight * np.sum(grid.wavenumber_sq()
                                       * (spec.real ** 2 + spec.imag ** 2)))
@@ -393,10 +392,9 @@ def _check_pohozaev_projection(ctx):
 def _check_descent_monotone(ctx):
     report, _, _ = ctx.anchor2d()
     energies = [h[0] for h in report.history]
-    rises = sum(1 for a, b in zip(energies, energies[1:])
-                if b > a + 1e-14 * max(1.0, abs(a)))
-    return rises == 0, "%d energy increases over %d accepted iterations" % (
-        rises, len(energies))
+    flat = sum(1 for a, b in zip(energies, energies[1:]) if b >= a)
+    return flat == 0, "%d accepted steps without a strict decrease over %d iterations" % (
+        flat, len(energies))
 
 
 def _check_converged_run(ctx):

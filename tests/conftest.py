@@ -50,11 +50,12 @@ def baseline_runs_1d(params_1d):
 
     Returns a dict with the plain gaussian run at n = 1024, five
     noise-perturbed multistart runs (seeds 1..5, 1 percent noise), and the
-    plain run at n = 2048. These runs end unconverged, on line-search
-    exhaustion or on the stall guard (which of the two flips on last-bit
-    changes; see stop_reason); at this coupling the discrete Pohozaev
-    manifold misses the discrete critical point, so the tangent gradient
-    floors at the projection noise level while the energy stabilizes.
+    plain run at n = 2048. These runs end unconverged on line-search
+    exhaustion (stop_reason "line-search"): at this coupling the discrete
+    Pohozaev manifold misses the discrete critical point, so the tangent
+    gradient floors at the projection noise level while the energy
+    stabilizes, and once the guaranteed decrease falls below that noise
+    no step strictly lowers the energy.
     """
     out = {}
     grid = F.make_grid(1, 1024, 40.0)

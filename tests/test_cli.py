@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,15 @@ def test_solve_report_contents(solve_run):
     assert body["mu"] < 0.0
     # No constants supplied, so no diagnostics block.
     assert report["diagnostics"] is None
+
+
+def test_readme_names_every_stop_reason():
+    # The README sentence on stop_reason lists exactly solver.STOP_REASONS.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = re.search(r"`stop_reason` says how the descent ended:(.*?)\.\s", readme, re.S)
+    assert sentence is not None
+    names = re.findall(r"`([^`]+)`", sentence.group(1))
+    assert sorted(names) == sorted(fracnlse.solver.STOP_REASONS)
 
 
 def test_solve_knobs_agree_across_ini_config_and_report(solve_run):

@@ -139,7 +139,7 @@ def test_half_spectrum_seminorm_matches_full_dft(dim, n, L, s):
     grid = make_grid(dim, n, L)
     for u in half_spectrum_inputs(grid):
         full = (grid.cell_volume / grid.num_points
-                * np.sum(grid.symbol(s) * np.abs(u.spectrum) ** 2))
+                * np.sum(grid.symbol(s) * np.abs(np.fft.fftn(u.values)) ** 2))
         half = F.fields._seminorm_sq_values(u.values, grid, s)
         assert half == pytest.approx(full, rel=1e-12)
         spectrum = np.fft.rfftn(u.values)
@@ -150,7 +150,7 @@ def test_half_spectrum_seminorm_matches_full_dft(dim, n, L, s):
 def test_half_spectrum_operator_matches_full_dft(dim, n, L, s):
     grid = make_grid(dim, n, L)
     for u in half_spectrum_inputs(grid):
-        full = frac_laplacian(u, s).values
+        full = np.fft.ifftn(grid.symbol(s) * np.fft.fftn(u.values)).real
         half = F.fields._frac_laplacian_values(u.values, grid, s)
         assert half.shape == grid.shape
         assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
@@ -383,6 +383,22 @@ def test_field_container_truncation_detected(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(ValueError, match="truncated"):
+        load_field(path)
+
+
+def test_field_container_size_must_match_header(tmp_path):
+    # A payload longer than the header implies is rejected, not read as
+    # its first grid, and a header implying an unaddressable payload is a
+    # ValueError, not an OverflowError from the read.
+    grid = make_grid(1, 32, 5.0)
+    path = tmp_path / "field.bin"
+    save_field(gaussian(grid, 1.0), path, s=0.4)
+    raw = path.read_bytes()
+    path.write_bytes(raw + bytes(8 * 64))
+    with pytest.raises(ValueError, match="header implies 256 "):
+        load_field(path)
+    path.write_bytes(F.fields._HEADER.pack(3, 2 ** 20, 5.0, 0.4) + raw[F.fields._HEADER.size:])
+    with pytest.raises(ValueError, match="header implies %d " % 2 ** 63):
         load_field(path)
 
 

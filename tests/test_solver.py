@@ -15,8 +15,8 @@ from fracnlse import solver
 from fracnlse.fields import _summary_values
 from fracnlse.solver import STOP_REASONS, _direction, _project
 
-# Energy levels pinned from converged (2D) and stalled-but-stable (1D) runs
-# of this package; both are deterministic.
+# Energy levels pinned from converged (2D) and unconverged-but-stable (1D,
+# line-search exit) runs of this package; both are deterministic.
 ANCHOR_2D_ENERGY = 1.71900545e-2
 ANCHOR_1D_ENERGY = 0.049350345
 
@@ -219,18 +219,19 @@ def test_exhausted_line_search_names_its_exit(monkeypatch, params_1d):
     report = solve_ground_state(init, params_1d, SolveConfig(grid=grid))
     assert (report.stop_reason, report.iterations) == ("line-search", 1)
     assert not report.converged
+    assert set(STOP_REASONS) == {"converged", "max-iters", "line-search"}
 
 
-def test_stall_guard_names_its_exit(monkeypatch, params_1d):
-    # With a one-iteration window the first accepted step that sets no new
-    # best energy ends the run.
-    monkeypatch.setattr(solver, "_STALL_WINDOW", 1)
+def test_accepted_steps_strictly_decrease_the_energy(params_1d):
+    # The decrease test compares E - E_trial, which is exact for nearby
+    # energies, so a step that leaves E unchanged bit for bit is rejected
+    # even where the required decrease is below half an ulp of E.
     grid = make_grid(1, 512, 40.0)
     init = sample(grid, "gaussian", {"width": 1.0})
     report = solve_ground_state(init, params_1d, SolveConfig(grid=grid))
-    assert report.stop_reason == "stall"
-    assert not report.converged
-    assert set(STOP_REASONS) == {"converged", "max-iters", "stall", "line-search"}
+    energies = [row[0] for row in report.history]
+    assert len(energies) > 1
+    assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
 def test_windowed_collapse_raises(params_2d):
@@ -274,7 +275,7 @@ def test_anchor_2d_converges_to_pinned_level(anchor_2d, params_2d):
 
 def test_anchor_2d_history_monotone(anchor_2d):
     energies = [row[0] for row in anchor_2d.history]
-    assert all(a >= b - 1e-14 for a, b in zip(energies, energies[1:]))
+    assert all(a > b for a, b in zip(energies, energies[1:]))
     assert len(energies) == anchor_2d.iterations
 
 
