@@ -12,7 +12,8 @@ covering the identities and inequalities the solver relies on.
 
 from .constants import (ConstantsReport, estimate_constants, estimate_gn,
                         estimate_sobolev, gn_quotient, load_constants,
-                        probe_fields, save_constants, sobolev_quotient)
+                        probe_fields, save_constants, sobolev_quotient,
+                        sobolev_sharp_constant)
 from .fiber import (DegenerateFiberError, FiberProfile,
                     fiber_derivative_residual, fiber_energy, fiber_pohozaev,
                     fiber_root, scale_summary)
@@ -88,6 +89,7 @@ __all__ = [
     "scale_summary",
     "seminorm_sq",
     "sobolev_quotient",
+    "sobolev_sharp_constant",
     "solve_ground_state",
     "stationarity_residual",
     "summarize",

@@ -19,7 +19,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .constants import estimate_constants, load_constants, save_constants
+from .constants import (estimate_constants, load_constants, save_constants,
+                        sobolev_sharp_constant)
 from .fields import field_to_csv, sample, save_field
 from .grids import GridSpec, make_grid
 from .params import ModelParams
@@ -225,8 +226,8 @@ def _plot_sweep(outdir: Path) -> None:
 def cmd_solve(args) -> int:
     conf = _apply_flags(_load_config(args.config), args)
     params, grid, solve_cfg, init_width, outdir = _parse_run(conf, "solve")
-    outdir.mkdir(parents=True, exist_ok=True)
     constants = load_constants(args.constants) if args.constants else None
+    outdir.mkdir(parents=True, exist_ok=True)
 
     init = sample(grid, "gaussian", {"width": init_width})
     report = solve_ground_state(init, params, solve_cfg, constants=constants)
@@ -346,6 +347,9 @@ def cmd_constants(args) -> int:
     for label, trace in sorted(report.refinement.items()):
         print("  %s trace: %s" % (label, ", ".join("n=%d %.6g" % (n, v)
                                                    for n, v in trace)))
+    sharp = sobolev_sharp_constant(params.dim, params.s)
+    print("  S_est vs sharp Sobolev constant %.6g: relative deviation %+.4f"
+          % (sharp, (report.S_est - sharp) / sharp))
     return 0 if report.converged else 2
 
 

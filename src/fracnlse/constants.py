@@ -10,6 +10,19 @@ that single restriction restores the decaying-field optimization problem
 and is the only regularization used (grid-scale spikes are not competitive
 for either quotient and need no special handling).
 
+Both descents share one kernel, built like the solver's. The direction is
+the gradient preconditioned by 1 / (1 + |k|^{2s}), formed on the iterate's
+carried rfftn half spectrum, with its slope taken by Plancherel. A trial's A
+and M come from the quadratic laws in the step length, so a trial touches
+the grid only for its power sum; one that passes on this priced value is
+transformed once and accepted on its measured value. Both tests compare
+the decrease itself, so every accepted step strictly lowers the quotient,
+and each start ends when its line search finds no such step.
+
+The continuum constants have a closed-form reference for the Sobolev side:
+sobolev_sharp_constant gives the sharp S of Lieb and Cotsiolis-Tavoularis,
+against which the grid estimate can be read.
+
 Estimates are grid-relative: the refinement ladder reruns the optimization
 at doubled resolution and the report's converged flag records whether the
 last doubling moved the estimate by less than 5 percent.
@@ -18,12 +31,12 @@ last doubling moved the estimate by less than 5 percent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .fields import (Field, FieldSummary, _frac_laplacian_values, _lp_values,
-                     _seminorm_sq_values, sample)
+from .fields import Field, FieldSummary, _lp_values, _plancherel, sample
 from .functionals import odd_power
 from .grids import GridSpec, make_grid
 from .params import ModelParams, exponents_for
@@ -45,6 +58,18 @@ def gn_quotient(summary: FieldSummary, params: ModelParams) -> float:
     zeta = ex.zeta_p
     return summary.B_p / (summary.A ** (params.p * zeta / 2.0)
                           * summary.M ** (params.p * (1.0 - zeta) / 2.0))
+
+
+def sobolev_sharp_constant(dim: int, s: float) -> float:
+    """The sharp constant S of ||(-Delta)^{s/2} u||^2 >= S ||u||_{2*_s}^2 on
+    R^N (Lieb, Ann. Math. 118 (1983); Cotsiolis-Tavoularis, JMAA 295 (2004)):
+    2^{2s} pi^s Gamma((N+2s)/2) / Gamma((N-2s)/2) (Gamma(N/2) / Gamma(N))^{2s/N}."""
+    if not (0.0 < s < 1.0) or not (2.0 * s < dim):
+        raise ValueError("sharp Sobolev constant needs 0 < s < 1 and 2s < N, got "
+                         "N=%r, s=%r" % (dim, s))
+    return (2.0 ** (2.0 * s) * math.pi ** s
+            * math.gamma((dim + 2.0 * s) / 2.0) / math.gamma((dim - 2.0 * s) / 2.0)
+            * (math.gamma(dim / 2.0) / math.gamma(dim)) ** (2.0 * s / dim))
 
 
 @dataclass
@@ -78,6 +103,11 @@ def save_constants(report: ConstantsReport, path) -> None:
 def load_constants(path) -> ConstantsReport:
     with open(path) as fh:
         raw = json.load(fh)
+    for key in ("S_est", "C_est"):
+        value = raw[key]
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+            raise ValueError("constants report %s: %s must be a finite positive "
+                             "number, got %r" % (path, key, value))
     grid = make_grid(raw["grid"]["dim"], raw["grid"]["n"], raw["grid"]["L"])
     pr = raw["params"]
     params = ModelParams(dim=pr["dim"], s=pr["s"], p=pr["p"], eta=pr["eta"], m=pr["m"])
@@ -92,8 +122,7 @@ def load_constants(path) -> ConstantsReport:
 _STEP_INIT = 0.5
 _ARMIJO = 1e-4
 _MAX_ITERS = 30000
-_STALL_REL = 1e-12
-_STALL_WINDOW = 30
+_LINE_SEARCH_MAX = 60
 
 
 def _mean_zero(values: np.ndarray) -> np.ndarray:
@@ -107,95 +136,140 @@ def _unit_mass(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return values / norm
 
 
-def _descend_quotient(grid: GridSpec, u0: np.ndarray, evaluate, direction) -> tuple:
-    """Backtracking descent of a scale-invariant quotient from u0.
+class _Quotient:
+    """A scale-invariant quotient of (A, M, B) on one grid, with
+    B = h^N sum |u|^r.
 
-    evaluate(u) returns (value, state) and direction(u, state) returns
-    (d, slope) with slope the pairing of the gradient with d; trial points
-    u - al d are put back on the unit-mass, mean-zero subspace. Returns
-    (best value, iterations, stalled, best field); stalled is False only
-    when the iteration budget ran out while the value was still falling.
+    value(A, M, B) is the quotient, and gradient(A, M, B) gives the
+    coefficients (a, b, c) of its L2 gradient a (-Delta)^s u + b u
+    - c |u|^{r-2} u up to a positive factor, which the direction drops.
+    sym is |k|^{2s} on the half spectrum and pre the preconditioner
+    1 / (1 + |k|^{2s}) both quotients share.
     """
+
+    def __init__(self, grid: GridSpec, s: float, r: float, value, gradient):
+        self.grid, self.r, self.value, self.gradient = grid, r, value, gradient
+        self.sym = grid.half_symbol(s)
+        self.pre = 1.0 / (1.0 + self.sym)
+
+
+def _measure(u: np.ndarray, quotient: _Quotient) -> tuple:
+    """(uh, A, M) of real samples u, with uh their rfftn half spectrum:
+    the one transform the kernel spends on a state it keeps."""
+    grid = quotient.grid
+    uh = np.fft.rfftn(u)
+    return uh, _plancherel(grid, uh, uh, quotient.sym), _lp_values(u, grid, 2.0)
+
+
+def _direction(u, uh, parts, quotient):
+    """Preconditioned descent data at u, with uh its rfftn half spectrum
+    and parts its (A, M, B), formed in Fourier space like the solver's.
+
+    The gradient's spectrum is g_hat = (a |k|^{2s} + b) uh - c F[|u|^{r-2} u]
+    with its zero mode removed (the mean-zero projection), and the
+    direction is d = F^-1[g_hat / (1 + |k|^{2s})]. Returns (slope, d,
+    price): slope = <g, d> by Plancherel, and price(al) gives (A, M) of
+    u - al d from the quadratic laws A(u - al d) = A - 2 al <u, d>_s
+    + al^2 A(d) and M(u - al d) = M - 2 al <u, d> + al^2 M(d). Since
+    (1 + (-Delta)^s) d = g, the seminorm terms are <u, d>_s = <u, g> - <u, d>
+    and A(d) = <g, d> - M(d), and the M terms are sums over the grid.
+    """
+    A, M, B = parts
+    grid, sym = quotient.grid, quotient.sym
+    a, b, c = quotient.gradient(A, M, B)
+    gh = (a * sym + b) * uh - c * np.fft.rfftn(odd_power(u, quotient.r))
+    gh.flat[0] = 0.0
+    dh = gh * quotient.pre
+    d = np.fft.irfftn(dh)
+    slope = _plancherel(grid, gh, dh)
+    M_ud = grid.cell_volume * float(np.vdot(u, d))
+    M_dd = grid.cell_volume * float(np.vdot(d, d))
+    A_ud, A_dd = _plancherel(grid, uh, gh) - M_ud, slope - M_dd
+
+    def price(al):
+        return (A - al * (2.0 * A_ud - al * A_dd),
+                M - al * (2.0 * M_ud - al * M_dd))
+
+    return slope, d, price
+
+
+def _descend_quotient(u0: np.ndarray, quotient: _Quotient) -> tuple:
+    """Preconditioned backtracking descent of a scale-invariant quotient
+    from u0, kept on the unit-mass, mean-zero subspace.
+
+    Each iteration forms the direction on the carried half spectrum (one
+    forward transform of the nonlinear term, one inverse transform for d).
+    A trial lam (u - al d), with lam putting it back on unit mass, is
+    priced: A and M from the quadratic laws, so it touches the grid only
+    for its power sum B. A trial whose priced value passes is measured
+    with one rfftn and accepted on the measured value. Both tests compare
+    the decrease itself, val - val_trial >= c al slope, so every accepted
+    step strictly lowers the measured quotient, and a start ends when its
+    line search runs out. Returns (value, iterations, ended, field);
+    ended is False only when the iteration budget ran out first.
+    """
+    grid, r, value = quotient.grid, quotient.r, quotient.value
     u = _unit_mass(_mean_zero(u0), grid)
-    val, state = evaluate(u)
+    uh, A, M = _measure(u, quotient)
+    parts = (A, M, _lp_values(u, grid, r))
+    val = value(*parts)
     al = _STEP_INIT
-    stall = 0
     for it in range(_MAX_ITERS):
-        d, slope = direction(u, state)
+        slope, d, price = _direction(u, uh, parts, quotient)
         if slope <= 0.0:
             return val, it + 1, True, u
-        for _ in range(60):
-            v = _unit_mass(_mean_zero(u - al * d), grid)
-            val_v, state_v = evaluate(v)
-            if val_v <= val - _ARMIJO * al * slope:
-                break
+        for _ in range(_LINE_SEARCH_MAX):
+            Av, Mv = price(al)
+            lam = 1.0 / math.sqrt(Mv)
+            v = u - al * d
+            v *= lam
+            Bv = _lp_values(v, grid, r)
+            if val - value(lam * lam * Av, lam * lam * Mv, Bv) >= _ARMIJO * al * slope:
+                vh, Av, Mv = _measure(v, quotient)
+                val_v = value(Av, Mv, Bv)
+                if val - val_v >= _ARMIJO * al * slope:
+                    break
             al *= 0.5
         else:
             return val, it + 1, True, u
-        rel = (val - val_v) / max(abs(val), 1e-300)
-        u, val, state = v, val_v, state_v
-        stall = stall + 1 if rel < _STALL_REL else 0
-        if stall >= _STALL_WINDOW:
-            return val, it + 1, True, u
+        u, uh, parts, val = v, vh, (Av, Mv, Bv), val_v
         al = min(2.0 * al, 1e2)
     return val, _MAX_ITERS, False, u
 
 
-def _descend_sobolev(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tuple:
-    """Preconditioned descent on the Sobolev quotient from u0.
+def _sobolev(grid: GridSpec, params: ModelParams) -> _Quotient:
+    """The Sobolev quotient A / B*^{2/q} on grid.
 
-    The quotient gradient is 2 B*^{-2/q} [(-Delta)^s u - (A/B*) |u|^{q-2} u];
-    the constant in front is irrelevant to the direction and dropped.
+    Its gradient is 2 B*^{-2/q} [(-Delta)^s u - (A/B*) |u|^{q-2} u]; the
+    constant in front is irrelevant to the direction and dropped.
     """
     q = exponents_for(params.dim, params.s, params.p).two_star
-    hN = grid.cell_volume
-    pre = 1.0 / (1.0 + grid.half_symbol(params.s))
-
-    def evaluate(u):
-        spec = np.fft.rfftn(u)
-        A = _seminorm_sq_values(u, grid, params.s, spec)
-        Bs = _lp_values(u, grid, q)
-        return A / Bs ** (2.0 / q), (spec, A, Bs)
-
-    def direction(u, state):
-        spec, A, Bs = state
-        lap = _frac_laplacian_values(u, grid, params.s, spec)
-        g = _mean_zero(lap - (A / Bs) * odd_power(u, q))
-        d = _mean_zero(np.fft.irfftn(np.fft.rfftn(g) * pre))
-        return d, float(hN * np.sum(g * d))
-
-    return _descend_quotient(grid, u0, evaluate, direction)
+    return _Quotient(grid, params.s, q,
+                     value=lambda A, M, B: A / B ** (2.0 / q),
+                     gradient=lambda A, M, B: (1.0, 0.0, A / B))
 
 
-def _descend_neg_gn(grid: GridSpec, params: ModelParams, u0: np.ndarray) -> tuple:
-    """Plain gradient descent on the negated GN quotient from u0.
+def _neg_gn(grid: GridSpec, params: ModelParams) -> _Quotient:
+    """The negated GN quotient -B_p / den, den = A^{p zeta/2} M^{p(1-zeta)/2},
+    on grid.
 
-    Negation is exact in floating point: the value and the gradient (the
-    quotient's gradient with its two terms subtracted the other way round)
-    are the exact negatives of those of the quotient, so this takes the
-    same steps as gradient ascent on it. The value returned is negated.
+    Negation is exact in floating point: the value and the gradient
+    Q [p zeta (-Delta)^s u / A + p (1 - zeta) u / M] - p |u|^{p-2} u / den,
+    with Q = B_p / den, are the exact negatives of those of the quotient,
+    so descending it takes the same steps as ascent on the quotient.
     """
     p = params.p
     zeta = exponents_for(params.dim, params.s, p).zeta_p
     ea, eb = p * zeta / 2.0, p * (1.0 - zeta) / 2.0
-    hN = grid.cell_volume
 
-    def evaluate(u):
-        spec = np.fft.rfftn(u)
-        A = _seminorm_sq_values(u, grid, params.s, spec)
-        M = _lp_values(u, grid, 2.0)
-        Bp = _lp_values(u, grid, p)
+    def gradient(A, M, B):
         den = A ** ea * M ** eb
-        return -(Bp / den), (spec, A, M, Bp, den)
+        Q = B / den
+        return Q * p * zeta / A, Q * p * (1.0 - zeta) / M, p / den
 
-    def direction(u, state):
-        spec, A, M, Bp, den = state
-        lap = _frac_laplacian_values(u, grid, params.s, spec)
-        g = _mean_zero((Bp / den) * (p * zeta * lap / A + p * (1.0 - zeta) * u / M)
-                       - p * odd_power(u, p) / den)
-        return g, float(hN * np.sum(g * g))
-
-    return _descend_quotient(grid, u0, evaluate, direction)
+    return _Quotient(grid, params.s, p,
+                     value=lambda A, M, B: -(B / (A ** ea * M ** eb)),
+                     gradient=gradient)
 
 
 def _starts(grid: GridSpec, params: ModelParams) -> list:
@@ -223,19 +297,21 @@ def _refine_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _run_ladder(grid: GridSpec, params: ModelParams, rungs: int, optimizer) -> tuple:
+def _run_ladder(grid: GridSpec, params: ModelParams, rungs: int, quotient_on) -> tuple:
     """Shared ladder driver: multistart at the base grid, warm-started
-    doublings after that; the lowest value wins. Returns (final value,
-    trace)."""
+    doublings after that; quotient_on(grid, params) is the quotient
+    descended on each rung and the lowest value wins. Returns (final
+    value, trace)."""
     trace = []
     g = grid
     best_u = None
     for rung in range(rungs):
         starts = _starts(g, params) if rung == 0 else [best_u]
+        quotient = quotient_on(g, params)
         results = []
         for u0 in starts:
-            val, iters, stalled, u_opt = optimizer(g, params, u0)
-            if not stalled:
+            val, iters, ended, u_opt = _descend_quotient(u0, quotient)
+            if not ended:
                 raise RuntimeError(
                     "quotient optimization still improving after %d iterations "
                     "(trace so far: %r)" % (iters, trace)
@@ -252,14 +328,14 @@ def _run_ladder(grid: GridSpec, params: ModelParams, rungs: int, optimizer) -> t
 
 def estimate_sobolev(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
     """Minimize the Sobolev quotient; refinement trace over the ladder."""
-    value, trace = _run_ladder(grid, params, rungs, _descend_sobolev)
+    value, trace = _run_ladder(grid, params, rungs, _sobolev)
     return {"value": value, "refinement": trace, "converged": _ladder_converged(trace)}
 
 
 def estimate_gn(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
     """Maximize the GN quotient; the constant estimate is the p-th root of
     the optimal quotient."""
-    neg_ratio, trace = _run_ladder(grid, params, rungs, _descend_neg_gn)
+    neg_ratio, trace = _run_ladder(grid, params, rungs, _neg_gn)
     trace = [(n, (-r) ** (1.0 / params.p)) for n, r in trace]
     return {"value": (-neg_ratio) ** (1.0 / params.p), "refinement": trace,
             "converged": _ladder_converged(trace)}

@@ -190,13 +190,10 @@ def frac_laplacian(field: Field, s: float) -> Field:
     return Field(field.grid, _frac_laplacian_values(field.values, field.grid, s))
 
 
-def _frac_laplacian_values(values: np.ndarray, grid: GridSpec, s: float,
-                           spectrum: np.ndarray | None = None) -> np.ndarray:
+def _frac_laplacian_values(values: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
     """(-Delta)^s of real samples, no checks: the inverse rfftn of |k|^{2s}
-    times the half spectrum (rfftn of values unless given)."""
-    if spectrum is None:
-        spectrum = np.fft.rfftn(values)
-    return np.fft.irfftn(grid.half_symbol(s) * spectrum)
+    times their half spectrum."""
+    return np.fft.irfftn(grid.half_symbol(s) * np.fft.rfftn(values))
 
 
 def _plancherel(grid: GridSpec, a: np.ndarray, b: np.ndarray,

@@ -258,9 +258,30 @@ def test_constants_single_rung_exit_two(tmp_path):
     assert proc.returncode == 2
     assert "converged=False" in proc.stdout
     assert "S trace:" in proc.stdout
+    assert "sharp Sobolev constant 0.488686: relative deviation" in proc.stdout
     report = json.loads((out / "constants.json").read_text())
     assert report["converged"] is False
     assert len(report["refinement"]["S"]) == 1
+
+
+@pytest.mark.parametrize("key, bad", [("S_est", -0.5), ("C_est", float("nan"))])
+def test_solve_rejects_bad_constants_report(tmp_path, key, bad):
+    # A negative S_est once made the 1D threshold complex and the solve
+    # died in a traceback with report.json cut off; it is now an input error.
+    report = fracnlse.ConstantsReport(
+        S_est=0.64, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
+        params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0)).to_dict()
+    report[key] = bad
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(report))
+    out = tmp_path / "run"
+    proc = run_cli("solve", "--grid", "1:128:20", "--params", "0.4,6,1,1",
+                   "--constants", str(path), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: constants report %s: %s must be a finite positive number, got %r"
+        % (path, key, bad)]
+    assert not (out / "report.json").exists()
 
 
 def test_constants_then_verify_full_pass(tmp_path):

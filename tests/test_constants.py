@@ -1,13 +1,18 @@
 """Sobolev and Gagliardo-Nirenberg constant estimation."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
-from fracnlse import (Field, FieldSummary, gn_quotient, load_constants,
-                      lp_norm_pow, make_grid, probe_fields, sample,
-                      save_constants, scale_summary, sobolev_quotient,
-                      summarize)
+from fracnlse import (ConstantsReport, Field, FieldSummary, gn_quotient,
+                      load_constants, lp_norm_pow, make_grid, probe_fields,
+                      sample, save_constants, scale_summary, sobolev_quotient,
+                      sobolev_sharp_constant, summarize)
+from fracnlse import constants
 from fracnlse.constants import estimate_constants, estimate_gn, estimate_sobolev
+from fracnlse.fields import _lp_values, _summary_values
 
 # Refinement-ladder values pinned from converged runs of this package; the
 # estimators are deterministic (fixed multistart set, fixed descent), so
@@ -139,3 +144,135 @@ def test_constants_round_trip(tmp_path, constants_1d):
     assert back.params == constants_1d.params
     assert back.converged == constants_1d.converged
     assert back.refinement == constants_1d.refinement
+
+
+@pytest.mark.parametrize("key", ["S_est", "C_est"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5])
+def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, key, bad):
+    # A negative S_est made the 1D compactness threshold complex and a NaN
+    # passed through every comparison; both must fail at load time.
+    raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
+                          params=params_1d).to_dict()
+    raw[key] = bad
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=key):
+        load_constants(path)
+
+
+@pytest.mark.parametrize("dim, s, expected", [(1, 0.4, 0.488686),
+                                              (2, 0.5, math.sqrt(math.pi)),
+                                              (3, 0.75, 4.107827)])
+def test_sobolev_sharp_constant_closed_form(dim, s, expected):
+    assert sobolev_sharp_constant(dim, s) == pytest.approx(expected, abs=1e-6)
+
+
+@pytest.mark.parametrize("dim, s", [(1, 0.5), (1, 0.0), (2, 1.0)])
+def test_sobolev_sharp_constant_rejects_inadmissible_exponents(dim, s):
+    with pytest.raises(ValueError):
+        sobolev_sharp_constant(dim, s)
+
+
+# ----------------------------------------------------------------------
+# the descent kernel
+
+QUOTIENTS = {"S": (constants._sobolev, sobolev_quotient, 1.0),
+             "C": (constants._neg_gn, gn_quotient, -1.0)}
+
+
+def kernel_case(dim, params_1d, params_2d):
+    # Small grids of each dimension with a start from the multistart pool
+    # (the width-1 gaussian), so a whole descent runs in well under a second.
+    if dim == 1:
+        grid, params = make_grid(1, 512, 20.0), params_1d
+    else:
+        grid, params = make_grid(2, 64, 20.0), params_2d
+    return grid, params, constants._starts(grid, params)[4]
+
+
+@pytest.mark.parametrize("which", ["S", "C"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_accepted_steps_strictly_lower_the_quotient(monkeypatch, params_1d, params_2d,
+                                                    dim, which):
+    # The decrease test compares val - val_trial, so a step that leaves the
+    # measured quotient unchanged bit for bit is never accepted. The
+    # quotient is re-measured here from the public summary of each iterate
+    # the kernel forms a direction at (the start and every accepted step).
+    grid, params, u0 = kernel_case(dim, params_1d, params_2d)
+    quotient_on, public, sign = QUOTIENTS[which]
+    seen = []
+
+    def spy(u, uh, parts, quotient):
+        seen.append(sign * public(summarize(Field(grid, u), params), params))
+        return direction(u, uh, parts, quotient)
+
+    direction = constants._direction
+    monkeypatch.setattr(constants, "_direction", spy)
+    val, iters, ended, _ = constants._descend_quotient(u0, quotient_on(grid, params))
+    assert ended and iters == len(seen) > 20
+    assert val == seen[-1]
+    assert all(b < a for a, b in zip(seen, seen[1:]))
+
+
+@pytest.mark.parametrize("which", ["S", "C"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_trial_pricing_matches_measured_parts(params_1d, params_2d, dim, which):
+    # A(u - al d) and M(u - al d) from the quadratic laws must equal the
+    # summary measured on the trial itself.
+    grid, params, u0 = kernel_case(dim, params_1d, params_2d)
+    quotient = QUOTIENTS[which][0](grid, params)
+    u = constants._unit_mass(constants._mean_zero(u0), grid)
+    uh, A, M = constants._measure(u, quotient)
+    slope, d, price = constants._direction(u, uh, (A, M, _lp_values(u, grid, quotient.r)),
+                                           quotient)
+    assert slope > 0.0
+    for al in (1e-6, 1e-3, 1e-1, 1.0, 10.0, 100.0):
+        A_al, M_al = price(al)
+        measured = _summary_values(u - al * d, grid, params)
+        assert A_al == pytest.approx(measured.A, rel=1e-12)
+        assert M_al == pytest.approx(measured.M, rel=1e-12)
+
+
+@pytest.mark.parametrize("which", ["S", "C"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_transforms_per_accepted_step(monkeypatch, params_1d, params_2d, dim, which):
+    # A direction transforms the nonlinear term forward and d back (2), a
+    # priced trial transforms nothing, and a measured trial one rfftn: an
+    # accepted step costs at most 3 transforms plus one per trial that
+    # passed on its priced value and failed on its measured one.
+    grid, params, u0 = kernel_case(dim, params_1d, params_2d)
+    fft_calls, measures, steps = [0], [0], []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            fft_calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    measure, direction = constants._measure, constants._direction
+
+    def counting_measure(*args):
+        measures[0] += 1
+        return measure(*args)
+
+    def counting_direction(*args):
+        steps.append((fft_calls[0], measures[0]))
+        return direction(*args)
+
+    monkeypatch.setattr(constants, "_measure", counting_measure)
+    monkeypatch.setattr(constants, "_direction", counting_direction)
+    _, iters, ended, _ = constants._descend_quotient(u0, QUOTIENTS[which][0](grid, params))
+    assert ended and iters == len(steps) > 20
+    for (f0, m0), (f1, m1) in zip(steps, steps[1:]):
+        rejected = m1 - m0 - 1
+        assert f1 - f0 <= 3 + rejected
+
+
+def test_descent_budget_still_raises(monkeypatch, params_1d):
+    # Without a stall guard a start ends only when its line search runs
+    # out; a start still descending when the budget ends is an error.
+    monkeypatch.setattr(constants, "_MAX_ITERS", 5)
+    with pytest.raises(RuntimeError, match="still improving after 5 iterations"):
+        estimate_sobolev(make_grid(1, 128, 20.0), params_1d, rungs=1)
