@@ -225,14 +225,14 @@ def _descend_quotient(u0: np.ndarray, quotient: _Quotient) -> tuple:
             v *= lam
             Bv = _lp_values(v, grid, r)
             if val - value(lam * lam * Av, lam * lam * Mv, Bv) >= _ARMIJO * al * slope:
-                vh, Av, Mv = _measure(v, quotient)
-                val_v = value(Av, Mv, Bv)
+                vh, Aw, Mw = _measure(v, quotient)
+                val_v = value(Aw, Mw, Bv)
                 if val - val_v >= _ARMIJO * al * slope:
                     break
             al *= 0.5
         else:
             return val, it + 1, True, u
-        u, uh, parts, val = v, vh, (Av, Mv, Bv), val_v
+        u, uh, parts, val = v, vh, (Aw, Mw, Bv), val_v
         al = min(2.0 * al, 1e2)
     return val, _MAX_ITERS, False, u
 
