@@ -28,12 +28,19 @@ the same one-axis map. Points mapped outside the box are set to zero, which
 is harmless exactly when the field decays (the guard below enforces that).
 The map has two implementations, chosen by dimension:
 
-- In 1D it is a DFT at a non-integer frequency spacing, done with a
-  Bluestein chirp transform whose quadratic phase is reduced modulo 2 pi in
-  extended precision before exponentiation; without the reduction the phase
-  loses digits once n^2 * |xi| outgrows the 53-bit mantissa. It costs
-  O(n log n), so it beats an explicit matrix on a single axis, and it is the
-  reference the matrix is tested against.
+- In 1D it is a DFT at a non-integer frequency spacing, done as a chirp
+  transform (Bluestein) built from one table. With P the frequency and Q
+  the sample index, both centred, the phase phi P Q (phi = 2 pi e^xi / n)
+  is phi/2 (P^2 + Q^2 - (P - Q)^2), so the pre-chirp, the post-chirp and
+  the convolution kernel are all gathers from w(m) = exp(i pi e^xi m^2 / n),
+  m = 0..n, and the convolution is circular of length 2n. The phase is
+  reduced modulo 2 pi in float64 without rounding error: m^2 mod 2n in
+  integers, and for e^xi - 1 = e_hi + e_lo with e_hi short enough that
+  e_hi m^2 is exact, fmod(e_hi m^2, 2n) is exact too; only the small
+  e_lo m^2 is rounded. Without the reduction the phase loses digits once
+  n^2 |xi| outgrows the 53-bit mantissa. It costs O(n log n), so it beats
+  an explicit matrix on a single axis, and it is the reference the matrix
+  is tested against.
 - In 2D and 3D the map is the real n x n matrix of the interpolant, the
   Dirichlet kernel in closed form (no FFT), built once per call and applied
   along every axis with one BLAS product per axis. Splitting each sample's
@@ -41,13 +48,14 @@ The map has two implementations, chosen by dimension:
   sines and tangents functions of a row or of a wrapped index difference
   alone, so the build takes O(n) transcendental calls and O(n^2) arithmetic
   with no angle formed by cancellation (see _resampling_matrix). The
-  set-up is shared by all n^{N-1} lines of every axis, where the Bluestein
-  path pays padded complex FFTs on every line of every axis.
+  set-up is shared by all n^{N-1} lines of every axis, where the chirp
+  transform pays padded complex FFTs on every line of every axis.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -57,9 +65,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import GridSpec, make_grid
 from .params import ModelParams, exponents_for
-
-_LD = np.longdouble
-_TWO_PI = 2.0 * np.pi
 
 XI_MAX = 3.0
 DECAY_GUARD_DEFAULT = 1e-8
@@ -324,49 +329,43 @@ def boundary_mass_fraction(field: Field) -> float:
 # dilation
 
 
-def _scaled_dft(b: np.ndarray, phi: float, m: int) -> np.ndarray:
-    """X_j = sum_l b_l exp(i phi j l) for j < m, via Bluestein.
-
-    The chirp phase phi * k^2 / 2 is reduced modulo 2 pi in long double
-    before exponentiation to keep the quadratic phase accurate at large n.
-    """
-    nk = b.shape[-1]
-    kk = np.arange(max(nk, m), dtype=_LD)
-    ph = np.mod(_LD(phi) * kk * kk / 2.0, _LD(_TWO_PI)).astype(np.float64)
-    chirp = np.exp(1j * ph)
-    a = b * chirp[:nk]
-    nfft = 1 << int(np.ceil(np.log2(nk + m - 1)))
-    mm = np.arange(nfft)
-    mm = np.minimum(mm, nfft - mm)
-    phm = np.mod(_LD(phi) * mm.astype(_LD) ** 2 / 2.0, _LD(_TWO_PI)).astype(np.float64)
-    kernel = np.fft.fft(np.exp(-1j * phm), nfft)
-    out = np.fft.ifft(np.fft.fft(a, nfft, axis=-1) * kernel, axis=-1)[..., :m]
-    return out * chirp[:m]
-
-
 def _resample_axis(u: np.ndarray, xi: float, n: int, L: float) -> np.ndarray:
     """Evaluate e^{xi/2} * (trig interpolant of u)(e^xi x_j) along the last
-    axis, zeroing points that leave the box."""
+    axis, zeroing points that leave the box; leading axes are a batch.
+
+    With P = k - n/2 (k = 0..n) indexing the Nyquist-split spectrum c_P and
+    Q = j - n/2 the sample, x_j = h Q and the interpolant at e^xi x_j is
+    (1/n) sum_P c_P (-1)^P exp(i phi P Q), phi = 2 pi e^xi / n, where (-1)^P
+    shifts the box to [-L, L). The chirps are gathers from the table w of
+    the module docstring: the pre-chirp (-1)^P w(|P|), the post-chirp
+    w(|Q|) and the kernel conj(w(|P - Q|)), P - Q in [-n + 1, n], which a
+    circular convolution of length 2n holds without wrap-around. For
+    n^2 < 2^b, e_hi keeps 53 - b bits of expm1(xi), so e_hi m^2 is exact,
+    and |e_lo m^2| < |e^xi - 1| 2^{2b - 53} is rounded far below the
+    rounding of the sum.
+    """
     h = 2.0 * L / n
     x = -L + h * np.arange(n)
-    uh = np.fft.fft(u, axis=-1)
-    order = np.argsort(np.fft.fftfreq(n) * n)
-    c = uh[..., order].astype(complex)
-    # Symmetric spectrum: split the Nyquist coefficient between +-n/2 so the
-    # interpolant stays real.
-    c_ext = np.concatenate([c, c[..., :1]], axis=-1)
-    c_ext[..., 0] *= 0.5
-    c_ext[..., -1] *= 0.5
     sc = float(np.exp(xi))
-    ktil = np.arange(-(n // 2), n // 2 + 1)
-    ph0 = np.mod(_LD(np.pi) * (_LD(1.0) - _LD(sc)) * ktil.astype(_LD),
-                 _LD(_TWO_PI)).astype(np.float64)
-    b = c_ext * np.exp(1j * ph0)
-    phi = _TWO_PI * sc / n
-    X = _scaled_dft(b, phi, n)
-    phj = np.mod(_LD(phi) * _LD(n // 2) * np.arange(n, dtype=_LD),
-                 _LD(_TWO_PI)).astype(np.float64)
-    v = np.exp(0.5 * xi) * (X * np.exp(-1j * phj)).real / n
+    e = math.expm1(xi)
+    frac, expo = math.frexp(e)
+    bits = 53 - (n * n).bit_length()
+    e_hi = math.ldexp(round(math.ldexp(frac, bits)), expo - bits)
+    m = np.arange(n + 1)
+    sq = m * m
+    t = sq % (2 * n) + np.fmod(e_hi * sq, 2 * n) + (e - e_hi) * sq
+    w = np.exp((1j * np.pi / n) * np.fmod(t, 2 * n))
+    post = w[np.abs(m[:n] - n // 2)]
+    pre = w[np.abs(m - n // 2)]
+    pre[(n // 2 + 1) % 2::2] *= -1.0
+    r = np.fft.rfft(u, axis=-1)
+    c = np.concatenate([r[..., :0:-1].conj(), r], axis=-1)
+    # Split the Nyquist coefficient between +-n/2 so the interpolant stays real.
+    c[..., 0] *= 0.5
+    c[..., -1] *= 0.5
+    kernel = np.fft.fft(np.concatenate([w, w[n - 1:0:-1]]).conj())
+    y = np.fft.ifft(np.fft.fft(c * pre, 2 * n, axis=-1) * kernel, axis=-1)[..., :n]
+    v = (np.exp(0.5 * xi) / n) * (y * post).real
     v[..., np.abs(sc * x) >= L] = 0.0
     return v
 
@@ -426,7 +425,7 @@ def _resampling_matrix(xi: float, n: int, L: float) -> np.ndarray:
 def _dilate_values(values: np.ndarray, grid: GridSpec, xi: float) -> np.ndarray:
     """(xi * u) samples, no guards.
 
-    1D uses the Bluestein scaled DFT, O(n log n) per call. From 2D on, one
+    1D uses the one-table chirp transform, O(n log n) per call. From 2D on, one
     resampling matrix serves every axis: each pass contracts the leading
     axis with it and appends the result as the trailing axis, so after N
     passes the axes are back in order (R @ u @ R.T in 2D). A pass is one

@@ -100,6 +100,7 @@ class SolveReport:
     mu_identity_residual: float
     pde_residual: float
     iterations: int
+    dilations: int  # grid dilations of the initial, realized and final projections
     history: list
     converged: bool
     stop_reason: str
@@ -113,6 +114,7 @@ class SolveReport:
             "mu_identity_residual": self.mu_identity_residual,
             "pde_residual": self.pde_residual,
             "iterations": self.iterations,
+            "dilations": self.dilations,
             "converged": self.converged,
             "stop_reason": self.stop_reason,
             "compactness_margin": self.compactness_margin,
@@ -158,29 +160,33 @@ def _project(values: np.ndarray, grid: GridSpec, params: ModelParams, rounds: in
     """Iterated fiber projection onto the Pohozaev zero set at mass m, at
     most `rounds` dilations; tol is relative to the current seminorm.
     Returns the projected values, their rfftn half spectrum and their
-    summary, all measured on the returned values.
+    summary, all measured on the returned values, and the number of
+    dilations made.
 
     Each round measures its state (one transform and a summary), stops if
     it meets tol, and else dilates by the state's fiber root. With start =
     (S, xi), a summary of values found without a transform and its fiber
     root, the first round tests and dilates with those instead of
     measuring; every state a dilation produces is still measured."""
+    dilations = 0
     if start is not None:
         S, xi = start
         if abs(functionals.pohozaev(S, params)) <= tol * S.A:
             rounds = 0
         else:
             values = _renorm(_dilate_values(values, grid, xi), grid, params.m)
+            dilations += 1
             rounds -= 1
     for _ in range(rounds):
         spectrum = np.fft.rfftn(values)
         S = _summary_values(values, grid, params, spectrum)
         if abs(functionals.pohozaev(S, params)) <= tol * S.A:
-            return values, spectrum, S
+            return values, spectrum, S, dilations
         xi = fiber_root(FiberProfile(S, params))
         values = _renorm(_dilate_values(values, grid, xi), grid, params.m)
+        dilations += 1
     spectrum = np.fft.rfftn(values)
-    return values, spectrum, _summary_values(values, grid, params, spectrum)
+    return values, spectrum, _summary_values(values, grid, params, spectrum), dilations
 
 
 def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
@@ -198,7 +204,7 @@ def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
         if frac >= DECAY_GUARD_DEFAULT:
             raise DecayGuardError(frac)
     mass = math.sqrt(_lp_values(u.values, u.grid, 2.0))
-    values, _, _ = _project(u.values, u.grid, replace(params, m=mass), rounds, 1e-10)
+    values, _, _, _ = _project(u.values, u.grid, replace(params, m=mass), rounds, 1e-10)
     return Field(u.grid, values)
 
 
@@ -275,7 +281,7 @@ def _direction(u, uh, S, params, grid):
 def _descend(u, A0, params, config, constants, grid):
     m = params.m
     ex = derived_exponents(params)
-    u, uh, S = _project(u, grid, params, rounds=30, tol=config.tol_pohozaev)
+    u, uh, S, dilations = _project(u, grid, params, rounds=30, tol=config.tol_pohozaev)
     E = functionals.energy(S, params)
     al = _STEP_INIT
     history = []
@@ -311,8 +317,9 @@ def _descend(u, A0, params, config, constants, grid):
             if E - functionals.energy(scale_summary(Sv, xi, params), params) < _ARMIJO * al * gn2:
                 al *= 0.5
                 continue
-            w, wh, Sw = _project(lam * v, grid, params, rounds=3, tol=config.tol_pohozaev,
-                                 start=(Sv, xi))
+            w, wh, Sw, k = _project(lam * v, grid, params, rounds=3,
+                                    tol=config.tol_pohozaev, start=(Sv, xi))
+            dilations += k
             Ew = functionals.energy(Sw, params)
             if E - Ew >= _ARMIJO * al * gn2:
                 u, uh, S, E = w, wh, Sw, Ew
@@ -324,7 +331,8 @@ def _descend(u, A0, params, config, constants, grid):
             break
         al = min(2.0 * al, 1e3)
 
-    u, _, S = _project(u, grid, params, rounds=25, tol=1e-12)
+    u, _, S, k = _project(u, grid, params, rounds=25, tol=1e-12)
+    dilations += k
     # The line-search exit skips the loop's guard, so the final
     # state is checked too: a collapsed iterate never comes back as a report.
     if S.A < 1e-12 * A0:
@@ -345,6 +353,7 @@ def _descend(u, A0, params, config, constants, grid):
         mu_identity_residual=mu_identity,
         pde_residual=stationarity_residual(final, params, mu),
         iterations=iterations,
+        dilations=dilations,
         history=history,
         converged=stop_reason == "converged",
         stop_reason=stop_reason,

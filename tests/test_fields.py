@@ -206,7 +206,7 @@ def test_dilation_closed_form_gaussian_2d():
 @pytest.mark.parametrize("n", [64, 256])
 def test_dilation_matrix_path_matches_bluestein_per_axis(n):
     # From 2D on, dilation applies one closed-form resampling matrix along
-    # every axis; the 1D Bluestein transform, run once per axis, is the
+    # every axis; the 1D chirp transform, run once per axis, is the
     # reference it must reproduce to rounding.
     grid = make_grid(2, n, 20.0)
     u = sample(grid, "random_bandlimited",
@@ -219,20 +219,30 @@ def test_dilation_matrix_path_matches_bluestein_per_axis(n):
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), xi
 
 
-def _dirichlet_kernel_long_double(xi, n, L):
+def _dirichlet_kernel_long_double(xi, n, L, rows=None):
     """The resampling matrix from its definition, evaluated in long double:
     (e^{xi/2}/n) sin(n theta/2) / tan(theta/2), theta = pi (e^xi x_j - x_l)/L,
-    e^{xi/2} at theta = 0, zero rows where |e^xi x_j| >= L."""
+    e^{xi/2} at theta = 0, zero rows where |e^xi x_j| >= L. rows selects the
+    rows j to evaluate (all by default).
+
+    n theta/2 = pi (y_j - P_l) with y_j = e^xi (j - n/2) and P_l = l - n/2,
+    so sin(n theta/2) = (-1)^(s_j + P_l) sin(pi r_j), where s_j is the
+    integer nearest y_j and r_j = y_j - s_j is exact: one sine per row."""
     ld = np.longdouble
     pi = ld("3.14159265358979323846264338327950288")
-    j = np.arange(n, dtype=ld)
-    half = (pi / n) * (np.exp(ld(xi)) * (j[:, None] - n // 2) - (j[None, :] - n // 2))
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    x = -L + (2.0 * L / n) * rows
+    keep = np.abs(float(np.exp(xi)) * x) < L
+    y = np.exp(ld(xi)) * (rows[keep].astype(ld) - n // 2)
+    s = np.rint(y)
+    P = np.arange(n) - n // 2
+    d = y[:, None] - P.astype(ld)
+    row = np.where(s % 2, -1, 1) * np.sin(pi * (y - s))
     with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = np.sin(n * half) / np.tan(half)
-    kernel[half == 0] = n
-    kernel *= np.exp(ld(xi) / 2) / n
-    x = -L + (2.0 * L / n) * np.arange(n)
-    kernel[np.abs(float(np.exp(xi)) * x) >= L] = 0
+        kept = row[:, None] * np.where(P % 2, -1, 1) / np.tan((pi / n) * d)
+    kept[d == 0] = n
+    kernel = np.zeros((rows.size, n), dtype=ld)
+    kernel[keep] = kept * (np.exp(ld(xi) / 2) / n)
     return kernel
 
 
@@ -252,6 +262,66 @@ def test_resampling_matrix_matches_long_double_kernel(n):
         reference = _dirichlet_kernel_long_double(xi, n, L)
         err = np.max(np.abs(F.fields._resampling_matrix(xi, n, L) - reference))
         assert err <= 5e-14, (xi, float(err))
+
+
+# Small |xi| down to the 1D baseline's trial root 4.09e-9, and up to XI_MAX.
+DILATION_XIS_1D = (1e-12, -1e-12, -1e-9, 4.09e-9, -1.4e-6, -1.3e-3, 0.02, 0.7,
+                   -1.0, 2.5, 2.99, -2.99)
+
+
+def _resample_inputs(grid):
+    # A gaussian and a band-limited field, both with their band fixed in
+    # physical units (|k| <= 2 for the second). A band that grows with n
+    # adds an error that no float64 scale avoids: rounding e^xi to a double
+    # moves the evaluation points by up to 1.1e-16 |e^xi x|, which at
+    # |k| <= k_max/2, n = 2048, xi = 2.99 is 2.4e-14 of max|u|.
+    kmax = np.pi / grid.spacing
+    return np.stack([
+        gaussian(grid, 1.0).values,
+        sample(grid, "random_bandlimited",
+               {"cutoff": 2.0 / kmax, "envelope_width": 4.0}, seed=7).values])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference needs an extended-precision long double")
+@pytest.mark.parametrize("n", [48, 64, 256, 1024, 2048, 32768])
+def test_resample_axis_matches_long_double_kernel(n):
+    # The 1D chirp transform against the Dirichlet kernel applied in long
+    # double. Its phase table is reduced modulo 2 pi in float64 without
+    # rounding, so the error stays at a few ulps of max|u| up to the largest
+    # grid of the refinement study (n = 32768, checked on 32 rows).
+    L = 20.0
+    grid = make_grid(1, n, L)
+    u = _resample_inputs(grid)
+    rows = np.arange(n) if n <= 2048 else np.linspace(0, n - 1, 32).astype(int)
+    bound = 1e-14 if n <= 2048 else 5e-14
+    for xi in DILATION_XIS_1D:
+        out = F.fields._resample_axis(u, xi, n, L)[:, rows]
+        for start in range(0, rows.size, 256):
+            block = rows[start:start + 256]
+            kernel = _dirichlet_kernel_long_double(xi, n, L, block)
+            reference = u.astype(np.longdouble) @ kernel.T
+            err = np.abs(out[:, start:start + 256] - reference).max(axis=-1)
+            assert np.all(err <= bound * np.abs(u).max(axis=-1)), (xi, err)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_resample_axis_batch_and_matrix_agree(n):
+    # float64 only, so it runs where the long-double tests skip: a (3, n)
+    # batch is three row-wise calls bit for bit, and the chirp transform
+    # agrees with the closed-form resampling matrix at the bound the 2D
+    # per-axis test uses.
+    L = 20.0
+    grid = make_grid(1, n, L)
+    u = np.vstack([_resample_inputs(grid),
+                   sample(grid, "random_bandlimited",
+                          {"cutoff": 0.5, "envelope_width": 4.0}, seed=8).values])
+    for xi in DILATION_XIS_1D:
+        out = F.fields._resample_axis(u, xi, n, L)
+        rows = np.stack([F.fields._resample_axis(row, xi, n, L) for row in u])
+        assert np.array_equal(out, rows), xi
+        ref = u @ F.fields._resampling_matrix(xi, n, L).T
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(u)), xi
 
 
 def test_dilation_at_zero_is_identity():

@@ -75,8 +75,9 @@ def test_project_returns_the_summary_of_its_values(params_1d, rounds, tol):
     params = replace(params_1d, m=1.5)
     grid = make_grid(1, 1024, 40.0)
     u = renormalize_mass(sample(grid, "gaussian", {"width": 1.0}), params.m)
-    values, spectrum, S = _project(u.values, grid, params, rounds, tol)
+    values, spectrum, S, dilations = _project(u.values, grid, params, rounds, tol)
     assert S == _summary_values(values, grid, params)
+    assert 1 <= dilations <= rounds
     assert np.array_equal(spectrum, np.fft.rfftn(values))
     assert math.sqrt(S.M) == pytest.approx(params.m, abs=1e-12)
     # tol = 0 cannot be met, so (1, 0.0) measures after its last dilation.
@@ -92,7 +93,7 @@ def test_trial_pricing_matches_measured_summary(params_1d, params_2d, dim):
     else:
         params, grid, width = params_2d, make_grid(2, 128, 120.0), 12.0
     u = renormalize_mass(sample(grid, "gaussian", {"width": width}), params.m)
-    values, spectrum, S = _project(u.values, grid, params, 30, 1e-10)
+    values, spectrum, S, _ = _project(u.values, grid, params, 30, 1e-10)
     gn2, d, price = _direction(values, spectrum, S, params, grid)
     assert gn2 > 0.0
     for al in (1e-3, 1e-2, 1e-1, 1.0, 10.0):
@@ -172,6 +173,32 @@ def test_transforms_per_accepted_step(monkeypatch, params_2d):
     assert rep.converged and rep.iterations > 5
     calls0, expected0 = seen[0]
     assert [calls - calls0 for calls, _ in seen] == [exp - expected0 for _, exp in seen]
+
+
+def test_dilations_per_solve(monkeypatch, params_1d):
+    # SolveReport.dilations counts every field dilation of the initial,
+    # realized and final projections; an independent counter on the
+    # dilation itself must agree, and the count repeats exactly.
+    calls = [0]
+    dilate = solver._dilate_values
+
+    def counting_dilate(*args):
+        calls[0] += 1
+        return dilate(*args)
+
+    monkeypatch.setattr(solver, "_dilate_values", counting_dilate)
+    grid = make_grid(1, 512, 40.0)
+    init = sample(grid, "gaussian", {"width": 1.0})
+    config = SolveConfig(grid=grid, max_iters=40)
+    reports = []
+    for _ in range(2):
+        calls[0] = 0
+        reports.append(solve_ground_state(init, params_1d, config))
+        assert reports[-1].dilations == calls[0] > 0
+    first, second = reports
+    assert first.dilations == second.dilations
+    assert first.to_dict()["dilations"] == first.dilations
+    assert np.array_equal(first.final_field.values, second.final_field.values)
 
 
 # ----------------------------------------------------------------------
