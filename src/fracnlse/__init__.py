@@ -25,7 +25,7 @@ from .functionals import (GeometryReport, energy, geometry_lower_bound,
                           gradient_field, lagrange_multiplier,
                           manifold_identity_residual, pohozaev, rho)
 from .grids import GridSpec, make_grid
-from .params import DerivedExponents, ModelParams, derived_exponents
+from .params import DerivedExponents, ModelParams
 from .solver import (Diagnostics, SolveConfig, SolveReport, SweepEntry,
                      SweepReport, compactness_threshold, diagnose,
                      pohozaev_project, project_tangent, renormalize_mass,
@@ -54,7 +54,6 @@ __all__ = [
     "boundary_mass_fraction",
     "compactness_threshold",
     "dense_oracle_frac_laplacian",
-    "derived_exponents",
     "diagnose",
     "dilate",
     "energy",

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 from .constants import (estimate_constants, load_constants, save_constants,
@@ -47,8 +47,8 @@ class _Parser(argparse.ArgumentParser):
 _DEFAULTS = {
     "params": {"dim": "1", "s": "0.4", "p": "6.0", "eta": "1.0", "m": "1.0"},
     "grid": {"n": "1024", "L": "40.0"},
-    "solve": {"tol_grad": "1e-8", "tol_pohozaev": "1e-8", "max_iters": "50000",
-              "seed": "0", "init_width": "", "init_noise": "0.0"},
+    "solve": {**{f.name: str(f.default) for f in dataclass_fields(SolveConfig)
+                 if f.name != "grid"}, "init_width": ""},
     "sweep": {"eta": "", "eta_ref": "", "width_ref": ""},
     "constants": {"rungs": "3"},
     "output": {"dir": ""},

@@ -39,23 +39,21 @@ import numpy as np
 from .fields import Field, FieldSummary, _lp_values, _plancherel, sample
 from .functionals import odd_power
 from .grids import GridSpec, make_grid
-from .params import ModelParams, exponents_for
+from .params import ModelParams
 
 
 def sobolev_quotient(summary: FieldSummary, params: ModelParams) -> float:
     """A / B_star^{2/2*_s}; its infimum over nonzero fields is S."""
     if summary.B_star <= 0.0:
         raise ValueError("Sobolev quotient undefined on the zero field")
-    ex = exponents_for(params.dim, params.s, params.p)
-    return summary.A / summary.B_star ** (2.0 / ex.two_star)
+    return summary.A / summary.B_star ** (2.0 / params.two_star)
 
 
 def gn_quotient(summary: FieldSummary, params: ModelParams) -> float:
     """B_p / (A^{p zeta/2} M^{p(1-zeta)/2}); its supremum is C^p."""
     if summary.A <= 0.0 or summary.M <= 0.0 or summary.B_p <= 0.0:
         raise ValueError("GN quotient undefined on a degenerate summary")
-    ex = exponents_for(params.dim, params.s, params.p)
-    zeta = ex.zeta_p
+    zeta = params.zeta_p
     return summary.B_p / (summary.A ** (params.p * zeta / 2.0)
                           * summary.M ** (params.p * (1.0 - zeta) / 2.0))
 
@@ -243,7 +241,7 @@ def _sobolev(grid: GridSpec, params: ModelParams) -> _Quotient:
     Its gradient is 2 B*^{-2/q} [(-Delta)^s u - (A/B*) |u|^{q-2} u]; the
     constant in front is irrelevant to the direction and dropped.
     """
-    q = exponents_for(params.dim, params.s, params.p).two_star
+    q = params.two_star
     return _Quotient(grid, params.s, q,
                      value=lambda A, M, B: A / B ** (2.0 / q),
                      gradient=lambda A, M, B: (1.0, 0.0, A / B))
@@ -259,7 +257,7 @@ def _neg_gn(grid: GridSpec, params: ModelParams) -> _Quotient:
     so descending it takes the same steps as ascent on the quotient.
     """
     p = params.p
-    zeta = exponents_for(params.dim, params.s, p).zeta_p
+    zeta = params.zeta_p
     ea, eb = p * zeta / 2.0, p * (1.0 - zeta) / 2.0
 
     def gradient(A, M, B):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import functionals
 from .fields import FieldSummary
-from .params import ModelParams, exponents_for
+from .params import ModelParams
 
 
 class DegenerateFiberError(ValueError):
@@ -44,13 +44,12 @@ class FiberProfile:
 
 
 def scale_summary(summary: FieldSummary, xi: float, params: ModelParams) -> FieldSummary:
-    ex = exponents_for(params.dim, params.s, params.p)
     n = params.dim
     return FieldSummary(
         A=math.exp(2.0 * params.s * xi) * summary.A,
         M=summary.M,
         B_p=math.exp((params.p - 2.0) * n * xi / 2.0) * summary.B_p,
-        B_star=math.exp((ex.two_star - 2.0) * n * xi / 2.0) * summary.B_star,
+        B_star=math.exp((params.two_star - 2.0) * n * xi / 2.0) * summary.B_star,
     )
 
 
@@ -76,11 +75,10 @@ def fiber_root(profile: FiberProfile, return_iterations: bool = False):
     energy is maximal there. The root t* = e^{s xi*} of phi is bracketed by
     doubling from t = 1 and then bisected."""
     params = profile.params
-    ex = exponents_for(params.dim, params.s, params.p)
     A, Bp, Bs = profile.base.A, profile.base.B_p, profile.base.B_star
-    cp = params.eta * ex.zeta_p
-    e_star = ex.two_star - 2.0
-    e_p = ex.zeta_p * params.p - 2.0
+    cp = params.eta * params.zeta_p
+    e_star = params.two_star - 2.0
+    e_p = params.zeta_p * params.p - 2.0
 
     def phi(t):
         return A - t ** e_star * Bs - cp * t ** e_p * Bp

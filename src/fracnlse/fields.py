@@ -64,7 +64,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import GridSpec, make_grid
-from .params import ModelParams, exponents_for
+from .params import ModelParams
 
 XI_MAX = 3.0
 DECAY_GUARD_DEFAULT = 1e-8
@@ -73,15 +73,16 @@ DECAY_GUARD_DEFAULT = 1e-8
 class DecayGuardError(ValueError):
     """Raised when a field carries too much mass near the box boundary.
 
-    Carries the measured fraction of mass outside |x|_inf > L/2 so callers
-    can report how badly the decay assumption failed.
+    Carries the measured fraction of mass outside |x|_inf > L/2 and the
+    bound it reached, so callers can report how badly decay failed.
     """
 
-    def __init__(self, fraction: float):
+    def __init__(self, fraction: float, bound: float):
         self.fraction = float(fraction)
+        self.bound = float(bound)
         super().__init__(
             "field mass fraction %.3e outside |x|_inf > L/2 exceeds the decay guard %.0e"
-            % (self.fraction, DECAY_GUARD_DEFAULT)
+            % (self.fraction, self.bound)
         )
 
 
@@ -140,8 +141,6 @@ def sample(grid: GridSpec, family: str, family_params: dict | None = None,
                         deterministic given seed
     """
     fp = dict(family_params or {})
-    if "seed" in fp:
-        seed = fp.pop("seed")
     r2 = grid.radius() ** 2
     if family == "gaussian":
         w = float(fp.pop("width", 1.0))
@@ -306,12 +305,11 @@ def _summary_values(values: np.ndarray, grid: GridSpec, params: ModelParams,
                     spectrum: np.ndarray | None = None) -> FieldSummary:
     """(A, M, B_p, B_star) of real samples; spectrum is their rfftn half
     spectrum, computed here unless given."""
-    ex = exponents_for(params.dim, params.s, params.p)
     return FieldSummary(
         A=_seminorm_sq_values(values, grid, params.s, spectrum),
         M=_lp_values(values, grid, 2.0),
         B_p=_lp_values(values, grid, params.p),
-        B_star=_lp_values(values, grid, ex.two_star),
+        B_star=_lp_values(values, grid, params.two_star),
     )
 
 
@@ -454,10 +452,15 @@ def dilate(field: Field, xi: float,
     if abs(xi) > XI_MAX:
         raise ValueError("dilation parameter |xi| = %g exceeds the limit %g" % (abs(xi), XI_MAX))
     if decay_guard is not None:
-        frac = boundary_mass_fraction(field)
-        if frac >= decay_guard:
-            raise DecayGuardError(frac)
+        _guard_decay(field, decay_guard)
     return Field(field.grid, _dilate_values(field.values, field.grid, xi))
+
+
+def _guard_decay(field: Field, bound: float = DECAY_GUARD_DEFAULT) -> None:
+    """Raise DecayGuardError if the boundary mass fraction reaches bound."""
+    frac = boundary_mass_fraction(field)
+    if frac >= bound:
+        raise DecayGuardError(frac, bound)
 
 
 # ----------------------------------------------------------------------

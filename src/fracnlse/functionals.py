@@ -21,19 +21,18 @@ import numpy as np
 
 from .fields import Field, FieldSummary, _abs_power, _frac_laplacian_values
 from .grids import GridSpec
-from .params import ModelParams, exponents_for
+from .params import ModelParams
 
 
 def energy(summary: FieldSummary, params: ModelParams) -> float:
     """I(u) = A/2 - B_star/2*_s - (eta/p) B_p."""
-    ex = exponents_for(params.dim, params.s, params.p)
-    return 0.5 * summary.A - summary.B_star / ex.two_star - (params.eta / params.p) * summary.B_p
+    return (0.5 * summary.A - summary.B_star / params.two_star
+            - (params.eta / params.p) * summary.B_p)
 
 
 def pohozaev(summary: FieldSummary, params: ModelParams) -> float:
     """P(u) = A - B_star - eta zeta_p B_p."""
-    ex = exponents_for(params.dim, params.s, params.p)
-    return summary.A - summary.B_star - params.eta * ex.zeta_p * summary.B_p
+    return summary.A - summary.B_star - params.eta * params.zeta_p * summary.B_p
 
 
 def odd_power(values: np.ndarray, q: float) -> np.ndarray:
@@ -45,8 +44,7 @@ def odd_power(values: np.ndarray, q: float) -> np.ndarray:
 def _nonlinear_values(values: np.ndarray, params: ModelParams) -> np.ndarray:
     """N(u) = |u|^{2*_s - 2} u + eta |u|^{p-2} u, the nonlinear part of the
     gradient."""
-    ex = exponents_for(params.dim, params.s, params.p)
-    return odd_power(values, ex.two_star) + params.eta * odd_power(values, params.p)
+    return odd_power(values, params.two_star) + params.eta * odd_power(values, params.p)
 
 
 def gradient_field(field: Field, params: ModelParams) -> Field:
@@ -73,8 +71,7 @@ def manifold_identity_residual(summary: FieldSummary, params: ModelParams) -> fl
     energy itself, which is how the positivity of the ground-state level
     is read off.
     """
-    ex = exponents_for(params.dim, params.s, params.p)
-    bracket = (params.eta / (2.0 * params.p)) * (ex.zeta_p * params.p - 2.0) * summary.B_p
+    bracket = (params.eta / (2.0 * params.p)) * (params.zeta_p * params.p - 2.0) * summary.B_p
     bracket += (params.s / params.dim) * summary.B_star
     return energy(summary, params) - bracket
 
@@ -111,11 +108,10 @@ def rho(params: ModelParams, constants) -> GeometryReport:
     S, C = _unpack_constants(constants)
     if S <= 0.0 or C <= 0.0:
         raise ValueError("constants estimates must be positive, got S=%r C=%r" % (S, C))
-    ex = exponents_for(params.dim, params.s, params.p)
-    zeta, q = ex.zeta_p, ex.two_star
+    zeta, q = params.zeta_p, params.two_star
     n, s, p = params.dim, params.s, params.p
     b1 = (p / (8.0 * params.eta * C ** p * 2.0 ** (p * zeta / 2.0)
-               * params.m ** (p * (1.0 - zeta)))) ** ex.level_decay_exponent
+               * params.m ** (p * (1.0 - zeta)))) ** params.level_decay_exponent
     b2 = (q / 8.0) ** ((n - 2.0 * s) / (2.0 * s)) * (S / 2.0) ** (n / (2.0 * s))
     if b1 <= b2:
         return GeometryReport(rho=b1, branch=1, constants_used=(S, C))
@@ -127,8 +123,7 @@ def geometry_lower_bound(A, params: ModelParams, constants):
     sphere: A/2 minus the two inequality-controlled nonlinear terms. The
     radius rho is engineered so this stays positive on (0, rho]."""
     S, C = _unpack_constants(constants)
-    ex = exponents_for(params.dim, params.s, params.p)
-    zeta, q = ex.zeta_p, ex.two_star
+    zeta, q = params.zeta_p, params.two_star
     A = np.asarray(A, dtype=float)
     crit = (2.0 ** (q / 2.0) / (q * S ** (q / 2.0))) * A ** (q / 2.0)
     sub = ((params.eta * C ** params.p / params.p) * 2.0 ** (params.p * zeta / 2.0)

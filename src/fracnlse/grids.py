@@ -4,20 +4,18 @@ The computational domain is the periodic cube [-L, L)^N with n samples per
 axis, spacing h = 2L/n. Wavenumbers follow the standard DFT layout: the
 per-axis frequencies are integer multiples of pi/L with the zero mode first.
 Derived arrays that operator evaluations reuse (coordinates, the multiplier
-|k|^{2s}, the boundary mask) are cached per grid; |k|^2 is read only to build
-a symbol, a band-limited sample or the classical-limit check, so it is
-computed on demand.
+|k|^{2s}, the boundary mask) are cached on the grid's methods: GridSpec is
+frozen and hashable, so equal grids share one cached array, and callers must
+not write to it. |k|^2 is read only to build a symbol, a band-limited sample
+or the classical-limit check, so it is computed on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-
-_COORD_CACHE: dict = {}
-_SYMBOL_CACHE: dict = {}
-_TAIL_MASK_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -54,13 +52,10 @@ class GridSpec:
     def volume(self) -> float:
         return (2.0 * self.half_length) ** self.dim
 
+    @cache
     def axis_coordinates(self) -> np.ndarray:
         """Sample positions along one axis: -L + h*j."""
-        key = (self.dim, self.points_per_axis, self.half_length)
-        if key not in _COORD_CACHE:
-            n = self.points_per_axis
-            _COORD_CACHE[key] = -self.half_length + self.spacing * np.arange(n)
-        return _COORD_CACHE[key]
+        return -self.half_length + self.spacing * np.arange(self.points_per_axis)
 
     def meshgrid(self) -> tuple:
         x = self.axis_coordinates()
@@ -77,12 +72,10 @@ class GridSpec:
         mesh = np.meshgrid(*([k] * self.dim), indexing="ij")
         return sum(c * c for c in mesh)
 
+    @cache
     def symbol(self, s: float) -> np.ndarray:
         """Fourier multiplier |k|^{2s} of the fractional Laplacian."""
-        key = (self.dim, self.points_per_axis, self.half_length, float(s))
-        if key not in _SYMBOL_CACHE:
-            _SYMBOL_CACHE[key] = self.wavenumber_sq() ** float(s)
-        return _SYMBOL_CACHE[key]
+        return self.wavenumber_sq() ** float(s)
 
     def half_symbol(self, s: float) -> np.ndarray:
         """|k|^{2s} on the rfftn half spectrum: a view of symbol(s) over the
@@ -91,16 +84,14 @@ class GridSpec:
         two agree."""
         return self.symbol(s)[..., : self.points_per_axis // 2 + 1]
 
+    @cache
     def boundary_tail_mask(self) -> np.ndarray:
         """Boolean mask of points with |x|_inf > L/2 (the outer shell)."""
-        key = (self.dim, self.points_per_axis, self.half_length)
-        if key not in _TAIL_MASK_CACHE:
-            mesh = self.meshgrid()
-            amax = np.abs(mesh[0])
-            for c in mesh[1:]:
-                amax = np.maximum(amax, np.abs(c))
-            _TAIL_MASK_CACHE[key] = amax > 0.5 * self.half_length
-        return _TAIL_MASK_CACHE[key]
+        mesh = self.meshgrid()
+        amax = np.abs(mesh[0])
+        for c in mesh[1:]:
+            amax = np.maximum(amax, np.abs(c))
+        return amax > 0.5 * self.half_length
 
 
 def make_grid(dim: int, points_per_axis: int, half_length: float) -> GridSpec:

@@ -8,12 +8,14 @@ exponent,
     2 + 4s/N < p < 2N/(N - 2s),
 
 which makes zeta_p = (Np - 2N)/(2ps) lie in (0, 1) with zeta_p * p > 2.
+ModelParams computes its derived exponents once, while validating p, and
+every law of the package reads them there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 def exponents_for(dim: int, s: float, p: float) -> "DerivedExponents":
@@ -49,13 +51,17 @@ class DerivedExponents:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Validated problem parameters (N, s, p, eta, m)."""
+    """Validated problem parameters (N, s, p, eta, m); the derived exponents
+    are set on construction and take no part in ==, hash or repr."""
 
     dim: int
     s: float
     p: float
     eta: float
     m: float
+    two_star: float = field(init=False, compare=False, repr=False)
+    zeta_p: float = field(init=False, compare=False, repr=False)
+    level_decay_exponent: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -83,18 +89,6 @@ class ModelParams:
                 "p must stay below the critical exponent 2N/(N-2s) = %.6g (got p = %g)"
                 % (ex.two_star, self.p)
             )
-
-    @property
-    def two_star(self) -> float:
-        return exponents_for(self.dim, self.s, self.p).two_star
-
-    @property
-    def zeta_p(self) -> float:
-        return exponents_for(self.dim, self.s, self.p).zeta_p
-
-
-def derived_exponents(params: ModelParams) -> DerivedExponents:
-    """All four derived exponents of a validated parameter set; ModelParams
-    guarantees 0 < zeta_p < 1, zeta_p * p > 2 and a positive decay
-    exponent."""
-    return exponents_for(params.dim, params.s, params.p)
+        object.__setattr__(self, "two_star", ex.two_star)
+        object.__setattr__(self, "zeta_p", ex.zeta_p)
+        object.__setattr__(self, "level_decay_exponent", ex.level_decay_exponent)

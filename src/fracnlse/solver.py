@@ -58,11 +58,11 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from . import functionals
-from .fields import (Field, FieldSummary, _dilate_values, _lp_values, _plancherel,
-                     _seminorm_sq_values, _summary_values, sample)
+from .fields import (Field, FieldSummary, _dilate_values, _guard_decay, _lp_values,
+                     _plancherel, _seminorm_sq_values, _summary_values, sample)
 from .fiber import DegenerateFiberError, FiberProfile, fiber_root, scale_summary
 from .grids import GridSpec, make_grid
-from .params import ModelParams, derived_exponents, exponents_for
+from .params import ModelParams
 
 _STEP_INIT = 1e-2       # first line-search step
 _ARMIJO = 1e-4          # sufficient-decrease coefficient
@@ -130,14 +130,11 @@ class SolveReport:
 def project_tangent(gradient: Field, u: Field) -> Field:
     """L2-orthogonal projection of a gradient onto the tangent space of
     the mass sphere at u."""
-    return Field(u.grid, _tangent(gradient.values, u.values, u.grid))
-
-
-def _tangent(g: np.ndarray, u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    M = _lp_values(u, grid, 2.0)
+    g, v, grid = gradient.values, u.values, u.grid
+    M = _lp_values(v, grid, 2.0)
     if M <= 0.0:
         raise ValueError("tangent projection undefined at the zero field")
-    return g - (grid.cell_volume * np.sum(g * u) / M) * u
+    return Field(grid, g - (grid.cell_volume * np.sum(g * v) / M) * v)
 
 
 def renormalize_mass(u: Field, m: float) -> Field:
@@ -199,10 +196,7 @@ def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
     internal path disables it and polices degeneracy itself.
     """
     if decay_guard:
-        from .fields import DECAY_GUARD_DEFAULT, DecayGuardError, boundary_mass_fraction
-        frac = boundary_mass_fraction(u)
-        if frac >= DECAY_GUARD_DEFAULT:
-            raise DecayGuardError(frac)
+        _guard_decay(u)
     mass = math.sqrt(_lp_values(u.values, u.grid, 2.0))
     values, _, _, _ = _project(u.values, u.grid, replace(params, m=mass), rounds, 1e-10)
     return Field(u.grid, values)
@@ -280,7 +274,6 @@ def _direction(u, uh, S, params, grid):
 
 def _descend(u, A0, params, config, constants, grid):
     m = params.m
-    ex = derived_exponents(params)
     u, uh, S, dilations = _project(u, grid, params, rounds=30, tol=config.tol_pohozaev)
     E = functionals.energy(S, params)
     al = _STEP_INIT
@@ -312,7 +305,7 @@ def _descend(u, A0, params, config, constants, grid):
             lam = m / math.sqrt(Mv)
             Sv = FieldSummary(A=lam * lam * Av, M=m * m,
                               B_p=lam ** params.p * _lp_values(v, grid, params.p),
-                              B_star=lam ** ex.two_star * _lp_values(v, grid, ex.two_star))
+                              B_star=lam ** params.two_star * _lp_values(v, grid, params.two_star))
             xi = fiber_root(FiberProfile(Sv, params))
             if E - functionals.energy(scale_summary(Sv, xi, params), params) < _ARMIJO * al * gn2:
                 al *= 0.5
@@ -339,7 +332,7 @@ def _descend(u, A0, params, config, constants, grid):
         raise RuntimeError("fiber degenerated")
     E = functionals.energy(S, params)
     mu = functionals.lagrange_multiplier(S, params)
-    mu_identity = abs(mu * S.M - params.eta * (ex.zeta_p - 1.0) * S.B_p)
+    mu_identity = abs(mu * S.M - params.eta * (params.zeta_p - 1.0) * S.B_p)
     final = Field(grid, u)
     margin = None
     if constants is not None:
@@ -487,8 +480,7 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
     if config.grid is None:
         raise ValueError("sweep needs a reference grid in the solve config")
 
-    ex = exponents_for(params_base.dim, params_base.s, params_base.p)
-    decay = ex.level_decay_exponent
+    decay = params_base.level_decay_exponent
     growth = decay / (2.0 * params_base.s)
     eta_ref = float(eta_ref if eta_ref is not None else etas[0])
     L_ref = config.grid.half_length

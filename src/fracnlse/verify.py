@@ -20,7 +20,7 @@ from .fields import (Field, FieldSummary, dense_oracle_frac_laplacian, dilate,
                      frac_laplacian, lp_norm_pow, sample, seminorm_sq,
                      summarize)
 from .grids import make_grid
-from .params import ModelParams, exponents_for
+from .params import ModelParams
 from .solver import (SolveConfig, compactness_threshold, pohozaev_project,
                      project_tangent, renormalize_mass, solve_ground_state)
 
@@ -295,12 +295,11 @@ def _check_multiplier_sign_identity(ctx):
     worst = 0.0
     for i in range(100):
         params = ctx.params1d() if i % 2 == 0 else ctx.params2d()
-        ex = exponents_for(params.dim, params.s, params.p)
         prof = fiber.FiberProfile(ctx.random_summary(), params)
         on_manifold = fiber.scale_summary(prof.base, fiber.fiber_root(prof), params)
         mu = functionals.lagrange_multiplier(on_manifold, params)
         lhs = mu * on_manifold.M
-        rhs = params.eta * (ex.zeta_p - 1.0) * on_manifold.B_p
+        rhs = params.eta * (params.zeta_p - 1.0) * on_manifold.B_p
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
     return worst <= 1e-12, "max multiplier-identity deviation %.2e at P = 0" % worst
 

@@ -73,8 +73,7 @@ def test_summarize_composes_the_four_norms(params_1d):
     assert s4.A == pytest.approx(seminorm_sq(u, params_1d.s), rel=1e-14)
     assert s4.M == pytest.approx(lp_norm_pow(u, 2.0), rel=1e-14)
     assert s4.B_p == pytest.approx(lp_norm_pow(u, params_1d.p), rel=1e-14)
-    two_star = F.derived_exponents(params_1d).two_star
-    assert s4.B_star == pytest.approx(lp_norm_pow(u, two_star), rel=1e-14)
+    assert s4.B_star == pytest.approx(lp_norm_pow(u, params_1d.two_star), rel=1e-14)
     assert s4.as_tuple() == (s4.A, s4.M, s4.B_p, s4.B_star)
 
 
@@ -371,6 +370,15 @@ def test_dilation_decay_guard_fires_on_wide_fields():
     assert excinfo.value.fraction > 1e-8
 
 
+def test_decay_guard_error_names_the_bound_that_fired():
+    grid = make_grid(1, 256, 10.0)
+    u = gaussian(grid, 3.0)
+    with pytest.raises(DecayGuardError, match="decay guard 1e-03") as excinfo:
+        dilate(u, -0.5, decay_guard=1e-3)
+    assert excinfo.value.bound == 1e-3
+    assert excinfo.value.fraction == pytest.approx(1.75e-2, rel=1e-2)
+
+
 def test_dilation_decay_guard_can_be_disabled():
     grid = make_grid(1, 256, 10.0)
     wide = gaussian(grid, 6.0)
@@ -423,6 +431,8 @@ def test_sample_rejects_unknown_family_and_extras():
         sample(grid, "soliton")
     with pytest.raises(ValueError, match="unknown gaussian parameters"):
         sample(grid, "gaussian", {"width": 1.0, "sigma": 2.0})
+    with pytest.raises(ValueError, match="unknown random_bandlimited parameters"):
+        sample(grid, "random_bandlimited", {"seed": 3})
 
 
 def test_field_validates_shape():

@@ -48,6 +48,13 @@ def test_symbol_matches_wavenumber_power():
     assert g.symbol(s)[0] == 0.0
 
 
+def test_equal_grids_share_one_cached_symbol():
+    a, b = make_grid(2, 16, 5.0), make_grid(2, 16, 5.0)
+    assert a is not b and a == b
+    assert b.symbol(0.4) is a.symbol(0.4)
+    assert b.half_symbol(0.4).base is a.symbol(0.4)
+
+
 def test_boundary_tail_mask_outer_shell():
     g = make_grid(1, 16, 8.0)
     mask = g.boundary_tail_mask()

@@ -1,4 +1,5 @@
-"""Tooling guard: every name imported in src/ and tests/ is used."""
+"""Tooling guards: every name imported in src/ and tests/ is used, and
+inside src/ only params.py computes the derived exponents."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,23 @@ def test_no_unused_imports():
             found += ["%s:%d %s" % (path.relative_to(ROOT), line, name)
                       for line, name in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def calls_to(path: Path, name: str) -> list:
+    """Line numbers of calls to a bare or dotted name in path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Name) and node.func.id == name
+                       or isinstance(node.func, ast.Attribute) and node.func.attr == name))
+
+
+def test_exponents_for_is_called_only_in_params():
+    # ModelParams owns two_star, zeta_p and level_decay_exponent; every law
+    # reads them there instead of recomputing them from (N, s, p).
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name != "params.py":
+            found += ["%s:%d" % (path.relative_to(ROOT), line)
+                      for line in calls_to(path, "exponents_for")]
+    assert not found, "exponents_for called outside params.py:\n" + "\n".join(found)

@@ -1,8 +1,10 @@
 """Derived exponents and admissibility of the model parameters."""
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 
-from fracnlse import DerivedExponents, ModelParams, derived_exponents
+from fracnlse import DerivedExponents, ModelParams
 from fracnlse.params import exponents_for
 
 
@@ -31,10 +33,26 @@ def test_zeta_interpolation_range():
         assert 2.0 < p * ex.zeta_p < ex.two_star
 
 
-def test_derived_exponents_matches_exponents_for(params_1d):
-    ex = derived_exponents(params_1d)
-    assert isinstance(ex, DerivedExponents)
-    assert ex == exponents_for(1, 0.4, 6.0)
+def test_params_carry_the_exponents_of_exponents_for(params_1d):
+    # replace() runs __post_init__ again, so a changed p or s re-derives them.
+    for params in (params_1d, replace(params_1d, p=5.0), replace(params_1d, s=0.45)):
+        ex = exponents_for(params.dim, params.s, params.p)
+        assert isinstance(ex, DerivedExponents)
+        assert params.two_star == ex.two_star
+        assert params.zeta_p == ex.zeta_p
+        assert params.level_decay_exponent == ex.level_decay_exponent
+    # They are read-only and neither inputs nor part of ==, hash or repr.
+    inputs = ["dim", "s", "p", "eta", "m"]
+    assert [f.name for f in fields(ModelParams) if f.init] == inputs
+    assert [f.name for f in fields(ModelParams) if f.compare] == inputs
+    with pytest.raises(TypeError):
+        ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0, two_star=10.0)
+    with pytest.raises(FrozenInstanceError):
+        params_1d.zeta_p = 0.5
+    twin = ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0)
+    object.__setattr__(twin, "two_star", 0.0)
+    assert twin == params_1d and hash(twin) == hash(params_1d)
+    assert "two_star" not in repr(params_1d)
 
 
 def test_params_validation_dim():

@@ -103,6 +103,24 @@ def test_trial_pricing_matches_measured_summary(params_1d, params_2d, dim):
         assert M == pytest.approx(measured.M, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_direction_is_tangent_to_the_mass_sphere(params_1d, params_2d, dim):
+    # The step direction is projected inside _direction, on the half
+    # spectra; it must agree with the grid-space projection.
+    if dim == 1:
+        params, grid, width = params_1d, make_grid(1, 1024, 40.0), 1.0
+    else:
+        params, grid, width = params_2d, make_grid(2, 128, 120.0), 12.0
+    u = renormalize_mass(sample(grid, "gaussian", {"width": width}), params.m)
+    values, spectrum, S, _ = _project(u.values, grid, params, 30, 1e-10)
+    _, d, _ = _direction(values, spectrum, S, params, grid)
+    inner = grid.cell_volume * float(np.sum(d * values))
+    norms = math.sqrt(lp_norm_pow(Field(grid, d), 2.0) * S.M)
+    assert abs(inner) <= 1e-12 * norms
+    again = project_tangent(Field(grid, d), Field(grid, values)).values
+    assert np.max(np.abs(again - d)) <= 1e-12 * np.max(np.abs(d))
+
+
 def test_carried_spectrum_is_the_transform_of_the_iterate(monkeypatch, params_2d):
     # The loop hands its carried half spectrum to _direction at every
     # iteration, the first and every one after an accepted step.
