@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
+from itertools import islice
 
 import numpy as np
 
@@ -131,6 +132,8 @@ def _unit_mass(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     norm = np.sqrt(grid.cell_volume * np.sum(values * values))
     if norm == 0.0:
         raise ValueError("cannot normalize the zero field")
+    if not np.isfinite(norm):
+        raise ValueError("cannot normalize a field with non-finite values")
     return values / norm
 
 
@@ -374,35 +377,45 @@ def probe_fields(grid: GridSpec, params: ModelParams, count: int = 50,
     scales are kept at or above half a unit so every probe is resolved on
     the grids the estimators use; under-resolved spikes overshoot the
     quadrature and do not witness the continuum inequalities.
+
+    The set is a prefix: the first k probes of any count >= k are the same
+    fields, bit for bit, so count only says where the sequence stops. The
+    probes are built one at a time by _probe_values; callers that need only
+    a few numbers per probe should stream that generator instead of holding
+    this list.
     """
+    return [Field(grid, values) for values in _probe_values(grid, params, count, seed)]
+
+
+def _probe_values(grid: GridSpec, params: ModelParams, count: int, seed: int):
+    """Yield the probe_fields sequence as unit-mass, mean-zero arrays, one
+    at a time, stopping after count; nothing past the last yielded probe is
+    drawn."""
     rng = np.random.default_rng(seed)
     L = grid.half_length
     mesh = grid.meshgrid()
     r2 = sum(c * c for c in mesh)
-    out = []
 
-    def push(values):
-        values = _mean_zero(values)
-        out.append(Field(grid, _unit_mass(values, grid)))
+    def families():
+        for w in np.geomspace(0.5, L / 6.0, 12):
+            yield np.exp(-r2 / (2.0 * w * w))
+        for eps in np.geomspace(0.5, 4.0, 8):
+            yield (eps * eps + r2) ** (-(grid.dim - 2.0 * params.s) / 2.0)
+        for _ in range(10):
+            w = rng.uniform(0.8, L / 8.0)
+            center = rng.uniform(-L / 4.0, L / 4.0, size=grid.dim)
+            shifted = sum((c - x0) ** 2 for c, x0 in zip(mesh, center))
+            yield np.exp(-shifted / (2.0 * w * w))
+        for _ in range(10):
+            w = rng.uniform(1.0, L / 8.0)
+            mode = rng.integers(1, max(2, grid.points_per_axis // 8), size=grid.dim)
+            phase = sum(np.pi * m / L * c for m, c in zip(mode, mesh))
+            yield np.cos(phase) * np.exp(-r2 / (2.0 * w * w))
+        while True:
+            cutoff = rng.uniform(0.05, 0.25)
+            yield sample(grid, "random_bandlimited",
+                         {"cutoff": cutoff, "envelope_width": L / 6.0},
+                         seed=int(rng.integers(0, 2 ** 31))).values
 
-    for w in np.geomspace(0.5, L / 6.0, 12):
-        push(np.exp(-r2 / (2.0 * w * w)))
-    for eps in np.geomspace(0.5, 4.0, 8):
-        push((eps * eps + r2) ** (-(grid.dim - 2.0 * params.s) / 2.0))
-    for _ in range(10):
-        w = rng.uniform(0.8, L / 8.0)
-        center = rng.uniform(-L / 4.0, L / 4.0, size=grid.dim)
-        shifted = sum((c - x0) ** 2 for c, x0 in zip(mesh, center))
-        push(np.exp(-shifted / (2.0 * w * w)))
-    for _ in range(10):
-        w = rng.uniform(1.0, L / 8.0)
-        mode = rng.integers(1, max(2, grid.points_per_axis // 8), size=grid.dim)
-        phase = sum(np.pi * m / L * c for m, c in zip(mode, mesh))
-        push(np.cos(phase) * np.exp(-r2 / (2.0 * w * w)))
-    while len(out) < count + 10:
-        cutoff = rng.uniform(0.05, 0.25)
-        noise = sample(grid, "random_bandlimited",
-                       {"cutoff": cutoff, "envelope_width": L / 6.0},
-                       seed=int(rng.integers(0, 2 ** 31))).values
-        push(noise)
-    return out[:count]
+    for values in islice(families(), count):
+        yield _unit_mass(_mean_zero(values), grid)

@@ -5,8 +5,9 @@ axis, spacing h = 2L/n. Wavenumbers follow the standard DFT layout: the
 per-axis frequencies are integer multiples of pi/L with the zero mode first.
 Derived arrays that operator evaluations reuse (coordinates, the multiplier
 |k|^{2s}, the boundary mask) are cached on the grid's methods: GridSpec is
-frozen and hashable, so equal grids share one cached array, and callers must
-not write to it. |k|^2 is read only to build a symbol, a band-limited sample
+frozen and hashable, so equal grids share one cached array, which is
+therefore read-only (an in-place write raises instead of corrupting every
+equal grid). |k|^2 is read only to build a symbol, a band-limited sample
 or the classical-limit check, so it is computed on demand.
 """
 
@@ -55,7 +56,7 @@ class GridSpec:
     @cache
     def axis_coordinates(self) -> np.ndarray:
         """Sample positions along one axis: -L + h*j."""
-        return -self.half_length + self.spacing * np.arange(self.points_per_axis)
+        return _read_only(-self.half_length + self.spacing * np.arange(self.points_per_axis))
 
     def meshgrid(self) -> tuple:
         x = self.axis_coordinates()
@@ -75,7 +76,7 @@ class GridSpec:
     @cache
     def symbol(self, s: float) -> np.ndarray:
         """Fourier multiplier |k|^{2s} of the fractional Laplacian."""
-        return self.wavenumber_sq() ** float(s)
+        return _read_only(self.wavenumber_sq() ** float(s))
 
     def half_symbol(self, s: float) -> np.ndarray:
         """|k|^{2s} on the rfftn half spectrum: a view of symbol(s) over the
@@ -91,7 +92,12 @@ class GridSpec:
         amax = np.abs(mesh[0])
         for c in mesh[1:]:
             amax = np.maximum(amax, np.abs(c))
-        return amax > 0.5 * self.half_length
+        return _read_only(amax > 0.5 * self.half_length)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def make_grid(dim: int, points_per_axis: int, half_length: float) -> GridSpec:

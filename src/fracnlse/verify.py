@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fiber, functionals
-from .constants import gn_quotient, probe_fields, sobolev_quotient
-from .fields import (Field, FieldSummary, dense_oracle_frac_laplacian, dilate,
-                     frac_laplacian, lp_norm_pow, sample, seminorm_sq,
-                     summarize)
+from .constants import _probe_values, gn_quotient, sobolev_quotient
+from .fields import (Field, FieldSummary, _summary_values,
+                     dense_oracle_frac_laplacian, dilate, frac_laplacian,
+                     lp_norm_pow, sample, seminorm_sq, summarize)
 from .grids import make_grid
 from .params import ModelParams
 from .solver import (SolveConfig, compactness_threshold, pohozaev_project,
@@ -35,8 +35,12 @@ class CheckResult:
 
 
 class _Context:
-    """Lazy shared state: anchor solves, and the random generator of the
-    row being run (run_checks sets a fresh one per row)."""
+    """Lazy shared state: anchor solves, probe summaries, and the random
+    generator of the row being run (run_checks sets a fresh one per row).
+
+    Rows take probe fields through probe_summaries, never as a list of
+    fields: the probes are streamed and only their summaries are kept.
+    """
 
     def __init__(self, constants=None):
         self.constants = constants
@@ -52,6 +56,16 @@ class _Context:
     def random_summary(self) -> FieldSummary:
         vals = np.exp(self.rng.normal(size=4))
         return FieldSummary(A=vals[0], M=vals[1], B_p=vals[2], B_star=vals[3])
+
+    def probe_summaries(self, grid, params, count, seed) -> list:
+        """Summaries of probe_fields(grid, params, count, seed), in order,
+        computed once per run and shared by every row that asks for the
+        same set; each probe is summarized as it is drawn and then dropped."""
+        key = ("probes", grid, params, count, seed)
+        if key not in self._cache:
+            self._cache[key] = [_summary_values(u, grid, params)
+                                for u in _probe_values(grid, params, count, seed)]
+        return self._cache[key]
 
     def anchor2d(self):
         """Converged compact solve: 2D, eta = 10, wide box."""
@@ -427,11 +441,11 @@ def _check_geometry_gap(ctx):
     if not (geo.rho > 0):
         return False, "radius not positive"
     grid = make_grid(params.dim, 256, 20.0)
-    probes = probe_fields(grid, params, count=200, seed=23)
+    count = 200
     worst = math.inf
-    for i, u in enumerate(probes):
-        base = summarize(Field(grid, params.m * u.values), params)
-        target_a = geo.rho * (0.005 + 0.995 * (i / max(1, len(probes) - 1)))
+    for i, u in enumerate(_probe_values(grid, params, count, seed=23)):
+        base = _summary_values(params.m * u, grid, params)
+        target_a = geo.rho * (0.005 + 0.995 * (i / max(1, count - 1)))
         xi = math.log(target_a / base.A) / (2.0 * params.s)
         small = fiber.scale_summary(base, xi, params)
         worst = min(worst, functionals.energy(small, params))
@@ -461,19 +475,20 @@ def _check_geometry_radius_decay(ctx):
                 % (values[0], values[-1], values[-1] / values[0]))
 
 
-def _probe_grid(rep):
+def _probe_summaries(ctx, rep):
+    """The probe sandwich's 50 probes on the finest Sobolev rung's grid."""
     n_fine = rep.refinement["S"][-1][0]
-    return make_grid(rep.grid.dim, int(n_fine), rep.grid.half_length)
+    grid = make_grid(rep.grid.dim, int(n_fine), rep.grid.half_length)
+    return ctx.probe_summaries(grid, rep.params, count=50, seed=5)
 
 
 def _check_sobolev_inequality(ctx):
     if ctx.constants is None:
         return SKIP, "requires constants estimates"
     rep = ctx.constants
-    grid = _probe_grid(rep)
     lo = math.inf
-    for u in probe_fields(grid, rep.params, count=50, seed=5):
-        lo = min(lo, sobolev_quotient(summarize(u, rep.params), rep.params))
+    for summary in _probe_summaries(ctx, rep):
+        lo = min(lo, sobolev_quotient(summary, rep.params))
     return lo > rep.S_est, ("min probe quotient %.4f vs estimate %.4f, margin %.3f"
                             % (lo, rep.S_est, lo - rep.S_est))
 
@@ -482,10 +497,9 @@ def _check_gn_inequality(ctx):
     if ctx.constants is None:
         return SKIP, "requires constants estimates"
     rep = ctx.constants
-    grid = _probe_grid(rep)
     hi = 0.0
-    for u in probe_fields(grid, rep.params, count=50, seed=5):
-        hi = max(hi, gn_quotient(summarize(u, rep.params), rep.params))
+    for summary in _probe_summaries(ctx, rep):
+        hi = max(hi, gn_quotient(summary, rep.params))
     cap = rep.C_est ** rep.params.p
     return hi < cap, ("max probe quotient %.4f vs estimate^p %.4f, margin %.3f"
                       % (hi, cap, cap - hi))

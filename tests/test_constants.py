@@ -114,6 +114,21 @@ def test_probe_fields_contract(params_1d):
         assert lp_norm_pow(u, 2.0) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_probe_fields_are_a_prefix_of_longer_sets(params_1d, params_2d):
+    # count only says where the sequence stops: a shorter set is the head of
+    # a longer one, bit for bit, in every family block (5 in the gaussians,
+    # 40 at the end of the cosine block, 50 inside the noise block).
+    for grid, params in ((make_grid(1, 512, 20.0), params_1d),
+                         (make_grid(2, 64, 20.0), params_2d)):
+        full = probe_fields(grid, params, count=200, seed=23)
+        assert len(full) == 200
+        for k in (5, 40, 50):
+            head = probe_fields(grid, params, count=k, seed=23)
+            assert len(head) == k
+            for u, v in zip(head, full):
+                assert np.array_equal(u.values, v.values)
+
+
 def test_probes_witness_both_inequalities(params_1d, constants_1d):
     grid = make_grid(1, 512, 20.0)
     probes = probe_fields(grid, params_1d, count=50, seed=0)

@@ -386,6 +386,17 @@ def test_dilation_decay_guard_can_be_disabled():
     assert np.all(np.isfinite(out.values))
 
 
+@pytest.mark.parametrize("bad", [False, True, float("nan"), 0, -1])
+def test_dilation_rejects_a_malformed_decay_guard(bad):
+    # Only None turns the guard off; a bool, a non-finite or an out-of-range
+    # bound is an error, not a silently different guard.
+    u = gaussian(make_grid(1, 64, 10.0), 1.0)
+    with pytest.raises(ValueError, match="None to skip the guard") as excinfo:
+        dilate(u, 0.1, decay_guard=bad)
+    assert not isinstance(excinfo.value, DecayGuardError)
+    assert np.all(np.isfinite(dilate(u, 0.1, decay_guard=1.0).values))
+
+
 def test_boundary_mass_fraction_localized_vs_wide():
     grid = make_grid(1, 256, 10.0)
     assert F.boundary_mass_fraction(gaussian(grid, 0.5)) < 1e-12

@@ -55,6 +55,23 @@ def test_equal_grids_share_one_cached_symbol():
     assert b.half_symbol(0.4).base is a.symbol(0.4)
 
 
+def test_cached_grid_arrays_are_read_only():
+    # Equal grids share the cached arrays, so a write through one grid
+    # would change every operator on the others. Index 32 is x = 0 and the
+    # Nyquist frequency, where -1 differs from every cached value.
+    def cached(g):
+        return (g.symbol(0.4), g.half_symbol(0.4), g.axis_coordinates(),
+                g.boundary_tail_mask())
+
+    a = make_grid(1, 64, 10.0)
+    before = [c.copy() for c in cached(a)]
+    for c in cached(a):
+        with pytest.raises(ValueError, match="read-only"):
+            c[32] = -1
+    for c, want in zip(cached(make_grid(1, 64, 10.0)), before):
+        assert np.array_equal(c, want)
+
+
 def test_boundary_tail_mask_outer_shell():
     g = make_grid(1, 16, 8.0)
     mask = g.boundary_tail_mask()

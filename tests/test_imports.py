@@ -1,5 +1,6 @@
-"""Tooling guards: every name imported in src/ and tests/ is used, and
-inside src/ only params.py computes the derived exponents."""
+"""Tooling guards: every name imported in src/ and tests/ is used, inside
+src/ only params.py computes the derived exponents, and verify.py never
+builds a list of probe fields."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,12 @@ def test_exponents_for_is_called_only_in_params():
             found += ["%s:%d" % (path.relative_to(ROOT), line)
                       for line in calls_to(path, "exponents_for")]
     assert not found, "exponents_for called outside params.py:\n" + "\n".join(found)
+
+
+def test_verify_takes_probes_through_its_context():
+    # The verify rows stream probes (constants._probe_values) and keep only
+    # their summaries; a probe_fields call would hold every field at once.
+    path = ROOT / "src" / "fracnlse" / "verify.py"
+    found = ["%s:%d" % (path.relative_to(ROOT), line)
+             for line in calls_to(path, "probe_fields")]
+    assert not found, "probe_fields called in verify.py:\n" + "\n".join(found)

@@ -3,7 +3,9 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
+import fracnlse.constants
 import fracnlse.fiber
 import fracnlse.functionals
 from fracnlse import run_checks
@@ -96,3 +98,36 @@ def test_seed_controls_randomized_rows():
     together = {r.name: r.detail for r in run_checks(names=RANDOMIZED)}
     for name in RANDOMIZED:
         assert run_checks(names=[name])[0].detail == together[name], name
+
+
+SANDWICH = ["sobolev-inequality-with-estimate", "gn-inequality-with-estimate"]
+
+
+def test_sandwich_rows_share_one_probe_pass(monkeypatch, constants_2d):
+    # Both rows read the same 50 probes (40 from the analytic families, 10
+    # band-limited noise draws); one pass serves both rows.
+    draws = []
+    true_sample = fracnlse.constants.sample
+
+    def counting_sample(grid, family, *args, **kwargs):
+        draws.append(family)
+        return true_sample(grid, family, *args, **kwargs)
+
+    monkeypatch.setattr(fracnlse.constants, "sample", counting_sample)
+    rows = run_checks(constants=constants_2d, names=SANDWICH)
+    assert [r.status for r in rows] == ["pass", "pass"]
+    assert draws == ["random_bandlimited"] * 10
+
+
+def test_probe_rows_stream_their_fields(constants_2d):
+    # At 256^2 one probe is 0.5 MB: a row that held its probe list would
+    # peak at 30 MB (sandwich) or 100 MB (geometry gap).
+    for names in (SANDWICH, ["geometry-gap-positivity"]):
+        tracemalloc.start()
+        try:
+            rows = run_checks(constants=constants_2d, names=names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.status == "pass" for r in rows), rows
+        assert peak < 16e6, (names, peak / 1e6)
