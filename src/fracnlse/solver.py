@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -191,10 +192,16 @@ def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
     """Move u along its dilation fiber to the Pohozaev zero set, stopping
     once |P| <= 1e-10 A or after the given number of rounds.
 
-    The projected field keeps the input's mass. With decay_guard the
-    boundary-decay check of dilate applies to the input; the solver's
-    internal path disables it and polices degeneracy itself.
+    The projected field keeps the input's mass. With decay_guard=True the
+    boundary-decay check of dilate applies to the input at its default
+    bound (a bound of one's own is dilate's keyword); the solver's internal
+    path skips it and polices degeneracy itself. rounds is an int >= 1.
     """
+    if not isinstance(decay_guard, bool):
+        raise ValueError("pohozaev_project takes decay_guard=True or False, got %r; "
+                         "a boundary mass bound is dilate's decay_guard" % (decay_guard,))
+    if isinstance(rounds, bool) or not isinstance(rounds, Integral) or rounds < 1:
+        raise ValueError("rounds must be an int >= 1, got %r" % (rounds,))
     if decay_guard:
         _guard_decay(u)
     mass = math.sqrt(_lp_values(u.values, u.grid, 2.0))

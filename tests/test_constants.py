@@ -87,6 +87,13 @@ def test_ladder_2d_regression(constants_2d):
         assert v_got == pytest.approx(v_exp, rel=1e-6)
 
 
+@pytest.mark.parametrize("rungs", [0, -1, 1.5, True])
+@pytest.mark.parametrize("estimate", [estimate_sobolev, estimate_gn, estimate_constants])
+def test_ladders_reject_a_malformed_rung_count(params_1d, estimate, rungs):
+    with pytest.raises(ValueError, match="rungs"):
+        estimate(make_grid(1, 128, 20.0), params_1d, rungs=rungs)
+
+
 def test_single_rung_is_not_converged(params_1d):
     rep = estimate_constants(make_grid(1, 128, 20.0), params_1d, rungs=1)
     assert not rep.converged
@@ -285,9 +292,38 @@ def test_transforms_per_accepted_step(monkeypatch, params_1d, params_2d, dim, wh
         assert f1 - f0 <= 3 + rejected
 
 
+@pytest.mark.parametrize("which", ["S", "C"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_start_ends_at_the_slope_tolerance(monkeypatch, params_1d, params_2d, dim, which):
+    # A start ends at the first direction whose slope <g, d> is at most
+    # _SLOPE_TOL |val|, and no direction is formed after it. Running on to
+    # the rounding floor (the exit at slope <= 0) moves the value by less
+    # than 1e-9 relative.
+    grid, params, u0 = kernel_case(dim, params_1d, params_2d)
+    quotient = QUOTIENTS[which][0](grid, params)
+    direction = constants._direction
+    stationary = []
+
+    def spy(u, uh, parts, quotient):
+        slope, d, price = direction(u, uh, parts, quotient)
+        stationary.append(slope <= constants._SLOPE_TOL * abs(quotient.value(*parts)))
+        return slope, d, price
+
+    monkeypatch.setattr(constants, "_direction", spy)
+    val, iters, ended, _ = constants._descend_quotient(u0, quotient)
+    assert ended and iters == len(stationary)
+    assert stationary[-1] and not any(stationary[:-1])
+
+    monkeypatch.setattr(constants, "_SLOPE_TOL", 0.0)
+    floor_val, floor_iters, floor_ended, _ = constants._descend_quotient(u0, quotient)
+    assert floor_ended and floor_iters > iters
+    assert val == pytest.approx(floor_val, rel=1e-9)
+
+
 def test_descent_budget_still_raises(monkeypatch, params_1d):
-    # Without a stall guard a start ends only when its line search runs
-    # out; a start still descending when the budget ends is an error.
+    # Each start needs more than 5 iterations to reach the slope tolerance
+    # or run its line search out; a start still descending when the budget
+    # ends is an error.
     monkeypatch.setattr(constants, "_MAX_ITERS", 5)
     with pytest.raises(RuntimeError, match="still improving after 5 iterations"):
         estimate_sobolev(make_grid(1, 128, 20.0), params_1d, rungs=1)

@@ -70,6 +70,20 @@ def test_pohozaev_projection_contract(params_1d):
     assert rel_move <= 1e-6
 
 
+@pytest.mark.parametrize("keyword, bad", [("decay_guard", 1e-3), ("decay_guard", 0),
+                                          ("decay_guard", None), ("decay_guard", "yes"),
+                                          ("rounds", 0), ("rounds", -3), ("rounds", 2.0),
+                                          ("rounds", True)])
+def test_pohozaev_projection_rejects_malformed_keywords(params_1d, keyword, bad):
+    # A number for decay_guard used to run the default bound (or none at
+    # all for 0), and rounds < 1 returned the input unprojected.
+    grid = make_grid(1, 256, 20.0)
+    u = renormalize_mass(sample(grid, "gaussian", {"width": 1.0}), 1.0)
+    match = "dilate" if keyword == "decay_guard" else "rounds"
+    with pytest.raises(ValueError, match=match):
+        pohozaev_project(u, params_1d, **{keyword: bad})
+
+
 @pytest.mark.parametrize("rounds, tol", [(30, 1e-10), (1, 0.0)])
 def test_project_returns_the_summary_of_its_values(params_1d, rounds, tol):
     params = replace(params_1d, m=1.5)
