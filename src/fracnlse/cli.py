@@ -44,15 +44,27 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------------
 # configuration assembly
 
+# The solver knobs are the fields of SolveConfig besides its grid. Each is
+# one [solve] key, one flag of solve and sweep (with the same type) and one
+# entry of report.json's "config" block; init_width rides along with them.
+_SOLVE_KNOBS = {f.name: type(f.default) for f in dataclass_fields(SolveConfig)
+                if f.name != "grid"}
+_SOLVE_FLAGS = {**_SOLVE_KNOBS, "init_width": float}
+
 _DEFAULTS = {
     "params": {"dim": "1", "s": "0.4", "p": "6.0", "eta": "1.0", "m": "1.0"},
     "grid": {"n": "1024", "L": "40.0"},
-    "solve": {**{f.name: str(f.default) for f in dataclass_fields(SolveConfig)
-                 if f.name != "grid"}, "init_width": ""},
-    "sweep": {"eta": "", "eta_ref": "", "width_ref": ""},
+    "solve": {**{name: str(getattr(SolveConfig, name)) for name in _SOLVE_KNOBS},
+              "init_width": ""},
+    "sweep": {"eta": ""},
     "constants": {"rungs": "3"},
     "output": {"dir": ""},
 }
+
+# The config key each single-valued flag overrides, by argparse dest.
+_FLAG_KEYS = {**{name: ("solve", name) for name in _SOLVE_FLAGS},
+              "eta": ("sweep", "eta"), "rungs": ("constants", "rungs"),
+              "out": ("output", "dir")}
 
 
 def _load_config(path: str | None) -> dict:
@@ -95,24 +107,12 @@ def _apply_flags(conf: dict, args: argparse.Namespace) -> dict:
                 conf["params"][key] = repr(float(val))
             except ValueError:
                 raise CliError("bad --params component %r" % val)
-    if getattr(args, "eta", None):
-        conf["sweep"]["eta"] = args.eta
-    if getattr(args, "seed", None) is not None:
-        conf["solve"]["seed"] = str(args.seed)
-    if getattr(args, "max_iters", None) is not None:
-        conf["solve"]["max_iters"] = str(args.max_iters)
-    if getattr(args, "tol_grad", None) is not None:
-        conf["solve"]["tol_grad"] = repr(args.tol_grad)
-    if getattr(args, "tol_pohozaev", None) is not None:
-        conf["solve"]["tol_pohozaev"] = repr(args.tol_pohozaev)
-    if getattr(args, "init_width", None) is not None:
-        conf["solve"]["init_width"] = repr(args.init_width)
-    if getattr(args, "init_noise", None) is not None:
-        conf["solve"]["init_noise"] = repr(args.init_noise)
-    if getattr(args, "rungs", None) is not None:
-        conf["constants"]["rungs"] = str(args.rungs)
-    if getattr(args, "out", None):
-        conf["output"]["dir"] = args.out
+    # A number counts even when it is 0; a string (--eta, --out) only when
+    # it is non-empty.
+    for dest, (sec, key) in _FLAG_KEYS.items():
+        val = getattr(args, dest, None)
+        if val is not None and val != "":
+            conf[sec][key] = str(val)
     return conf
 
 
@@ -124,18 +124,12 @@ def _parse_run(conf: dict, command: str):
                              eta=float(conf["params"]["eta"]),
                              m=float(conf["params"]["m"]))
         grid = make_grid(params.dim, int(conf["grid"]["n"]), float(conf["grid"]["L"]))
-        solve_cfg = SolveConfig(
-            grid=grid,
-            tol_grad=float(conf["solve"]["tol_grad"]),
-            tol_pohozaev=float(conf["solve"]["tol_pohozaev"]),
-            max_iters=int(conf["solve"]["max_iters"]),
-            seed=int(conf["solve"]["seed"]),
-            init_noise=float(conf["solve"]["init_noise"]),
-        )
+        solve_cfg = SolveConfig(grid=grid, **{
+            name: kind(conf["solve"][name]) for name, kind in _SOLVE_KNOBS.items()})
     except ValueError as exc:
         raise CliError(str(exc))
     width_raw = conf["solve"]["init_width"]
-    init_width = float(width_raw) if width_raw else grid.half_length / 10.0
+    init_width = float(width_raw) if width_raw else None
     outdir = Path(conf["output"]["dir"] or ("runs/%s" % command))
     return params, grid, solve_cfg, init_width, outdir
 
@@ -226,11 +220,13 @@ def _plot_sweep(outdir: Path) -> None:
 def cmd_solve(args) -> int:
     conf = _apply_flags(_load_config(args.config), args)
     params, grid, solve_cfg, init_width, outdir = _parse_run(conf, "solve")
+    if init_width is None:
+        init_width = grid.half_length / 10.0
     constants = load_constants(args.constants) if args.constants else None
     outdir.mkdir(parents=True, exist_ok=True)
 
     init = sample(grid, "gaussian", {"width": init_width})
-    report = solve_ground_state(init, params, solve_cfg, constants=constants)
+    report = solve_ground_state(init, params, solve_cfg)
     diagnostics = None
     if report.converged and constants is not None:
         diagnostics = diagnose(report, constants, params).to_dict()
@@ -246,11 +242,8 @@ def cmd_solve(args) -> int:
         "params": {"dim": params.dim, "s": params.s, "p": params.p,
                    "eta": params.eta, "m": params.m},
         "grid": {"dim": grid.dim, "n": grid.points_per_axis, "L": grid.half_length},
-        "config": {"tol_grad": solve_cfg.tol_grad,
-                   "tol_pohozaev": solve_cfg.tol_pohozaev,
-                   "max_iters": solve_cfg.max_iters,
-                   "seed": solve_cfg.seed, "init_width": init_width,
-                   "init_noise": solve_cfg.init_noise},
+        "config": {**{name: getattr(solve_cfg, name) for name in _SOLVE_KNOBS},
+                   "init_width": init_width},
         "report": report.to_dict(),
         "diagnostics": diagnostics,
     })
@@ -279,15 +272,11 @@ def cmd_sweep(args) -> int:
         raise CliError("bad eta list %r" % eta_raw)
     if not etas:
         raise CliError("sweep needs a non-empty eta list (--eta or [sweep] eta)")
-    eta_ref = float(conf["sweep"]["eta_ref"]) if conf["sweep"]["eta_ref"] else None
-    width_ref_raw = conf["sweep"]["width_ref"]
-    width_ref = float(width_ref_raw) if width_ref_raw else (
-        float(conf["solve"]["init_width"]) if conf["solve"]["init_width"] else None)
     outdir.mkdir(parents=True, exist_ok=True)
 
     base = replace(params, eta=etas[0])
     try:
-        sweep = sweep_eta(base, etas, solve_cfg, eta_ref=eta_ref, width_ref=width_ref)
+        sweep = sweep_eta(base, etas, solve_cfg, width_ref=init_width)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -403,12 +392,8 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, help="seed for initializer perturbation")
-    sub.add_argument("--max-iters", type=int, dest="max_iters")
-    sub.add_argument("--tol-grad", type=float, dest="tol_grad")
-    sub.add_argument("--tol-pohozaev", type=float, dest="tol_pohozaev")
-    sub.add_argument("--init-width", type=float, dest="init_width")
-    sub.add_argument("--init-noise", type=float, dest="init_noise")
+    for name, kind in _SOLVE_FLAGS.items():
+        sub.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
 
 
 def build_parser() -> argparse.ArgumentParser:

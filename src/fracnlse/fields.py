@@ -334,6 +334,14 @@ def boundary_mass_fraction(field: Field) -> float:
 # dilation
 
 
+def _leaves_box(xi: float, n: int, L: float) -> np.ndarray:
+    """The edge rule of both dilation kernels: the samples x_j = -L + h j
+    whose dilated point e^xi x_j lies outside the box, |e^xi x_j| >= L;
+    the dilated field is zero there."""
+    x = -L + (2.0 * L / n) * np.arange(n)
+    return np.abs(float(np.exp(xi)) * x) >= L
+
+
 def _resample_axis(u: np.ndarray, xi: float, n: int, L: float) -> np.ndarray:
     """Evaluate e^{xi/2} * (trig interpolant of u)(e^xi x_j) along the last
     axis, zeroing points that leave the box; leading axes are a batch.
@@ -349,9 +357,6 @@ def _resample_axis(u: np.ndarray, xi: float, n: int, L: float) -> np.ndarray:
     and |e_lo m^2| < |e^xi - 1| 2^{2b - 53} is rounded far below the
     rounding of the sum.
     """
-    h = 2.0 * L / n
-    x = -L + h * np.arange(n)
-    sc = float(np.exp(xi))
     e = math.expm1(xi)
     frac, expo = math.frexp(e)
     bits = 53 - (n * n).bit_length()
@@ -371,7 +376,7 @@ def _resample_axis(u: np.ndarray, xi: float, n: int, L: float) -> np.ndarray:
     kernel = np.fft.fft(np.concatenate([w, w[n - 1:0:-1]]).conj())
     y = np.fft.ifft(np.fft.fft(c * pre, 2 * n, axis=-1) * kernel, axis=-1)[..., :n]
     v = (np.exp(0.5 * xi) / n) * (y * post).real
-    v[..., np.abs(sc * x) >= L] = 0.0
+    v[..., _leaves_box(xi, n, L)] = 0.0
     return v
 
 
@@ -381,7 +386,7 @@ def _resampling_matrix(xi: float, n: int, L: float) -> np.ndarray:
     The interpolant with the Nyquist term split is the Dirichlet kernel, so
     R_jl = (e^{xi/2}/n) sin(n theta/2) / tan(theta/2) with
     theta = pi (e^xi x_j - x_l) / L, and e^{xi/2} where theta = 0. Rows of
-    points that leave the box are zero, as in _resample_axis.
+    points that leave the box (_leaves_box) are zero.
 
     With x_j = h (j - n/2) the half angle is theta/2 = (pi/n) (y_j + j - l),
     y_j = expm1(xi) (j - n/2). Splitting y_j = s_j + r_j into its nearest
@@ -397,9 +402,6 @@ def _resampling_matrix(xi: float, n: int, L: float) -> np.ndarray:
     with c_j = (j + s_j) mod n, a window of one table, and the sign
     (-1)^K = (-1)^{c_j} (-1)^l splits into a row and a column factor.
     """
-    h = 2.0 * L / n
-    x = -L + h * np.arange(n)
-    sc = float(np.exp(xi))
     j = np.arange(n)
     y = np.expm1(xi) * (j - n // 2)
     s = np.rint(y)
@@ -423,7 +425,7 @@ def _resampling_matrix(xi: float, n: int, L: float) -> np.ndarray:
     kernel *= sign
     exact = r == 0.0
     kernel[exact, c[exact]] = np.exp(0.5 * xi)
-    kernel[np.abs(sc * x) >= L] = 0.0
+    kernel[_leaves_box(xi, n, L)] = 0.0
     return kernel
 
 

@@ -105,7 +105,6 @@ class SolveReport:
     history: list
     converged: bool
     stop_reason: str
-    compactness_margin: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -118,7 +117,6 @@ class SolveReport:
             "dilations": self.dilations,
             "converged": self.converged,
             "stop_reason": self.stop_reason,
-            "compactness_margin": self.compactness_margin,
             "summary": {"A": self.summary.A, "M": self.summary.M,
                         "B_p": self.summary.B_p, "B_star": self.summary.B_star},
         }
@@ -220,8 +218,8 @@ def stationarity_residual(field: Field, params: ModelParams, mu: float) -> float
 # the solve loop
 
 
-def solve_ground_state(init: Field, params: ModelParams, config: SolveConfig,
-                       constants=None) -> SolveReport:
+def solve_ground_state(init: Field, params: ModelParams,
+                       config: SolveConfig) -> SolveReport:
     """Minimize the energy over the Pohozaev zero set of the mass sphere.
 
     Non-convergence within the iteration budget, or a line search that
@@ -245,7 +243,7 @@ def solve_ground_state(init: Field, params: ModelParams, config: SolveConfig,
         raise ValueError("initializer has zero seminorm (constant fields are inadmissible)")
 
     try:
-        return _descend(u, A0, params, config, constants, grid)
+        return _descend(u, A0, params, config, grid)
     except DegenerateFiberError as exc:
         raise RuntimeError("fiber degenerated") from exc
 
@@ -279,7 +277,7 @@ def _direction(u, uh, S, params, grid):
     return gn2, np.fft.irfftn(dh), price
 
 
-def _descend(u, A0, params, config, constants, grid):
+def _descend(u, A0, params, config, grid):
     m = params.m
     u, uh, S, dilations = _project(u, grid, params, rounds=30, tol=config.tol_pohozaev)
     E = functionals.energy(S, params)
@@ -341,9 +339,6 @@ def _descend(u, A0, params, config, constants, grid):
     mu = functionals.lagrange_multiplier(S, params)
     mu_identity = abs(mu * S.M - params.eta * (params.zeta_p - 1.0) * S.B_p)
     final = Field(grid, u)
-    margin = None
-    if constants is not None:
-        margin = compactness_threshold(params, constants) - E
     return SolveReport(
         final_field=final,
         summary=S,
@@ -357,14 +352,12 @@ def _descend(u, A0, params, config, constants, grid):
         history=history,
         converged=stop_reason == "converged",
         stop_reason=stop_reason,
-        compactness_margin=margin,
     )
 
 
 def compactness_threshold(params: ModelParams, constants) -> float:
-    """s S^{N/2s} / N with the provided Sobolev estimate."""
-    S = constants.S_est if hasattr(constants, "S_est") else float(constants)
-    return params.s * S ** (params.dim / (2.0 * params.s)) / params.dim
+    """s S^{N/2s} / N with the Sobolev estimate S_est of a constants report."""
+    return params.s * constants.S_est ** (params.dim / (2.0 * params.s)) / params.dim
 
 
 # ----------------------------------------------------------------------
@@ -439,9 +432,6 @@ class SweepEntry:
     stop_reason: str | None = None
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 @dataclass
 class SweepReport:
@@ -454,17 +444,6 @@ class SweepReport:
     note: str | None = None
     reports: list = dataclass_field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "entries": [e.to_dict() for e in self.entries],
-            "slope": self.slope,
-            "reference_slope": self.reference_slope,
-            "eta_ref": self.eta_ref,
-            "half_length_ref": self.half_length_ref,
-            "width_ref": self.width_ref,
-            "note": self.note,
-        }
-
 
 def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
               eta_ref: float | None = None,
@@ -475,7 +454,10 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
     so the box and initializer width track that power at fixed n, and the
     gradient tolerance tracks the level's own eta^{-d} scale; without the
     tracking, large-eta entries either outgrow the box or pass a tolerance
-    that is vacuous relative to their magnitude.
+    that is vacuous relative to their magnitude. eta_ref, the coupling the
+    grid, tol_grad and width_ref belong to, defaults to the smallest eta
+    and may not exceed it: below eta_ref the box would shrink and the
+    tolerance loosen. width_ref defaults to L/40 of the reference box.
     """
     etas = [float(e) for e in eta_list]
     if not etas:
@@ -490,6 +472,9 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
     decay = params_base.level_decay_exponent
     growth = decay / (2.0 * params_base.s)
     eta_ref = float(eta_ref if eta_ref is not None else etas[0])
+    if not 0.0 < eta_ref <= etas[0]:
+        raise ValueError("eta_ref must be positive and at most the smallest eta %g, got %g"
+                         % (etas[0], eta_ref))
     L_ref = config.grid.half_length
     n = config.grid.points_per_axis
     width_ref = float(width_ref if width_ref is not None else L_ref / 40.0)

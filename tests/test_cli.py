@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fracnlse
-from fracnlse.cli import _DEFAULTS
+from fracnlse.cli import _DEFAULTS, build_parser
 
 SOLVE_2D = ["--grid", "2:128:120", "--params", "0.5,3.5,10,1",
             "--init-width", "12", "--tol-grad", "2e-2",
@@ -78,13 +78,18 @@ def test_readme_names_every_stop_reason():
 
 
 def test_solve_knobs_agree_across_ini_config_and_report(solve_run):
-    # A knob removed from one of the three lists must not linger in another.
+    # A knob removed from one of the four lists must not linger in another.
     _, out = solve_run
     knobs = {f.name for f in dataclasses.fields(fracnlse.SolveConfig)} - {"grid"}
     cli_knobs = knobs | {"init_width"}
     assert set(_DEFAULTS["solve"]) == cli_knobs
     report = json.loads((out / "report.json").read_text())
     assert set(report["config"]) == cli_knobs
+    # Beside its own flags, each solving subcommand takes one flag per knob.
+    common = {"command", "func", "out", "config", "grid", "params"}
+    for command, own in (("solve", {"constants"}), ("sweep", {"eta"})):
+        dests = set(vars(build_parser().parse_args([command])))
+        assert dests - common - own == cli_knobs, command
 
 
 def test_solve_history_csv_matches_iterations(solve_run):
@@ -206,6 +211,8 @@ def test_config_file_with_flag_overrides(tmp_path):
     ("[solve]\ntol_grd = 1e-2\n", "unknown key 'tol_grd' in section [solve]"),
     ("[solv]\ntol_grad = 1e-2\n", "unknown section [solv]"),
     ("tol_grad = 1e-2\n", "malformed config file"),
+    ("[sweep]\neta_ref = 10\n", "unknown key 'eta_ref' in section [sweep]"),
+    ("[sweep]\nwidth_ref = 12\n", "unknown key 'width_ref' in section [sweep]"),
 ])
 def test_bad_config_file_exit_one(tmp_path, text, message):
     config = tmp_path / "typo.ini"
@@ -282,6 +289,23 @@ def test_solve_rejects_bad_constants_report(tmp_path, key, bad):
         "error: constants report %s: %s must be a finite positive number, got %r"
         % (path, key, bad)]
     assert not (out / "report.json").exists()
+
+
+def test_solve_with_constants_writes_diagnostics(tmp_path, constants_2d, params_2d):
+    # The threshold margin of a converged solve lives in the diagnostics
+    # block, and only there.
+    path = tmp_path / "constants.json"
+    fracnlse.save_constants(constants_2d, path)
+    out = tmp_path / "run"
+    proc = run_cli("solve", *SOLVE_2D, "--constants", str(path), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    diagnostics = report["diagnostics"]
+    assert diagnostics["all_ok"] is True
+    expected = (fracnlse.compactness_threshold(params_2d, constants_2d)
+                - report["report"]["energy_level"])
+    assert diagnostics["threshold_margin"] == pytest.approx(expected, rel=1e-12)
+    assert "compactness_margin" not in report["report"]
 
 
 def test_constants_then_verify_full_pass(tmp_path):

@@ -329,7 +329,6 @@ def test_anchor_2d_converges_to_pinned_level(anchor_2d, params_2d):
     assert rep.mu == pytest.approx(-1.6424e-2, rel=1e-3)
     assert rep.pohozaev_residual <= 1e-12
     assert rep.mu_identity_residual <= 1e-8 * abs(rep.mu * rep.summary.M)
-    assert rep.compactness_margin is None
 
 
 def test_anchor_2d_history_monotone(anchor_2d):
@@ -384,18 +383,6 @@ def test_anchor_1d_level_is_stable_despite_gradient_floor():
     assert rep.mu < 0.0
 
 
-def test_solve_with_constants_reports_margin(params_2d, constants_2d):
-    grid = make_grid(2, 128, 120.0)
-    init = sample(grid, "gaussian", {"width": 12.0})
-    rep = solve_ground_state(init, params_2d,
-                             SolveConfig(grid=grid, tol_grad=2e-2,
-                                         tol_pohozaev=1e-9),
-                             constants=constants_2d)
-    assert rep.converged
-    expected = compactness_threshold(params_2d, constants_2d) - rep.energy_level
-    assert rep.compactness_margin == pytest.approx(expected, rel=1e-12)
-
-
 # ----------------------------------------------------------------------
 # sweeps
 
@@ -410,6 +397,9 @@ def test_sweep_validations(params_2d):
         sweep_eta(params_2d, [10.0, 5.0], cfg)
     with pytest.raises(ValueError, match="reference grid"):
         sweep_eta(params_2d, [10.0], SolveConfig())
+    # Below eta_ref the box would shrink and the scaled tolerance loosen.
+    with pytest.raises(ValueError, match="eta_ref"):
+        sweep_eta(params_2d, [1.0, 3.0, 10.0], cfg, eta_ref=10.0, width_ref=6.0)
 
 
 def test_mini_sweep_slope_and_scaling(params_2d):
