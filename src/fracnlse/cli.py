@@ -1,10 +1,12 @@
 """Batch command-line surface: solve, sweep, constants, verify, plot.
 
 Configuration comes from an INI-style file plus command-line flags, with
-flags winning. Every run writes a manifest (parameters, grid, tolerances,
-seed, and SHA-256 checksums of the artifacts) sufficient to reproduce it
-bit-identically in sequential mode. Exit codes: 0 success, 1 usage or
-error, 2 ran but unconverged or failed checks.
+flags winning. Every run of solve, sweep and constants writes a manifest.
+Its "config" block is the resolved INI state (every section after flags),
+so `--config` on that block with a fresh `--out` reproduces every artifact
+bit-identically on the same numpy and BLAS build; "inputs" and "artifacts"
+hold the SHA-256 checksums of the files the run read and wrote. Exit
+codes: 0 success, 1 usage or error, 2 ran but unconverged or failed checks.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from pathlib import Path
 from .constants import (estimate_constants, load_constants, save_constants,
                         sobolev_sharp_constant)
 from .fields import field_to_csv, sample, save_field
-from .grids import GridSpec, make_grid
+from .grids import make_grid
 from .params import ModelParams
-from .solver import (SolveConfig, diagnose, solve_ground_state, sweep_eta)
+from .solver import (SolveConfig, compactness_threshold, diagnose,
+                     solve_ground_state, sweep_eta)
 from .svg import loglog_svg, profile_svg, write_svg
 from .verify import FAIL, PASS, SKIP, run_checks
 
@@ -45,8 +48,8 @@ class _Parser(argparse.ArgumentParser):
 # configuration assembly
 
 # The solver knobs are the fields of SolveConfig besides its grid. Each is
-# one [solve] key, one flag of solve and sweep (with the same type) and one
-# entry of report.json's "config" block; init_width rides along with them.
+# one [solve] key and one flag of solve and sweep (with the same type);
+# init_width rides along with them.
 _SOLVE_KNOBS = {f.name: type(f.default) for f in dataclass_fields(SolveConfig)
                 if f.name != "grid"}
 _SOLVE_FLAGS = {**_SOLVE_KNOBS, "init_width": float}
@@ -140,29 +143,24 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, params: ModelParams | None,
-                    grid: GridSpec | None, tolerances: dict, seed: int | None,
-                    artifact_names: list) -> None:
-    manifest = {
-        "command": command,
-        "params": None if params is None else {
-            "dim": params.dim, "s": params.s, "p": params.p,
-            "eta": params.eta, "m": params.m},
-        "grid": None if grid is None else {
-            "dim": grid.dim, "n": grid.points_per_axis, "L": grid.half_length},
-        "tolerances": tolerances,
-        "seed": seed,
-        "artifacts": {name: _sha256(outdir / name) for name in sorted(artifact_names)},
-    }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _dump_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_manifest(outdir: Path, command: str, conf: dict, artifact_names: list,
+                    inputs: dict | None = None) -> None:
+    """The one record of a run: the resolved config it replays from, and
+    the checksums of the input files it read (by flag) and of its
+    artifacts."""
+    _dump_json(outdir / "manifest.json", {
+        "command": command,
+        "config": conf,
+        "inputs": {flag: {"path": path, "sha256": _sha256(Path(path))}
+                   for flag, path in (inputs or {}).items()},
+        "artifacts": {name: _sha256(outdir / name) for name in sorted(artifact_names)},
+    })
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +221,8 @@ def cmd_solve(args) -> int:
     if init_width is None:
         init_width = grid.half_length / 10.0
     constants = load_constants(args.constants) if args.constants else None
+    if constants is not None:
+        compactness_threshold(params, constants)  # rejects another (N, s)
     outdir.mkdir(parents=True, exist_ok=True)
 
     init = sample(grid, "gaussian", {"width": init_width})
@@ -238,22 +238,13 @@ def cmd_solve(args) -> int:
             writer.writerow([i, "%.17g" % e, "%.17g" % p_abs, "%.17g" % g])
     save_field(report.final_field, outdir / "field.bin", s=params.s)
     field_to_csv(report.final_field, outdir / "field.csv")
-    _dump_json(outdir / "report.json", {
-        "params": {"dim": params.dim, "s": params.s, "p": params.p,
-                   "eta": params.eta, "m": params.m},
-        "grid": {"dim": grid.dim, "n": grid.points_per_axis, "L": grid.half_length},
-        "config": {**{name: getattr(solve_cfg, name) for name in _SOLVE_KNOBS},
-                   "init_width": init_width},
-        "report": report.to_dict(),
-        "diagnostics": diagnostics,
-    })
+    _dump_json(outdir / "report.json",
+               {"report": report.to_dict(), "diagnostics": diagnostics})
     _plot_profile(outdir)
-    _write_manifest(outdir, "solve", params, grid,
-                    {"tol_grad": solve_cfg.tol_grad,
-                     "tol_pohozaev": solve_cfg.tol_pohozaev},
-                    solve_cfg.seed,
+    _write_manifest(outdir, "solve", conf,
                     ["report.json", "history.csv", "field.bin", "field.csv",
-                     "profile.svg"])
+                     "profile.svg"],
+                    {"constants": args.constants} if args.constants else None)
     print("solve: converged=%s stop=%s E=%.8g mu=%.6g |P|/A=%.3e iterations=%d"
           % (report.converged, report.stop_reason, report.energy_level, report.mu,
              report.pohozaev_residual, report.iterations))
@@ -262,10 +253,8 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     conf = _apply_flags(_load_config(args.config), args)
-    params, grid, solve_cfg, init_width, outdir = _parse_run(conf, "sweep")
-    eta_raw = conf["sweep"]["eta"].strip()
-    if not eta_raw:
-        raise CliError("sweep needs a non-empty eta list (--eta or [sweep] eta)")
+    params, _, solve_cfg, init_width, outdir = _parse_run(conf, "sweep")
+    eta_raw = conf["sweep"]["eta"]
     try:
         etas = [float(tok) for tok in eta_raw.split(",") if tok.strip()]
     except ValueError:
@@ -294,18 +283,11 @@ def cmd_sweep(args) -> int:
     _dump_json(outdir / "slope.json", {
         "slope": sweep.slope,
         "reference_slope": sweep.reference_slope,
-        "eta_ref": sweep.eta_ref,
-        "half_length_ref": sweep.half_length_ref,
-        "width_ref": sweep.width_ref,
         "note": sweep.note,
         "entries": len(sweep.entries),
     })
     _plot_sweep(outdir)
-    _write_manifest(outdir, "sweep", params, grid,
-                    {"tol_grad": solve_cfg.tol_grad,
-                     "tol_pohozaev": solve_cfg.tol_pohozaev},
-                    solve_cfg.seed,
-                    ["sweep.csv", "slope.json", "sweep.svg"])
+    _write_manifest(outdir, "sweep", conf, ["sweep.csv", "slope.json", "sweep.svg"])
     for e in sweep.entries:
         print("eta=%-10g E=%-14s mu=%-14s converged=%s%s"
               % (e.eta,
@@ -329,8 +311,7 @@ def cmd_constants(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     report = estimate_constants(grid, params, rungs=rungs)
     save_constants(report, outdir / "constants.json")
-    _write_manifest(outdir, "constants", params, grid, {"rungs": rungs},
-                    None, ["constants.json"])
+    _write_manifest(outdir, "constants", conf, ["constants.json"])
     print("constants: S_est=%.6g C_est=%.6g converged=%s"
           % (report.S_est, report.C_est, report.converged))
     for label, trace in sorted(report.refinement.items()):

@@ -109,17 +109,20 @@ def save_constants(report: ConstantsReport, path) -> None:
 def load_constants(path) -> ConstantsReport:
     with open(path) as fh:
         raw = json.load(fh)
-    for key in ("S_est", "C_est"):
-        value = raw[key]
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-            raise ValueError("constants report %s: %s must be a finite positive "
-                             "number, got %r" % (path, key, value))
-    grid = make_grid(raw["grid"]["dim"], raw["grid"]["n"], raw["grid"]["L"])
-    pr = raw["params"]
-    params = ModelParams(dim=pr["dim"], s=pr["s"], p=pr["p"], eta=pr["eta"], m=pr["m"])
-    return ConstantsReport(S_est=raw["S_est"], C_est=raw["C_est"], grid=grid,
-                           params=params, refinement=raw["refinement"],
-                           converged=raw["converged"])
+    try:
+        for key in ("S_est", "C_est"):
+            value = raw[key]
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+                raise ValueError("constants report %s: %s must be a finite positive "
+                                 "number, got %r" % (path, key, value))
+        grid, pr = raw["grid"], raw["params"]
+        return ConstantsReport(
+            S_est=raw["S_est"], C_est=raw["C_est"],
+            grid=make_grid(grid["dim"], grid["n"], grid["L"]),
+            params=ModelParams(dim=pr["dim"], s=pr["s"], p=pr["p"], eta=pr["eta"], m=pr["m"]),
+            refinement=raw["refinement"], converged=raw["converged"])
+    except KeyError as exc:
+        raise ValueError("constants report %s: missing key %s" % (path, exc))
 
 
 # ----------------------------------------------------------------------

@@ -85,17 +85,6 @@ class GeometryReport:
     branch: int
     constants_used: tuple
 
-    def to_dict(self) -> dict:
-        return {"rho": self.rho, "branch": self.branch,
-                "S": self.constants_used[0], "C": self.constants_used[1]}
-
-
-def _unpack_constants(constants) -> tuple:
-    if hasattr(constants, "S_est") and hasattr(constants, "C_est"):
-        return float(constants.S_est), float(constants.C_est)
-    S, C = constants
-    return float(S), float(C)
-
 
 def rho(params: ModelParams, constants) -> GeometryReport:
     """Radius of the small-seminorm region where the energy stays positive:
@@ -105,7 +94,7 @@ def rho(params: ModelParams, constants) -> GeometryReport:
 
     with branch 1 the eta-dependent term and branch 2 the Sobolev term.
     """
-    S, C = _unpack_constants(constants)
+    S, C = float(constants.S_est), float(constants.C_est)
     if S <= 0.0 or C <= 0.0:
         raise ValueError("constants estimates must be positive, got S=%r C=%r" % (S, C))
     zeta, q = params.zeta_p, params.two_star
@@ -122,7 +111,7 @@ def geometry_lower_bound(A, params: ModelParams, constants):
     """Closed-form lower bound for the energy at seminorm A on the mass
     sphere: A/2 minus the two inequality-controlled nonlinear terms. The
     radius rho is engineered so this stays positive on (0, rho]."""
-    S, C = _unpack_constants(constants)
+    S, C = float(constants.S_est), float(constants.C_est)
     zeta, q = params.zeta_p, params.two_star
     A = np.asarray(A, dtype=float)
     crit = (2.0 ** (q / 2.0) / (q * S ** (q / 2.0))) * A ** (q / 2.0)

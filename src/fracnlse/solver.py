@@ -356,7 +356,13 @@ def _descend(u, A0, params, config, grid):
 
 
 def compactness_threshold(params: ModelParams, constants) -> float:
-    """s S^{N/2s} / N with the Sobolev estimate S_est of a constants report."""
+    """s S^{N/2s} / N with the Sobolev estimate S_est of a constants report,
+    which must have been measured at the same (N, s)."""
+    measured = (constants.params.dim, constants.params.s)
+    if measured != (params.dim, params.s):
+        raise ValueError("constants report was measured at (N, s) = (%g, %g), "
+                         "the run is at (N, s) = (%g, %g)"
+                         % (*measured, params.dim, params.s))
     return params.s * constants.S_est ** (params.dim / (2.0 * params.s)) / params.dim
 
 
@@ -438,9 +444,6 @@ class SweepReport:
     entries: list
     slope: float | None
     reference_slope: float
-    eta_ref: float
-    half_length_ref: float
-    width_ref: float
     note: str | None = None
     reports: list = dataclass_field(default_factory=list)
 
@@ -514,5 +517,4 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
     else:
         note = "fewer than two converged entries: no slope fitted"
     return SweepReport(entries=entries, slope=slope, reference_slope=-decay,
-                       eta_ref=eta_ref, half_length_ref=L_ref, width_ref=width_ref,
                        note=note, reports=reports)

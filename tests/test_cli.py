@@ -1,5 +1,6 @@
 """End-to-end command-line runs in subprocesses: artifacts, exit codes."""
 
+import configparser
 import dataclasses
 import hashlib
 import json
@@ -54,11 +55,13 @@ def test_solve_exit_zero_and_artifacts(solve_run):
 
 def test_solve_report_contents(solve_run):
     _, out = solve_run
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["params"] == {"dim": "2", "s": "0.5", "p": "3.5", "eta": "10.0",
+                                "m": "1.0"}
+    assert config["grid"] == {"n": "128", "L": "120.0"}
+    assert config["solve"]["tol_grad"] == "0.02"
     report = json.loads((out / "report.json").read_text())
-    assert report["params"] == {"dim": 2, "s": 0.5, "p": 3.5, "eta": 10.0,
-                                "m": 1.0}
-    assert report["grid"] == {"dim": 2, "n": 128, "L": 120.0}
-    assert report["config"]["tol_grad"] == 2e-2
+    assert set(report) == {"report", "diagnostics"}
     body = report["report"]
     assert body["converged"] is True
     assert body["stop_reason"] == "converged"
@@ -83,8 +86,8 @@ def test_solve_knobs_agree_across_ini_config_and_report(solve_run):
     knobs = {f.name for f in dataclasses.fields(fracnlse.SolveConfig)} - {"grid"}
     cli_knobs = knobs | {"init_width"}
     assert set(_DEFAULTS["solve"]) == cli_knobs
-    report = json.loads((out / "report.json").read_text())
-    assert set(report["config"]) == cli_knobs
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["config"]["solve"]) == cli_knobs
     # Beside its own flags, each solving subcommand takes one flag per knob.
     common = {"command", "func", "out", "config", "grid", "params"}
     for command, own in (("solve", {"constants"}), ("sweep", {"eta"})):
@@ -104,12 +107,60 @@ def test_manifest_checksums_reproduce(solve_run):
     _, out = solve_run
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "solve"
-    assert manifest["params"]["eta"] == 10.0
+    assert manifest["config"]["params"]["eta"] == "10.0"
+    assert manifest["inputs"] == {}
     assert sorted(manifest["artifacts"]) == ["field.bin", "field.csv",
                                              "history.csv", "profile.svg",
                                              "report.json"]
     for name, digest in manifest["artifacts"].items():
         assert sha256(out / name) == digest, name
+
+
+def test_readme_lists_every_manifest_key(solve_run):
+    # The README's list of manifest keys is exactly what a run writes.
+    _, out = solve_run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"`manifest.json`, the one record of the run:\n(.*?)\n\n", readme, re.S)
+    assert block is not None
+    names = re.findall(r"^- `([^`]+)`", block.group(1), re.M)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(names) == sorted(manifest)
+
+
+CONSTANTS_FILE = "<constants.json>"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--grid", "1:128:20", "--params", "0.4,6,10,1", "--eta", "10,20",
+     "--init-width", "3", "--max-iters", "3", "--init-noise", "0.01", "--seed", "4"],
+    ["solve", *SOLVE_2D, "--constants", CONSTANTS_FILE],
+    ["constants", "--grid", "1:128:20", "--rungs", "2"],
+], ids=["sweep", "solve-constants", "constants"])
+def test_run_replays_from_its_manifest(tmp_path, request, argv):
+    # The manifest's config block is the resolved INI state, so rerunning
+    # from it with a fresh --out reproduces every artifact byte for byte.
+    if CONSTANTS_FILE in argv:
+        path = tmp_path / "constants.json"
+        fracnlse.save_constants(request.getfixturevalue("constants_2d"), path)
+        argv = [str(path) if arg == CONSTANTS_FILE else arg for arg in argv]
+    first = run_cli(*argv, "--out", str(tmp_path / "first"))
+    assert first.returncode in (0, 2), first.stderr
+    manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.optionxform = str
+    ini.read_dict(manifest["config"])
+    with open(tmp_path / "replay.ini", "w") as fh:
+        ini.write(fh)
+    inputs = []
+    for flag, record in manifest["inputs"].items():
+        assert sha256(Path(record["path"])) == record["sha256"], flag
+        inputs += ["--" + flag, record["path"]]
+    replay = run_cli(manifest["command"], "--config", str(tmp_path / "replay.ini"),
+                     *inputs, "--out", str(tmp_path / "replay"))
+    assert replay.returncode == first.returncode, replay.stderr
+    assert manifest["artifacts"]
+    for name, digest in manifest["artifacts"].items():
+        assert sha256(tmp_path / "replay" / name) == digest, name
 
 
 def test_plot_regenerates_profile_byte_identically(solve_run, tmp_path):
@@ -201,10 +252,12 @@ def test_config_file_with_flag_overrides(tmp_path):
         "[output]\ndir = %s\n" % (tmp_path / "from_config"))
     proc = run_cli("solve", "--config", str(config), "--tol-grad", "2e-2")
     assert proc.returncode == 0, proc.stderr
-    report = json.loads((tmp_path / "from_config" / "report.json").read_text())
-    assert report["grid"] == {"dim": 2, "n": 128, "L": 120.0}
+    config = json.loads((tmp_path / "from_config" / "manifest.json").read_text())["config"]
+    assert config["params"]["dim"] == "2"
+    assert config["grid"] == {"n": "128", "L": "120"}
     # The flag beats the config value.
-    assert report["config"]["tol_grad"] == 2e-2
+    assert config["solve"]["tol_grad"] == "0.02"
+    assert config["solve"]["tol_pohozaev"] == "1e-9"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -271,24 +324,39 @@ def test_constants_single_rung_exit_two(tmp_path):
     assert len(report["refinement"]["S"]) == 1
 
 
-@pytest.mark.parametrize("key, bad", [("S_est", -0.5), ("C_est", float("nan"))])
+# None stands for a missing key.
+@pytest.mark.parametrize("key, bad", [
+    ("S_est", -0.5), ("C_est", float("nan")),
+    pytest.param("grid", None, id="missing-grid"),
+    pytest.param("params", {"dim": 2, "s": 0.5, "p": 3.5, "eta": 10.0, "m": 1.0},
+                 id="other-dim-and-s"),
+])
 def test_solve_rejects_bad_constants_report(tmp_path, key, bad):
     # A negative S_est once made the 1D threshold complex and the solve
-    # died in a traceback with report.json cut off; it is now an input error.
+    # died in a traceback with report.json cut off; it is now an input error,
+    # as are a missing key and a report measured at another (N, s), whose
+    # threshold would certify the solve against the wrong constant.
     report = fracnlse.ConstantsReport(
         S_est=0.64, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
         params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0)).to_dict()
-    report[key] = bad
+    if bad is None:
+        del report[key]
+    else:
+        report[key] = bad
     path = tmp_path / "constants.json"
     path.write_text(json.dumps(report))
     out = tmp_path / "run"
     proc = run_cli("solve", "--grid", "1:128:20", "--params", "0.4,6,1,1",
                    "--constants", str(path), "--out", str(out))
     assert proc.returncode == 1
-    assert proc.stderr.splitlines() == [
-        "error: constants report %s: %s must be a finite positive number, got %r"
-        % (path, key, bad)]
-    assert not (out / "report.json").exists()
+    message = {
+        "grid": "constants report %s: missing key 'grid'" % path,
+        "params": "constants report was measured at (N, s) = (2, 0.5), "
+                  "the run is at (N, s) = (1, 0.4)",
+    }.get(key, "constants report %s: %s must be a finite positive number, got %r"
+          % (path, key, bad))
+    assert proc.stderr.splitlines() == ["error: " + message]
+    assert not out.exists()
 
 
 def test_solve_with_constants_writes_diagnostics(tmp_path, constants_2d, params_2d):

@@ -168,18 +168,28 @@ def test_constants_round_trip(tmp_path, constants_1d):
     assert back.refinement == constants_1d.refinement
 
 
-@pytest.mark.parametrize("key", ["S_est", "C_est"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5])
-def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, key, bad):
+# None stands for a missing key.
+@pytest.mark.parametrize("bad, key", [
+    *(pytest.param(bad, key, id="%r-%s" % (bad, key))
+      for bad in (math.nan, math.inf, 0.0, -0.5) for key in ("S_est", "C_est")),
+    pytest.param(None, "grid", id="missing-grid"),
+    pytest.param(None, "S_est", id="missing-S_est"),
+])
+def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, bad, key):
     # A negative S_est made the 1D compactness threshold complex and a NaN
-    # passed through every comparison; both must fail at load time.
+    # passed through every comparison; both must fail at load time, and so
+    # must a report without one of its keys, naming the file and the key.
     raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
                           params=params_1d).to_dict()
-    raw[key] = bad
+    if bad is None:
+        del raw[key]
+    else:
+        raw[key] = bad
     path = tmp_path / "constants.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=key) as info:
         load_constants(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("dim, s, expected", [(1, 0.4, 0.488686),

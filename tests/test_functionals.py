@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import fracnlse as F
-from fracnlse import (FieldSummary, GeometryReport, ModelParams, energy,
-                      geometry_lower_bound, gradient_field,
+from fracnlse import (ConstantsReport, FieldSummary, GeometryReport,
+                      ModelParams, energy, geometry_lower_bound, gradient_field,
                       lagrange_multiplier, make_grid,
                       manifold_identity_residual, pohozaev, rho, sample,
                       summarize)
@@ -90,11 +90,16 @@ def test_multiplier_formula(params_1d):
 # the small-seminorm geometry
 
 
+def constants_report(S, C, params):
+    return ConstantsReport(S_est=S, C_est=C, grid=make_grid(params.dim, 64, 20.0),
+                           params=params)
+
+
 def test_rho_sobolev_branch_closed_form():
     # With S = 2, C = 1, m = 1, eta = 0.1 (2D, s = 1/2, p = 7/2) the
     # eta-independent branch wins: rho = (4/8)^1 * (2/2)^2 = 1/2.
     params = ModelParams(dim=2, s=0.5, p=3.5, eta=0.1, m=1.0)
-    rep = rho(params, (2.0, 1.0))
+    rep = rho(params, constants_report(2.0, 1.0, params))
     assert isinstance(rep, GeometryReport)
     assert rep.branch == 2
     assert rep.rho == pytest.approx(0.5, rel=1e-14)
@@ -105,23 +110,17 @@ def test_rho_coupling_branch_closed_form():
     # Same constants at eta = 10: the coupling branch takes over with
     # rho = (p / (8 eta 2^{p zeta/2}))^{4s/(Np-2N-4s)}.
     params = ModelParams(dim=2, s=0.5, p=3.5, eta=10.0, m=1.0)
-    rep = rho(params, (2.0, 1.0))
+    rep = rho(params, constants_report(2.0, 1.0, params))
     assert rep.branch == 1
     expected = (3.5 / (8.0 * 10.0 * 2.0 ** 1.5)) ** 2
     assert rep.rho == pytest.approx(expected, rel=1e-14)
 
 
-def test_rho_accepts_report_or_tuple(params_2d, constants_2d):
-    from_report = rho(params_2d, constants_2d)
-    from_tuple = rho(params_2d, (constants_2d.S_est, constants_2d.C_est))
-    assert from_report == from_tuple
-
-
 def test_rho_rejects_nonpositive_constants(params_2d):
     with pytest.raises(ValueError, match="must be positive"):
-        rho(params_2d, (0.0, 1.0))
+        rho(params_2d, constants_report(0.0, 1.0, params_2d))
     with pytest.raises(ValueError, match="must be positive"):
-        rho(params_2d, (1.0, -2.0))
+        rho(params_2d, constants_report(1.0, -2.0, params_2d))
 
 
 def test_lower_bound_positive_up_to_rho(params_2d, constants_2d):
