@@ -25,11 +25,11 @@ from .functionals import (GeometryReport, energy, geometry_lower_bound,
                           gradient_field, lagrange_multiplier,
                           manifold_identity_residual, pohozaev, rho)
 from .grids import GridSpec, make_grid
-from .params import DerivedExponents, ModelParams
+from .params import ModelParams
 from .solver import (Diagnostics, SolveConfig, SolveReport, SweepEntry,
                      SweepReport, compactness_threshold, diagnose,
-                     pohozaev_project, project_tangent, renormalize_mass,
-                     solve_ground_state, stationarity_residual, sweep_eta)
+                     pohozaev_project, renormalize_mass, solve_ground_state,
+                     stationarity_residual, sweep_eta)
 from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __all__ = [
     "ConstantsReport",
     "DecayGuardError",
     "DegenerateFiberError",
-    "DerivedExponents",
     "Diagnostics",
     "FiberProfile",
     "Field",
@@ -78,7 +77,6 @@ __all__ = [
     "pohozaev",
     "pohozaev_project",
     "probe_fields",
-    "project_tangent",
     "renormalize_mass",
     "rho",
     "run_checks",

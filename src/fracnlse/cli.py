@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import fields as dataclass_fields, replace
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from .constants import (estimate_constants, load_constants, save_constants,
@@ -263,9 +263,8 @@ def cmd_sweep(args) -> int:
         raise CliError("sweep needs a non-empty eta list (--eta or [sweep] eta)")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    base = replace(params, eta=etas[0])
     try:
-        sweep = sweep_eta(base, etas, solve_cfg, width_ref=init_width)
+        sweep = sweep_eta(params, etas, solve_cfg, width_ref=init_width)
     except ValueError as exc:
         raise CliError(str(exc))
 

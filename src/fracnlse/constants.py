@@ -44,7 +44,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .fields import Field, FieldSummary, _lp_values, _plancherel, sample
+from .fields import FieldSummary, _lp_values, _plancherel, sample
 from .functionals import odd_power
 from .grids import GridSpec, make_grid
 from .params import ModelParams
@@ -112,9 +112,14 @@ def load_constants(path) -> ConstantsReport:
     try:
         for key in ("S_est", "C_est"):
             value = raw[key]
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not (math.isfinite(value) and value > 0.0)):
                 raise ValueError("constants report %s: %s must be a finite positive "
                                  "number, got %r" % (path, key, value))
+        for key in ("grid", "params"):
+            if not isinstance(raw[key], dict):
+                raise ValueError("constants report %s: %s must be a JSON object, got %r"
+                                 % (path, key, raw[key]))
         grid, pr = raw["grid"], raw["params"]
         return ConstantsReport(
             S_est=raw["S_est"], C_est=raw["C_est"],
@@ -384,8 +389,10 @@ def estimate_constants(grid: GridSpec, params: ModelParams,
 
 
 def probe_fields(grid: GridSpec, params: ModelParams, count: int = 50,
-                 seed: int = 0) -> list:
-    """Deterministic set of resolved, mean-zero, unit-mass test fields.
+                 seed: int = 0):
+    """Yield a deterministic sequence of resolved test fields as mean-zero,
+    unit-mass arrays, one at a time, stopping after count; nothing past the
+    last yielded probe is drawn.
 
     Families: plain gaussians, bubbles, offset gaussians, cosine-modulated
     gaussians, and band-limited noise under a decaying envelope. Widths and
@@ -394,18 +401,8 @@ def probe_fields(grid: GridSpec, params: ModelParams, count: int = 50,
     quadrature and do not witness the continuum inequalities.
 
     The set is a prefix: the first k probes of any count >= k are the same
-    fields, bit for bit, so count only says where the sequence stops. The
-    probes are built one at a time by _probe_values; callers that need only
-    a few numbers per probe should stream that generator instead of holding
-    this list.
+    fields, bit for bit, so count only says where the sequence stops.
     """
-    return [Field(grid, values) for values in _probe_values(grid, params, count, seed)]
-
-
-def _probe_values(grid: GridSpec, params: ModelParams, count: int, seed: int):
-    """Yield the probe_fields sequence as unit-mass, mean-zero arrays, one
-    at a time, stopping after count; nothing past the last yielded probe is
-    drawn."""
     rng = np.random.default_rng(seed)
     L = grid.half_length
     mesh = grid.meshgrid()

@@ -78,12 +78,10 @@ def manifold_identity_residual(summary: FieldSummary, params: ModelParams) -> fl
 
 @dataclass(frozen=True)
 class GeometryReport:
-    """rho(m, eta) with the active branch of the two-term minimum and the
-    constants estimates it consumed."""
+    """rho(m, eta) with the active branch of the two-term minimum."""
 
     rho: float
     branch: int
-    constants_used: tuple
 
 
 def rho(params: ModelParams, constants) -> GeometryReport:
@@ -103,8 +101,8 @@ def rho(params: ModelParams, constants) -> GeometryReport:
                * params.m ** (p * (1.0 - zeta)))) ** params.level_decay_exponent
     b2 = (q / 8.0) ** ((n - 2.0 * s) / (2.0 * s)) * (S / 2.0) ** (n / (2.0 * s))
     if b1 <= b2:
-        return GeometryReport(rho=b1, branch=1, constants_used=(S, C))
-    return GeometryReport(rho=b2, branch=2, constants_used=(S, C))
+        return GeometryReport(rho=b1, branch=1)
+    return GeometryReport(rho=b2, branch=2)
 
 
 def geometry_lower_bound(A, params: ModelParams, constants):

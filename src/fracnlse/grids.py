@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from numbers import Integral
 
 import numpy as np
 
@@ -48,10 +49,6 @@ class GridSpec:
     @property
     def cell_volume(self) -> float:
         return self.spacing ** self.dim
-
-    @property
-    def volume(self) -> float:
-        return (2.0 * self.half_length) ** self.dim
 
     @cache
     def axis_coordinates(self) -> np.ndarray:
@@ -102,7 +99,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def make_grid(dim: int, points_per_axis: int, half_length: float) -> GridSpec:
     """Validated GridSpec constructor."""
-    if dim not in (1, 2, 3):
+    if isinstance(dim, bool) or not isinstance(dim, Integral) or dim not in (1, 2, 3):
         raise ValueError("unsupported dimension %r (must be 1, 2, or 3)" % (dim,))
     n = int(points_per_axis)
     if n != points_per_axis or n % 2 != 0:

@@ -16,37 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-
-def exponents_for(dim: int, s: float, p: float) -> "DerivedExponents":
-    """Raw exponent arithmetic, no admissibility checks.
-
-    Exposed separately so boundary probes (for instance p at the critical
-    exponent, where zeta_p = 1) can be evaluated without constructing an
-    inadmissible ModelParams.
-    """
-    n = float(dim)
-    two_star = 2.0 * n / (n - 2.0 * s)
-    zeta_p = (n * p - 2.0 * n) / (2.0 * p * s)
-    mass_critical_p = 2.0 + 4.0 * s / n
-    # Raw arithmetic: at p exactly mass-critical the decay exponent blows
-    # up; report it as inf so admissibility checks can still run.
-    denom = n * p - 2.0 * n - 4.0 * s
-    level_decay_exponent = math.inf if denom == 0.0 else 4.0 * s / denom
-    return DerivedExponents(
-        two_star=two_star,
-        zeta_p=zeta_p,
-        mass_critical_p=mass_critical_p,
-        level_decay_exponent=level_decay_exponent,
-    )
-
-
-@dataclass(frozen=True)
-class DerivedExponents:
-    two_star: float
-    zeta_p: float
-    mass_critical_p: float
-    level_decay_exponent: float
+from numbers import Integral
 
 
 @dataclass(frozen=True)
@@ -64,7 +34,8 @@ class ModelParams:
     level_decay_exponent: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
+        if (isinstance(self.dim, bool) or not isinstance(self.dim, Integral)
+                or self.dim not in (1, 2, 3)):
             raise ValueError("unsupported dimension %r (must be 1, 2, or 3)" % (self.dim,))
         if not (0.0 < self.s < 1.0):
             raise ValueError("s must lie in (0, 1), got %r" % (self.s,))
@@ -76,19 +47,25 @@ class ModelParams:
             raise ValueError("eta must be positive, got %r" % (self.eta,))
         if not (self.m > 0.0):
             raise ValueError("mass parameter m must be positive, got %r" % (self.m,))
-        ex = exponents_for(self.dim, self.s, self.p)
+        n, s, p = float(self.dim), self.s, self.p
+        two_star = 2.0 * n / (n - 2.0 * s)
+        zeta_p = (n * p - 2.0 * n) / (2.0 * p * s)
+        mass_critical_p = 2.0 + 4.0 * s / n
+        # At p exactly mass-critical the decay exponent blows up; inf keeps
+        # the window test below well defined.
+        denom = n * p - 2.0 * n - 4.0 * s
+        level_decay_exponent = math.inf if denom == 0.0 else 4.0 * s / denom
         # The exponents must agree with the window in floating point too: a
         # p an ulp above 2 + 4s/N can round zeta_p * p to exactly 2.
-        if not (self.p > ex.mass_critical_p and ex.zeta_p * self.p > 2.0
-                and ex.level_decay_exponent > 0.0):
+        if not (p > mass_critical_p and zeta_p * p > 2.0 and level_decay_exponent > 0.0):
             raise ValueError(
-                "p must exceed 2 + 4s/N = %.6g (got p = %r)" % (ex.mass_critical_p, self.p)
+                "p must exceed 2 + 4s/N = %.6g (got p = %r)" % (mass_critical_p, p)
             )
-        if not (self.p < ex.two_star and ex.zeta_p < 1.0):
+        if not (p < two_star and zeta_p < 1.0):
             raise ValueError(
                 "p must stay below the critical exponent 2N/(N-2s) = %.6g (got p = %g)"
-                % (ex.two_star, self.p)
+                % (two_star, p)
             )
-        object.__setattr__(self, "two_star", ex.two_star)
-        object.__setattr__(self, "zeta_p", ex.zeta_p)
-        object.__setattr__(self, "level_decay_exponent", ex.level_decay_exponent)
+        object.__setattr__(self, "two_star", two_star)
+        object.__setattr__(self, "zeta_p", zeta_p)
+        object.__setattr__(self, "level_decay_exponent", level_decay_exponent)

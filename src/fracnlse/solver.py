@@ -126,16 +126,6 @@ class SolveReport:
 # elementary projections
 
 
-def project_tangent(gradient: Field, u: Field) -> Field:
-    """L2-orthogonal projection of a gradient onto the tangent space of
-    the mass sphere at u."""
-    g, v, grid = gradient.values, u.values, u.grid
-    M = _lp_values(v, grid, 2.0)
-    if M <= 0.0:
-        raise ValueError("tangent projection undefined at the zero field")
-    return Field(grid, g - (grid.cell_volume * np.sum(g * v) / M) * v)
-
-
 def renormalize_mass(u: Field, m: float) -> Field:
     return Field(u.grid, _renorm(u.values, u.grid, m))
 

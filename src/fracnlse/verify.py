@@ -14,17 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fiber, functionals
-from .constants import _probe_values, gn_quotient, sobolev_quotient
+from . import fiber, functionals, solver
+from .constants import gn_quotient, probe_fields, sobolev_quotient
 from .fields import (Field, FieldSummary, _summary_values,
                      dense_oracle_frac_laplacian, dilate, frac_laplacian,
                      lp_norm_pow, sample, seminorm_sq, summarize)
 from .grids import make_grid
 from .params import ModelParams
 from .solver import (SolveConfig, compactness_threshold, pohozaev_project,
-                     project_tangent, renormalize_mass, solve_ground_state)
+                     renormalize_mass, solve_ground_state)
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
+_SEED = 7  # with the registry position, seeds each row's generator
 
 
 @dataclass
@@ -64,7 +65,7 @@ class _Context:
         key = ("probes", grid, params, count, seed)
         if key not in self._cache:
             self._cache[key] = [_summary_values(u, grid, params)
-                                for u in _probe_values(grid, params, count, seed)]
+                                for u in probe_fields(grid, params, count, seed)]
         return self._cache[key]
 
     def anchor2d(self):
@@ -360,17 +361,19 @@ def _check_quotient_invariance(ctx):
 
 
 def _check_tangent_projection(ctx):
+    """The solver's descent direction is tangent to the mass sphere at u:
+    <d, u> relative to |d| |u|, on random 1D fields."""
+    params = ctx.params1d()
     grid = make_grid(1, 128, 10.0)
+    h = grid.cell_volume
     worst = 0.0
     for _ in range(20):
-        u = Field(grid, ctx.rng.standard_normal(grid.shape))
-        g = Field(grid, ctx.rng.standard_normal(grid.shape))
-        out = project_tangent(g, u)
-        h = grid.cell_volume
-        ip = abs(float(h * np.sum(out.values * u.values)))
-        norm = math.sqrt(float(h * np.sum(g.values ** 2))
-                         * float(h * np.sum(u.values ** 2)))
-        worst = max(worst, ip / norm)
+        u = ctx.rng.standard_normal(grid.shape)
+        uh = np.fft.rfftn(u)
+        S = _summary_values(u, grid, params, uh)
+        _, d, _ = solver._direction(u, uh, S, params, grid)
+        ip = abs(float(h * np.sum(d * u)))
+        worst = max(worst, ip / math.sqrt(float(h * np.sum(d * d)) * S.M))
     return worst <= 1e-10, "max residual inner product %.2e relative" % worst
 
 
@@ -443,7 +446,7 @@ def _check_geometry_gap(ctx):
     grid = make_grid(params.dim, 256, 20.0)
     count = 200
     worst = math.inf
-    for i, u in enumerate(_probe_values(grid, params, count, seed=23)):
+    for i, u in enumerate(probe_fields(grid, params, count, seed=23)):
         base = _summary_values(params.m * u, grid, params)
         target_a = geo.rho * (0.005 + 0.995 * (i / max(1, count - 1)))
         xi = math.log(target_a / base.A) / (2.0 * params.s)
@@ -549,10 +552,10 @@ CHECKS = [
 ]
 
 
-def run_checks(constants=None, names=None, seed: int = 7) -> list:
+def run_checks(constants=None, names=None) -> list:
     """Run the table; returns CheckResult rows in registry order.
 
-    Each row draws from its own generator, seeded by (seed, registry
+    Each row draws from its own generator, seeded by (_SEED, registry
     position), so its detail does not depend on which rows are selected.
     """
     ctx = _Context(constants=constants)
@@ -560,7 +563,7 @@ def run_checks(constants=None, names=None, seed: int = 7) -> list:
     for position, (name, fn) in enumerate(CHECKS):
         if names is not None and name not in names:
             continue
-        ctx.rng = np.random.default_rng([seed, position])
+        ctx.rng = np.random.default_rng([_SEED, position])
         try:
             out = fn(ctx)
         except Exception as exc:  # noqa: BLE001 - failures become table rows

@@ -330,12 +330,14 @@ def test_constants_single_rung_exit_two(tmp_path):
     pytest.param("grid", None, id="missing-grid"),
     pytest.param("params", {"dim": 2, "s": 0.5, "p": 3.5, "eta": 10.0, "m": 1.0},
                  id="other-dim-and-s"),
+    pytest.param("grid", [1, 128, 20], id="grid-not-object"),
 ])
 def test_solve_rejects_bad_constants_report(tmp_path, key, bad):
     # A negative S_est once made the 1D threshold complex and the solve
     # died in a traceback with report.json cut off; it is now an input error,
-    # as are a missing key and a report measured at another (N, s), whose
-    # threshold would certify the solve against the wrong constant.
+    # as are a missing key, a grid that is not a JSON object and a report
+    # measured at another (N, s), whose threshold would certify the solve
+    # against the wrong constant.
     report = fracnlse.ConstantsReport(
         S_est=0.64, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
         params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0)).to_dict()
@@ -349,12 +351,16 @@ def test_solve_rejects_bad_constants_report(tmp_path, key, bad):
     proc = run_cli("solve", "--grid", "1:128:20", "--params", "0.4,6,1,1",
                    "--constants", str(path), "--out", str(out))
     assert proc.returncode == 1
-    message = {
-        "grid": "constants report %s: missing key 'grid'" % path,
-        "params": "constants report was measured at (N, s) = (2, 0.5), "
-                  "the run is at (N, s) = (1, 0.4)",
-    }.get(key, "constants report %s: %s must be a finite positive number, got %r"
-          % (path, key, bad))
+    if bad is None:
+        message = "constants report %s: missing key %r" % (path, key)
+    elif key == "grid":
+        message = "constants report %s: grid must be a JSON object, got %r" % (path, bad)
+    elif key == "params":
+        message = ("constants report was measured at (N, s) = (2, 0.5), "
+                   "the run is at (N, s) = (1, 0.4)")
+    else:
+        message = ("constants report %s: %s must be a finite positive number, got %r"
+                   % (path, key, bad))
     assert proc.stderr.splitlines() == ["error: " + message]
     assert not out.exists()
 

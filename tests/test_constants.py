@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fracnlse import (ConstantsReport, Field, FieldSummary, gn_quotient,
-                      load_constants, lp_norm_pow, make_grid, probe_fields,
-                      sample, save_constants, scale_summary, sobolev_quotient,
+                      load_constants, make_grid, probe_fields, sample,
+                      save_constants, scale_summary, sobolev_quotient,
                       sobolev_sharp_constant, summarize)
 from fracnlse import constants
 from fracnlse.constants import estimate_constants, estimate_gn, estimate_sobolev
@@ -111,14 +111,15 @@ def test_estimators_report_traces(params_1d):
 
 def test_probe_fields_contract(params_1d):
     grid = make_grid(1, 512, 20.0)
-    probes = probe_fields(grid, params_1d, count=50, seed=0)
-    again = probe_fields(grid, params_1d, count=50, seed=0)
+    probes = list(probe_fields(grid, params_1d, count=50, seed=0))
+    again = list(probe_fields(grid, params_1d, count=50, seed=0))
     assert len(probes) == 50
     for u, v in zip(probes, again):
-        assert np.array_equal(u.values, v.values)
+        assert np.array_equal(u, v)
     for u in probes:
-        assert abs(float(np.mean(u.values))) <= 1e-12
-        assert lp_norm_pow(u, 2.0) == pytest.approx(1.0, rel=1e-12)
+        assert u.shape == grid.shape
+        assert abs(float(np.mean(u))) <= 1e-12
+        assert _lp_values(u, grid, 2.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_probe_fields_are_a_prefix_of_longer_sets(params_1d, params_2d):
@@ -127,20 +128,21 @@ def test_probe_fields_are_a_prefix_of_longer_sets(params_1d, params_2d):
     # 40 at the end of the cosine block, 50 inside the noise block).
     for grid, params in ((make_grid(1, 512, 20.0), params_1d),
                          (make_grid(2, 64, 20.0), params_2d)):
-        full = probe_fields(grid, params, count=200, seed=23)
+        full = list(probe_fields(grid, params, count=200, seed=23))
         assert len(full) == 200
         for k in (5, 40, 50):
-            head = probe_fields(grid, params, count=k, seed=23)
+            head = list(probe_fields(grid, params, count=k, seed=23))
             assert len(head) == k
             for u, v in zip(head, full):
-                assert np.array_equal(u.values, v.values)
+                assert np.array_equal(u, v)
 
 
 def test_probes_witness_both_inequalities(params_1d, constants_1d):
     grid = make_grid(1, 512, 20.0)
-    probes = probe_fields(grid, params_1d, count=50, seed=0)
-    sob = [sobolev_quotient(summarize(u, params_1d), params_1d) for u in probes]
-    gn = [gn_quotient(summarize(u, params_1d), params_1d) for u in probes]
+    summaries = [_summary_values(u, grid, params_1d)
+                 for u in probe_fields(grid, params_1d, count=50, seed=0)]
+    sob = [sobolev_quotient(summary, params_1d) for summary in summaries]
+    gn = [gn_quotient(summary, params_1d) for summary in summaries]
     assert min(sob) >= constants_1d.S_est
     assert max(gn) <= constants_1d.C_est ** params_1d.p
 
@@ -174,11 +176,16 @@ def test_constants_round_trip(tmp_path, constants_1d):
       for bad in (math.nan, math.inf, 0.0, -0.5) for key in ("S_est", "C_est")),
     pytest.param(None, "grid", id="missing-grid"),
     pytest.param(None, "S_est", id="missing-S_est"),
+    pytest.param(True, "S_est", id="True-S_est"),
+    pytest.param([1, 128, 20], "grid", id="list-grid"),
+    pytest.param("x", "params", id="str-params"),
 ])
 def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, bad, key):
     # A negative S_est made the 1D compactness threshold complex and a NaN
     # passed through every comparison; both must fail at load time, and so
-    # must a report without one of its keys, naming the file and the key.
+    # must a report without one of its keys, a bool for a number (bool is
+    # an int to isinstance) or a non-object for grid or params, each naming
+    # the file and the key.
     raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
                           params=params_1d).to_dict()
     if bad is None:

@@ -8,7 +8,6 @@ import pytest
 from fracnlse import (DegenerateFiberError, FiberProfile, FieldSummary,
                       ModelParams, fiber_derivative_residual, fiber_energy,
                       fiber_pohozaev, fiber_root, scale_summary)
-from fracnlse.params import exponents_for
 
 
 def random_summary(rng):
@@ -38,12 +37,11 @@ def test_scale_summary_preserves_mass(params_1d):
 def test_scale_summary_exponent_rates(params_2d):
     s4 = FieldSummary(A=1.0, M=1.0, B_p=1.0, B_star=1.0)
     xi = 0.37
-    ex = exponents_for(2, 0.5, 3.5)
     out = scale_summary(s4, xi, params_2d)
     assert out.A == pytest.approx(math.exp(2.0 * 0.5 * xi), rel=1e-14)
     assert out.B_p == pytest.approx(math.exp((3.5 - 2.0) * xi), rel=1e-14)
-    assert out.B_star == pytest.approx(
-        math.exp((ex.two_star - 2.0) * xi), rel=1e-14)
+    # 2*_s = 2N/(N - 2s) = 4 in 2D at s = 1/2.
+    assert out.B_star == pytest.approx(math.exp((4.0 - 2.0) * xi), rel=1e-14)
 
 
 def test_fiber_energy_matches_transported_energy(params_1d):
@@ -89,11 +87,10 @@ def test_fiber_root_agrees_with_dense_scan(params_1d):
     s4 = random_summary(rng)
     profile = FiberProfile(base=s4, params=params_1d)
     xi_star = fiber_root(profile)
-    ex = exponents_for(1, 0.4, 6.0)
     xi = np.linspace(xi_star - 2.0, xi_star + 2.0, 1_000_001)
     pvals = (np.exp(2.0 * 0.4 * xi) * s4.A
-             - np.exp((ex.two_star - 2.0) * xi / 2.0) * s4.B_star
-             - params_1d.eta * ex.zeta_p
+             - np.exp((params_1d.two_star - 2.0) * xi / 2.0) * s4.B_star
+             - params_1d.eta * params_1d.zeta_p
              * np.exp((6.0 - 2.0) * xi / 2.0) * s4.B_p)
     sign_change = np.nonzero(np.diff(np.sign(pvals)))[0]
     assert len(sign_change) == 1

@@ -103,7 +103,6 @@ def test_rho_sobolev_branch_closed_form():
     assert isinstance(rep, GeometryReport)
     assert rep.branch == 2
     assert rep.rho == pytest.approx(0.5, rel=1e-14)
-    assert rep.constants_used == (2.0, 1.0)
 
 
 def test_rho_coupling_branch_closed_form():

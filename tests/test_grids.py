@@ -12,7 +12,6 @@ def test_spacing_and_volumes():
     assert g.shape == (128, 128)
     assert g.num_points == 128 * 128
     assert g.cell_volume == pytest.approx(g.spacing ** 2, rel=1e-15)
-    assert g.volume == pytest.approx(40.0 ** 2, rel=1e-15)
 
 
 def test_axis_coordinates_cover_half_open_box():
@@ -84,6 +83,11 @@ def test_make_grid_rejects_bad_dimension():
         make_grid(4, 64, 10.0)
     with pytest.raises(ValueError, match="unsupported dimension"):
         make_grid(0, 64, 10.0)
+    # A float or bool passes a membership test in (1, 2, 3), and the grid's
+    # shape then fails far from here.
+    for dim in (1.0, True):
+        with pytest.raises(ValueError, match="unsupported dimension"):
+            make_grid(dim, 64, 10.0)
 
 
 def test_make_grid_rejects_odd_or_tiny_sizes():

@@ -1,9 +1,13 @@
-"""Tooling guards: every name imported in src/ and tests/ is used, inside
-src/ only params.py computes the derived exponents, and verify.py never
-builds a list of probe fields."""
+"""Tooling guards: every name imported in src/ and tests/ is used, the
+package's export list matches what it binds, and the README counts every
+row of the verify battery."""
 
 import ast
+import re
 from pathlib import Path
+
+import fracnlse
+from fracnlse.verify import CHECKS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,30 +44,30 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
-def calls_to(path: Path, name: str) -> list:
-    """Line numbers of calls to a bare or dotted name in path."""
+def test_exports_match_the_package():
+    # __all__ names only what the package binds, and every public name
+    # __init__.py binds is exported.
+    path = ROOT / "src" / "fracnlse" / "__init__.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and (isinstance(node.func, ast.Name) and node.func.id == name
-                       or isinstance(node.func, ast.Attribute) and node.func.attr == name))
+    exported = _exported(tree)
+    missing = sorted(name for name in exported if not hasattr(fracnlse, name))
+    assert not missing, "__all__ names not on the package: %s" % missing
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {target.id for target in node.targets
+                      if isinstance(target, ast.Name)}
+    unlisted = sorted(name for name in bound
+                      if not name.startswith("_") and name not in exported)
+    assert not unlisted, "public names missing from __all__: %s" % unlisted
 
 
-def test_exponents_for_is_called_only_in_params():
-    # ModelParams owns two_star, zeta_p and level_decay_exponent; every law
-    # reads them there instead of recomputing them from (N, s, p).
-    found = []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        if path.name != "params.py":
-            found += ["%s:%d" % (path.relative_to(ROOT), line)
-                      for line in calls_to(path, "exponents_for")]
-    assert not found, "exponents_for called outside params.py:\n" + "\n".join(found)
-
-
-def test_verify_takes_probes_through_its_context():
-    # The verify rows stream probes (constants._probe_values) and keep only
-    # their summaries; a probe_fields call would hold every field at once.
-    path = ROOT / "src" / "fracnlse" / "verify.py"
-    found = ["%s:%d" % (path.relative_to(ROOT), line)
-             for line in calls_to(path, "probe_fields")]
-    assert not found, "probe_fields called in verify.py:\n" + "\n".join(found)
+def test_readme_counts_every_battery_row():
+    # Both places the README gives the size of the verify battery.
+    readme = (ROOT / "README.md").read_text()
+    counts = re.findall(r"a battery of (\d+) identity", readme)
+    counts += re.findall(r"the (\d+)-row check battery", readme)
+    assert len(counts) == 2
+    assert [int(c) for c in counts] == [len(CHECKS)] * 2

@@ -4,43 +4,38 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from fracnlse import DerivedExponents, ModelParams
-from fracnlse.params import exponents_for
+from fracnlse import ModelParams
 
 
-def test_exponents_closed_forms_1d():
-    ex = exponents_for(1, 0.4, 6.0)
-    assert ex.two_star == pytest.approx(10.0, rel=1e-14)
-    assert ex.zeta_p == pytest.approx(5.0 / 6.0, rel=1e-14)
-    assert ex.mass_critical_p == pytest.approx(2.0 + 4.0 * 0.4 / 1.0, rel=1e-14)
-    assert ex.level_decay_exponent == pytest.approx(
+def test_exponents_closed_forms_1d(params_1d):
+    assert params_1d.two_star == pytest.approx(10.0, rel=1e-14)
+    assert params_1d.zeta_p == pytest.approx(5.0 / 6.0, rel=1e-14)
+    assert params_1d.level_decay_exponent == pytest.approx(
         (4.0 * 0.4) / (6.0 - 2.0 - 4.0 * 0.4), rel=1e-14)
 
 
-def test_exponents_closed_forms_2d():
-    ex = exponents_for(2, 0.5, 3.5)
-    assert ex.two_star == pytest.approx(4.0, rel=1e-14)
-    assert ex.zeta_p == pytest.approx(6.0 / 7.0, rel=1e-14)
-    assert ex.mass_critical_p == pytest.approx(3.0, rel=1e-14)
-    assert ex.level_decay_exponent == pytest.approx(2.0, rel=1e-14)
+def test_exponents_closed_forms_2d(params_2d):
+    assert params_2d.two_star == pytest.approx(4.0, rel=1e-14)
+    assert params_2d.zeta_p == pytest.approx(6.0 / 7.0, rel=1e-14)
+    assert params_2d.level_decay_exponent == pytest.approx(2.0, rel=1e-14)
 
 
 def test_zeta_interpolation_range():
     # The supercritical-but-subcritical window maps to zeta in (2/p, 1).
     for dim, s, p in [(1, 0.4, 6.0), (2, 0.5, 3.5), (3, 0.8, 3.5)]:
-        ex = exponents_for(dim, s, p)
-        assert 2.0 / p < ex.zeta_p < 1.0
-        assert 2.0 < p * ex.zeta_p < ex.two_star
+        params = ModelParams(dim=dim, s=s, p=p, eta=1.0, m=1.0)
+        assert 2.0 / p < params.zeta_p < 1.0
+        assert 2.0 < p * params.zeta_p < params.two_star
 
 
 def test_params_carry_the_exponents_of_exponents_for(params_1d):
+    # The exponents are the closed forms in (N, s, p), bit for bit, and
     # replace() runs __post_init__ again, so a changed p or s re-derives them.
     for params in (params_1d, replace(params_1d, p=5.0), replace(params_1d, s=0.45)):
-        ex = exponents_for(params.dim, params.s, params.p)
-        assert isinstance(ex, DerivedExponents)
-        assert params.two_star == ex.two_star
-        assert params.zeta_p == ex.zeta_p
-        assert params.level_decay_exponent == ex.level_decay_exponent
+        n, s, p = float(params.dim), params.s, params.p
+        assert params.two_star == 2.0 * n / (n - 2.0 * s)
+        assert params.zeta_p == (n * p - 2.0 * n) / (2.0 * p * s)
+        assert params.level_decay_exponent == 4.0 * s / (n * p - 2.0 * n - 4.0 * s)
     # They are read-only and neither inputs nor part of ==, hash or repr.
     inputs = ["dim", "s", "p", "eta", "m"]
     assert [f.name for f in fields(ModelParams) if f.init] == inputs
@@ -56,8 +51,11 @@ def test_params_carry_the_exponents_of_exponents_for(params_1d):
 
 
 def test_params_validation_dim():
-    with pytest.raises(ValueError):
-        ModelParams(dim=4, s=0.4, p=6.0, eta=1.0, m=1.0)
+    # A float or bool dimension would pass a membership test in (1, 2, 3)
+    # and later break the grid shape.
+    for dim in (4, 1.0, True):
+        with pytest.raises(ValueError, match="unsupported dimension"):
+            ModelParams(dim=dim, s=0.4, p=6.0, eta=1.0, m=1.0)
 
 
 def test_params_validation_s_range():
@@ -92,8 +90,6 @@ def test_params_validation_eta_and_mass_positive():
 
 
 def test_mass_critical_sits_inside_admissible_window():
-    ex = exponents_for(1, 0.4, 6.0)
-    assert ex.mass_critical_p == pytest.approx(3.6)
-    with pytest.raises(ValueError, match="p must exceed"):
+    with pytest.raises(ValueError, match=r"p must exceed 2 \+ 4s/N = 3\.6 "):
         ModelParams(dim=1, s=0.4, p=3.6, eta=1.0, m=1.0)
     ModelParams(dim=1, s=0.4, p=3.6000001, eta=1.0, m=1.0)

@@ -8,6 +8,8 @@ import tracemalloc
 import fracnlse.constants
 import fracnlse.fiber
 import fracnlse.functionals
+import fracnlse.solver
+import fracnlse.verify
 from fracnlse import run_checks
 from fracnlse.verify import CHECKS
 
@@ -88,16 +90,31 @@ def test_battery_detects_broken_identities(monkeypatch):
             rows["summary-action-exactness"].detail).groups()
         assert float(law) <= 1e-12 < float(closed)
 
+    with monkeypatch.context() as patch:
+        # A descent direction that leaves the tangent space of the mass
+        # sphere: the row reads the solver's own direction, so it fails.
+        true_direction = fracnlse.solver._direction
 
-def test_seed_controls_randomized_rows():
+        def off_sphere(u, uh, S, params, grid):
+            gn2, d, price = true_direction(u, uh, S, params, grid)
+            return gn2, d + 1e-3 * u, price
+
+        patch.setattr(fracnlse.solver, "_direction", off_sphere)
+        rows = run_checks(names=["tangent-projection-orthogonality"])
+        assert rows[0].status == "fail", rows[0].detail
+
+
+def test_seed_controls_randomized_rows(monkeypatch):
     names = ["fiber-derivative-identity"]
-    a = run_checks(names=names, seed=1)[0]
-    b = run_checks(names=names, seed=1)[0]
-    assert a.detail == b.detail
+    a = run_checks(names=names)[0]
+    assert run_checks(names=names)[0].detail == a.detail
     # Each row draws its own inputs: alone it reads as inside a larger run.
     together = {r.name: r.detail for r in run_checks(names=RANDOMIZED)}
     for name in RANDOMIZED:
         assert run_checks(names=[name])[0].detail == together[name], name
+    # The module seed is what the rows draw from.
+    monkeypatch.setattr(fracnlse.verify, "_SEED", 1)
+    assert run_checks(names=names)[0].detail != a.detail
 
 
 SANDWICH = ["sobolev-inequality-with-estimate", "gn-inequality-with-estimate"]
