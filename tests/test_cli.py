@@ -331,17 +331,23 @@ def test_constants_single_rung_exit_two(tmp_path):
     pytest.param("params", {"dim": 2, "s": 0.5, "p": 3.5, "eta": 10.0, "m": 1.0},
                  id="other-dim-and-s"),
     pytest.param("grid", [1, 128, 20], id="grid-not-object"),
+    pytest.param("grid", {"dim": 1.0, "n": 128, "L": 20.0}, id="float-grid-dim"),
+    pytest.param(None, [1, 2], id="report-not-object"),
 ])
 def test_solve_rejects_bad_constants_report(tmp_path, key, bad):
     # A negative S_est once made the 1D threshold complex and the solve
     # died in a traceback with report.json cut off; it is now an input error,
-    # as are a missing key, a grid that is not a JSON object and a report
-    # measured at another (N, s), whose threshold would certify the solve
-    # against the wrong constant.
+    # as are a missing key, a grid that is not a JSON object or that
+    # make_grid rejects, a report that is not an object (once a TypeError
+    # traceback) and a report measured at another (N, s), whose threshold
+    # would certify the solve against the wrong constant. A key of None
+    # stands for the whole report.
     report = fracnlse.ConstantsReport(
         S_est=0.64, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
         params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0)).to_dict()
-    if bad is None:
+    if key is None:
+        report = bad
+    elif bad is None:
         del report[key]
     else:
         report[key] = bad
@@ -351,8 +357,14 @@ def test_solve_rejects_bad_constants_report(tmp_path, key, bad):
     proc = run_cli("solve", "--grid", "1:128:20", "--params", "0.4,6,1,1",
                    "--constants", str(path), "--out", str(out))
     assert proc.returncode == 1
-    if bad is None:
+    if key is None:
+        message = ("constants report %s: the top level must be a JSON object, got %r"
+                   % (path, bad))
+    elif bad is None:
         message = "constants report %s: missing key %r" % (path, key)
+    elif isinstance(bad, dict) and key == "grid":
+        message = ("constants report %s: unsupported dimension 1.0 (must be 1, 2, or 3)"
+                   % path)
     elif key == "grid":
         message = "constants report %s: grid must be a JSON object, got %r" % (path, bad)
     elif key == "params":

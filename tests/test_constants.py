@@ -179,16 +179,19 @@ def test_constants_round_trip(tmp_path, constants_1d):
     pytest.param(True, "S_est", id="True-S_est"),
     pytest.param([1, 128, 20], "grid", id="list-grid"),
     pytest.param("x", "params", id="str-params"),
+    pytest.param([1, 2], "top level", id="list-report"),
 ])
 def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, bad, key):
     # A negative S_est made the 1D compactness threshold complex and a NaN
     # passed through every comparison; both must fail at load time, and so
     # must a report without one of its keys, a bool for a number (bool is
-    # an int to isinstance) or a non-object for grid or params, each naming
-    # the file and the key.
+    # an int to isinstance), a non-object for grid or params or for the
+    # whole report, each naming the file and the key.
     raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
                           params=params_1d).to_dict()
-    if bad is None:
+    if key == "top level":
+        raw = bad
+    elif bad is None:
         del raw[key]
     else:
         raw[key] = bad
@@ -197,6 +200,26 @@ def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, ba
     with pytest.raises(ValueError, match=key) as info:
         load_constants(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("section, key, bad, reason", [
+    pytest.param("grid", "dim", 1.0, "unsupported dimension 1.0", id="grid-dim"),
+    pytest.param("grid", "n", 4, "grid size 4 too small", id="grid-n"),
+    pytest.param("params", "dim", 1.0, "unsupported dimension 1.0", id="params-dim"),
+    pytest.param("params", "s", 1.5, "s must lie in (0, 1)", id="params-s"),
+])
+def test_load_constants_names_the_file_in_grid_and_params_errors(tmp_path, params_1d,
+                                                                 section, key, bad, reason):
+    # make_grid and ModelParams reject these entries with their own
+    # messages; the loader puts the file in front of them.
+    raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
+                          params=params_1d).to_dict()
+    raw[section][key] = bad
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError) as info:
+        load_constants(path)
+    assert str(info.value).startswith("constants report %s: %s" % (path, reason))
 
 
 @pytest.mark.parametrize("dim, s, expected", [(1, 0.4, 0.488686),
@@ -220,13 +243,15 @@ QUOTIENTS = {"S": (constants._sobolev, sobolev_quotient, 1.0),
 
 
 def kernel_case(dim, params_1d, params_2d):
-    # Small grids of each dimension with a start from the multistart pool
-    # (the width-1 gaussian), so a whole descent runs in well under a second.
+    # Small grids of each dimension with a start from the multistart pool,
+    # so a whole descent runs in well under a second and still takes more
+    # than 20 directions: the width-1 gaussian in 1D, the band-limited noise
+    # in 2D (the 2D gaussian reaches the slope tolerance in 17-18).
     if dim == 1:
-        grid, params = make_grid(1, 512, 20.0), params_1d
+        grid, params, start = make_grid(1, 512, 20.0), params_1d, 4
     else:
-        grid, params = make_grid(2, 64, 20.0), params_2d
-    return grid, params, constants._starts(grid, params)[4]
+        grid, params, start = make_grid(2, 64, 20.0), params_2d, 6
+    return grid, params, constants._starts(grid, params)[start]
 
 
 @pytest.mark.parametrize("which", ["S", "C"])
@@ -262,8 +287,8 @@ def test_trial_pricing_matches_measured_parts(params_1d, params_2d, dim, which):
     quotient = QUOTIENTS[which][0](grid, params)
     u = constants._unit_mass(constants._mean_zero(u0), grid)
     uh, A, M = constants._measure(u, quotient)
-    slope, d, price = constants._direction(u, uh, (A, M, _lp_values(u, grid, quotient.r)),
-                                           quotient)
+    slope, d, price, _, _ = constants._direction(
+        u, uh, (A, M, _lp_values(u, grid, quotient.r)), quotient)
     assert slope > 0.0
     for al in (1e-6, 1e-3, 1e-1, 1.0, 10.0, 100.0):
         A_al, M_al = price(al)
@@ -311,6 +336,35 @@ def test_transforms_per_accepted_step(monkeypatch, params_1d, params_2d, dim, wh
 
 @pytest.mark.parametrize("which", ["S", "C"])
 @pytest.mark.parametrize("dim", [1, 2])
+def test_trials_per_accepted_step(monkeypatch, params_1d, params_2d, dim, which):
+    # From the second direction of a start on, the first trial is the
+    # preconditioned Barzilai-Borwein step, which is well scaled: the line
+    # search rarely halves it. Doubling the last accepted step instead costs
+    # about 1.9 trials per accepted step on these cases.
+    grid, params, u0 = kernel_case(dim, params_1d, params_2d)
+    direction = constants._direction
+    trials = []
+
+    def spy(*args):
+        slope, d, price, gh, dh = direction(*args)
+        trials.append(0)
+
+        def counted(al):
+            trials[-1] += 1
+            return price(al)
+
+        return slope, d, counted, gh, dh
+
+    monkeypatch.setattr(constants, "_direction", spy)
+    _, iters, ended, _ = constants._descend_quotient(u0, QUOTIENTS[which][0](grid, params))
+    assert ended and iters == len(trials) > 20
+    # every direction but the last is followed by an accepted step
+    accepted = trials[:-1]
+    assert sum(accepted) / len(accepted) <= 1.5
+
+
+@pytest.mark.parametrize("which", ["S", "C"])
+@pytest.mark.parametrize("dim", [1, 2])
 def test_start_ends_at_the_slope_tolerance(monkeypatch, params_1d, params_2d, dim, which):
     # A start ends at the first direction whose slope <g, d> is at most
     # _SLOPE_TOL |val|, and no direction is formed after it. Running on to
@@ -322,9 +376,9 @@ def test_start_ends_at_the_slope_tolerance(monkeypatch, params_1d, params_2d, di
     stationary = []
 
     def spy(u, uh, parts, quotient):
-        slope, d, price = direction(u, uh, parts, quotient)
-        stationary.append(slope <= constants._SLOPE_TOL * abs(quotient.value(*parts)))
-        return slope, d, price
+        out = direction(u, uh, parts, quotient)
+        stationary.append(out[0] <= constants._SLOPE_TOL * abs(quotient.value(*parts)))
+        return out
 
     monkeypatch.setattr(constants, "_direction", spy)
     val, iters, ended, _ = constants._descend_quotient(u0, quotient)

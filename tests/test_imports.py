@@ -1,9 +1,13 @@
 """Tooling guards: every name imported in src/ and tests/ is used, the
-package's export list matches what it binds, and the README counts every
+package's export list matches what it binds, importing the package pulls
+in nothing past the standard library and numpy, and the README counts every
 row of the verify battery."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import fracnlse
@@ -71,3 +75,19 @@ def test_readme_counts_every_battery_row():
     counts += re.findall(r"the (\d+)-row check battery", readme)
     assert len(counts) == 2
     assert [int(c) for c in counts] == [len(CHECKS)] * 2
+
+
+def test_package_import_loads_only_stdlib_and_numpy():
+    # The cold import is part of every CLI call and of the benchmark's
+    # setup time; a third-party module pulled in at import time shows there.
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import fracnlse\n"
+             "print('\\n'.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    packages = {name.split(".")[0] for name in proc.stdout.split()}
+    assert "fracnlse" in packages
+    foreign = sorted(packages - sys.stdlib_module_names - {"fracnlse", "numpy"})
+    assert not foreign, "import fracnlse loads %s" % foreign
