@@ -29,7 +29,7 @@ from .params import ModelParams
 from .solver import (Diagnostics, SolveConfig, SolveReport, SweepEntry,
                      SweepReport, compactness_threshold, diagnose,
                      pohozaev_project, renormalize_mass, solve_ground_state,
-                     stationarity_residual, sweep_eta)
+                     sweep_eta)
 from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
@@ -88,7 +88,6 @@ __all__ = [
     "sobolev_quotient",
     "sobolev_sharp_constant",
     "solve_ground_state",
-    "stationarity_residual",
     "summarize",
     "sweep_eta",
     "__version__",

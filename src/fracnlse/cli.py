@@ -178,7 +178,7 @@ def _read_csv_rows(path: Path, expected_min_cols: int) -> list:
             if len(row) < expected_min_cols:
                 raise CliError("corrupt CSV %s at line %d (short row)" % (path, lineno))
             try:
-                rows.append([float(cell) if cell not in ("", "None") else math.nan
+                rows.append([float(cell) if cell else math.nan
                              for cell in row[:expected_min_cols]])
             except ValueError:
                 raise CliError("corrupt CSV %s at line %d (non-numeric cell)"
@@ -273,12 +273,13 @@ def cmd_sweep(args) -> int:
         writer.writerow(["eta", "energy", "mu", "poho_residual", "iterations",
                          "converged", "stop_reason", "error"])
         for e in sweep.entries:
-            writer.writerow([
-                "%.17g" % e.eta,
-                "" if e.energy is None else "%.17g" % e.energy,
-                "" if e.mu is None else "%.17g" % e.mu,
-                "" if e.pohozaev_residual is None else "%.17g" % e.pohozaev_residual,
-                e.iterations, int(e.converged), e.stop_reason or "", e.error or ""])
+            r = e.report
+            if r is None:
+                writer.writerow(["%.17g" % e.eta, "", "", "", 0, 0, "", e.error])
+            else:
+                writer.writerow(["%.17g" % e.eta, "%.17g" % r.energy_level, "%.17g" % r.mu,
+                                 "%.17g" % r.pohozaev_residual, r.iterations,
+                                 int(r.converged), r.stop_reason, ""])
     _dump_json(outdir / "slope.json", {
         "slope": sweep.slope,
         "reference_slope": sweep.reference_slope,
@@ -288,16 +289,16 @@ def cmd_sweep(args) -> int:
     _plot_sweep(outdir)
     _write_manifest(outdir, "sweep", conf, ["sweep.csv", "slope.json", "sweep.svg"])
     for e in sweep.entries:
+        r = e.report
         print("eta=%-10g E=%-14s mu=%-14s converged=%s%s"
-              % (e.eta,
-                 "n/a" if e.energy is None else "%.6g" % e.energy,
-                 "n/a" if e.mu is None else "%.6g" % e.mu,
-                 e.converged, (" error=" + e.error) if e.error else ""))
+              % (e.eta, "n/a" if r is None else "%.6g" % r.energy_level,
+                 "n/a" if r is None else "%.6g" % r.mu,
+                 r is not None and r.converged, (" error=" + e.error) if e.error else ""))
     if sweep.slope is not None:
         print("fitted slope %.4f (reference %.4f)" % (sweep.slope, sweep.reference_slope))
     else:
         print("no slope fitted: %s" % sweep.note)
-    all_ok = all(e.converged for e in sweep.entries)
+    all_ok = all(r is not None and r.converged for r in sweep.reports)
     return 0 if all_ok else 2
 
 

@@ -112,12 +112,13 @@ def save_constants(report: ConstantsReport, path) -> None:
 
 
 def load_constants(path) -> ConstantsReport:
-    """Read a report written by save_constants. A report that is not an
-    object, lacks a key, holds a bad constant or a grid or params that
-    make_grid or ModelParams rejects raises ValueError naming the file."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    """Read a report written by save_constants. A file that is not JSON, a
+    report that is not an object, lacks a key, holds a bad constant or a
+    grid or params that make_grid or ModelParams rejects raises ValueError
+    naming the file."""
     try:
+        with open(path) as fh:
+            raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("the top level must be a JSON object, got %r" % (raw,))
         for key in ("S_est", "C_est"):
@@ -137,7 +138,7 @@ def load_constants(path) -> ConstantsReport:
             refinement=raw["refinement"], converged=raw["converged"])
     except KeyError as exc:
         raise ValueError("constants report %s: missing key %s" % (path, exc))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError("constants report %s: %s" % (path, exc))
 
 

@@ -53,7 +53,7 @@ STOP_REASONS).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from numbers import Integral
 
 import numpy as np
@@ -107,19 +107,12 @@ class SolveReport:
     stop_reason: str
 
     def to_dict(self) -> dict:
-        return {
-            "energy_level": self.energy_level,
-            "pohozaev_residual": self.pohozaev_residual,
-            "mu": self.mu,
-            "mu_identity_residual": self.mu_identity_residual,
-            "pde_residual": self.pde_residual,
-            "iterations": self.iterations,
-            "dilations": self.dilations,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "summary": {"A": self.summary.A, "M": self.summary.M,
-                        "B_p": self.summary.B_p, "B_star": self.summary.B_star},
-        }
+        """Every result but the final field and the history, which a run
+        writes to files of their own."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("final_field", "history")}
+        d["summary"] = asdict(self.summary)
+        return d
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +190,7 @@ def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
     return Field(u.grid, values)
 
 
-def stationarity_residual(field: Field, params: ModelParams, mu: float) -> float:
+def _stationarity_residual(field: Field, params: ModelParams, mu: float) -> float:
     """Relative L2 residual of the Euler-Lagrange equation at (field, mu)."""
     u = field.values
     r = functionals._gradient_values(u, field.grid, params) - mu * u
@@ -336,7 +329,7 @@ def _descend(u, A0, params, config, grid):
         pohozaev_residual=abs(functionals.pohozaev(S, params)) / S.A,
         mu=mu,
         mu_identity_residual=mu_identity,
-        pde_residual=stationarity_residual(final, params, mu),
+        pde_residual=_stationarity_residual(final, params, mu),
         iterations=iterations,
         dilations=dilations,
         history=history,
@@ -365,13 +358,11 @@ class Diagnostics:
     below_threshold: bool
     threshold_margin: float
     multiplier_negative: bool
-    mu: float
     multiplier_identity_ok: bool
     multiplier_identity_rel: float
     energy_identity_ok: bool
     energy_identity_rel: float
     energy_positive: bool
-    energy: float
 
     @property
     def all_ok(self) -> bool:
@@ -403,13 +394,11 @@ def diagnose(report: SolveReport, constants, params: ModelParams) -> Diagnostics
         below_threshold=E < threshold,
         threshold_margin=threshold - E,
         multiplier_negative=mu < 0.0,
-        mu=mu,
         multiplier_identity_ok=mu_rel <= 1e-8,
         multiplier_identity_rel=mu_rel,
         energy_identity_ok=e_rel <= 1e-8,
         energy_identity_rel=e_rel,
         energy_positive=E > 0.0,
-        energy=E,
     )
 
 
@@ -420,12 +409,7 @@ def diagnose(report: SolveReport, constants, params: ModelParams) -> Diagnostics
 @dataclass
 class SweepEntry:
     eta: float
-    energy: float | None
-    mu: float | None
-    pohozaev_residual: float | None
-    iterations: int
-    converged: bool
-    stop_reason: str | None = None
+    report: SolveReport | None  # None when the solve raised
     error: str | None = None
 
 
@@ -435,7 +419,11 @@ class SweepReport:
     slope: float | None
     reference_slope: float
     note: str | None = None
-    reports: list = dataclass_field(default_factory=list)
+
+    @property
+    def reports(self) -> list:
+        """Each entry's SolveReport, None where its solve raised."""
+        return [e.report for e in self.entries]
 
 
 def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
@@ -472,7 +460,7 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
     n = config.grid.points_per_axis
     width_ref = float(width_ref if width_ref is not None else L_ref / 40.0)
 
-    entries, reports = [], []
+    entries = []
     for eta in etas:
         scale = (eta / eta_ref) ** growth
         grid_i = make_grid(params_base.dim, n, L_ref * scale)
@@ -481,21 +469,12 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
         config_i = replace(config, grid=grid_i, tol_grad=tol_i)
         init = sample(grid_i, "gaussian", {"width": width_ref * scale})
         try:
-            res = solve_ground_state(init, params_i, config_i)
+            entries.append(SweepEntry(eta, solve_ground_state(init, params_i, config_i)))
         except Exception as exc:
-            entries.append(SweepEntry(eta=eta, energy=None, mu=None,
-                                      pohozaev_residual=None, iterations=0,
-                                      converged=False, error=str(exc)))
-            reports.append(None)
-            continue
-        entries.append(SweepEntry(eta=eta, energy=res.energy_level, mu=res.mu,
-                                  pohozaev_residual=res.pohozaev_residual,
-                                  iterations=res.iterations,
-                                  converged=res.converged,
-                                  stop_reason=res.stop_reason))
-        reports.append(res)
+            entries.append(SweepEntry(eta, None, str(exc)))
 
-    good = [(e.eta, e.energy) for e in entries if e.converged and e.energy and e.energy > 0]
+    good = [(e.eta, e.report.energy_level) for e in entries
+            if e.report is not None and e.report.converged and e.report.energy_level > 0]
     slope = None
     note = None
     if len(good) >= 2:
@@ -506,5 +485,4 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
         note = "single-coupling sweep: table emitted, no slope fitted"
     else:
         note = "fewer than two converged entries: no slope fitted"
-    return SweepReport(entries=entries, slope=slope, reference_slope=-decay,
-                       note=note, reports=reports)
+    return SweepReport(entries=entries, slope=slope, reference_slope=-decay, note=note)

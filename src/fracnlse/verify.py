@@ -553,11 +553,16 @@ CHECKS = [
 
 
 def run_checks(constants=None, names=None) -> list:
-    """Run the table; returns CheckResult rows in registry order.
+    """Run the table, or the rows it names (an unknown name raises
+    ValueError); returns CheckResult rows in registry order.
 
     Each row draws from its own generator, seeded by (_SEED, registry
     position), so its detail does not depend on which rows are selected.
     """
+    if names is not None:
+        unknown = sorted(set(names) - {name for name, _ in CHECKS})
+        if unknown:
+            raise ValueError("unknown verify rows: %s" % ", ".join(unknown))
     ctx = _Context(constants=constants)
     rows = []
     for position, (name, fn) in enumerate(CHECKS):

@@ -298,6 +298,19 @@ def test_sweep_single_coupling(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_sweep_error_row(tmp_path):
+    # The eta = 10 entry collapses on a box far too small for it; its row
+    # carries the error and no numbers, and the sweep exits 2.
+    out = tmp_path / "sweep"
+    proc = run_cli("sweep", "--grid", "2:64:40", "--params", "0.5,3.5,10,1",
+                   "--eta", "10,20", "--tol-grad", "2e-2", "--tol-pohozaev", "1e-9",
+                   "--init-width", "12", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1] == "10,,,,0,0,,fiber degenerated"
+    assert "converged=False error=fiber degenerated" in proc.stdout.splitlines()[0]
+
+
 def test_sweep_requires_eta_list(tmp_path):
     proc = run_cli("sweep", *SOLVE_2D, "--out", str(tmp_path / "s"))
     assert proc.returncode == 1
@@ -324,24 +337,42 @@ def test_constants_single_rung_exit_two(tmp_path):
     assert len(report["refinement"]["S"]) == 1
 
 
-# None stands for a missing key.
-@pytest.mark.parametrize("key, bad", [
-    ("S_est", -0.5), ("C_est", float("nan")),
-    pytest.param("grid", None, id="missing-grid"),
+# A key of None stands for the whole report and a bad value of None for a
+# missing key; a whole report given as a str is the file's text. Each
+# message is the one error line, with {path} the report's path.
+@pytest.mark.parametrize("key, bad, message", [
+    pytest.param("S_est", -0.5, "constants report {path}: S_est must be a finite "
+                 "positive number, got -0.5", id="S_est--0.5"),
+    pytest.param("C_est", float("nan"), "constants report {path}: C_est must be a "
+                 "finite positive number, got nan", id="C_est-nan"),
+    pytest.param("grid", None, "constants report {path}: missing key 'grid'",
+                 id="missing-grid"),
     pytest.param("params", {"dim": 2, "s": 0.5, "p": 3.5, "eta": 10.0, "m": 1.0},
-                 id="other-dim-and-s"),
-    pytest.param("grid", [1, 128, 20], id="grid-not-object"),
-    pytest.param("grid", {"dim": 1.0, "n": 128, "L": 20.0}, id="float-grid-dim"),
-    pytest.param(None, [1, 2], id="report-not-object"),
+                 "constants report was measured at (N, s) = (2, 0.5), "
+                 "the run is at (N, s) = (1, 0.4)", id="other-dim-and-s"),
+    pytest.param("grid", [1, 128, 20], "constants report {path}: grid must be a "
+                 "JSON object, got [1, 128, 20]", id="grid-not-object"),
+    pytest.param("grid", {"dim": 1.0, "n": 128, "L": 20.0}, "constants report {path}: "
+                 "unsupported dimension 1.0 (must be 1, 2, or 3)", id="float-grid-dim"),
+    pytest.param(None, [1, 2], "constants report {path}: the top level must be a "
+                 "JSON object, got [1, 2]", id="report-not-object"),
+    pytest.param("params", {"dim": 1, "s": "x", "p": 6.0, "eta": 1.0, "m": 1.0},
+                 "constants report {path}: '<' not supported between instances of "
+                 "'float' and 'str'", id="string-s"),
+    pytest.param("grid", {"dim": 1, "n": 128, "L": None}, "constants report {path}: "
+                 "float() argument must be a string or a real number, not 'NoneType'",
+                 id="null-L"),
+    pytest.param(None, "{bad", "constants report {path}: Expecting property name "
+                 "enclosed in double quotes: line 1 column 2 (char 1)", id="not-json"),
 ])
-def test_solve_rejects_bad_constants_report(tmp_path, key, bad):
+def test_solve_rejects_bad_constants_report(tmp_path, key, bad, message):
     # A negative S_est once made the 1D threshold complex and the solve
     # died in a traceback with report.json cut off; it is now an input error,
     # as are a missing key, a grid that is not a JSON object or that
     # make_grid rejects, a report that is not an object (once a TypeError
     # traceback) and a report measured at another (N, s), whose threshold
-    # would certify the solve against the wrong constant. A key of None
-    # stands for the whole report.
+    # would certify the solve against the wrong constant. So are a string
+    # s, a null L and a file that is not JSON.
     report = fracnlse.ConstantsReport(
         S_est=0.64, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
         params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0)).to_dict()
@@ -352,46 +383,42 @@ def test_solve_rejects_bad_constants_report(tmp_path, key, bad):
     else:
         report[key] = bad
     path = tmp_path / "constants.json"
-    path.write_text(json.dumps(report))
+    path.write_text(report if isinstance(report, str) else json.dumps(report))
     out = tmp_path / "run"
     proc = run_cli("solve", "--grid", "1:128:20", "--params", "0.4,6,1,1",
                    "--constants", str(path), "--out", str(out))
     assert proc.returncode == 1
-    if key is None:
-        message = ("constants report %s: the top level must be a JSON object, got %r"
-                   % (path, bad))
-    elif bad is None:
-        message = "constants report %s: missing key %r" % (path, key)
-    elif isinstance(bad, dict) and key == "grid":
-        message = ("constants report %s: unsupported dimension 1.0 (must be 1, 2, or 3)"
-                   % path)
-    elif key == "grid":
-        message = "constants report %s: grid must be a JSON object, got %r" % (path, bad)
-    elif key == "params":
-        message = ("constants report was measured at (N, s) = (2, 0.5), "
-                   "the run is at (N, s) = (1, 0.4)")
-    else:
-        message = ("constants report %s: %s must be a finite positive number, got %r"
-                   % (path, key, bad))
-    assert proc.stderr.splitlines() == ["error: " + message]
+    assert proc.stderr.splitlines() == ["error: " + message.format(path=path)]
     assert not out.exists()
 
 
-def test_solve_with_constants_writes_diagnostics(tmp_path, constants_2d, params_2d):
+@pytest.fixture(scope="module")
+def solve_constants_run(tmp_path_factory, constants_2d):
+    tmp = tmp_path_factory.mktemp("solve_constants")
+    path = tmp / "constants.json"
+    fracnlse.save_constants(constants_2d, path)
+    proc = run_cli("solve", *SOLVE_2D, "--constants", str(path), "--out", str(tmp / "run"))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads((tmp / "run" / "report.json").read_text())
+
+
+def test_solve_with_constants_writes_diagnostics(solve_constants_run, constants_2d,
+                                                 params_2d):
     # The threshold margin of a converged solve lives in the diagnostics
     # block, and only there.
-    path = tmp_path / "constants.json"
-    fracnlse.save_constants(constants_2d, path)
-    out = tmp_path / "run"
-    proc = run_cli("solve", *SOLVE_2D, "--constants", str(path), "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads((out / "report.json").read_text())
+    report = solve_constants_run
     diagnostics = report["diagnostics"]
     assert diagnostics["all_ok"] is True
     expected = (fracnlse.compactness_threshold(params_2d, constants_2d)
                 - report["report"]["energy_level"])
     assert diagnostics["threshold_margin"] == pytest.approx(expected, rel=1e-12)
     assert "compactness_margin" not in report["report"]
+
+
+def test_diagnostics_restate_no_report_key(solve_constants_run):
+    # The level and the multiplier live in the report block only.
+    report = solve_constants_run
+    assert set(report["diagnostics"]) & set(report["report"]) == set()
 
 
 def test_constants_then_verify_full_pass(tmp_path):
@@ -431,3 +458,10 @@ def test_plot_detects_corrupt_csv(tmp_path, solve_run):
     assert proc.returncode == 1
     assert "corrupt CSV" in proc.stderr
     assert "line 6" in proc.stderr
+    # A "None" cell is corrupt too: the writers leave a missing value empty.
+    cells = field_csv[5].split(",")
+    cells[1] = "None"
+    (broken / "field.csv").write_text("\n".join(field_csv[:5] + [",".join(cells)]) + "\n")
+    proc = run_cli("plot", "--out", str(broken))
+    assert proc.returncode == 1
+    assert "corrupt CSV %s at line 6 (non-numeric cell)" % (broken / "field.csv") in proc.stderr

@@ -207,16 +207,23 @@ def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, ba
     pytest.param("grid", "n", 4, "grid size 4 too small", id="grid-n"),
     pytest.param("params", "dim", 1.0, "unsupported dimension 1.0", id="params-dim"),
     pytest.param("params", "s", 1.5, "s must lie in (0, 1)", id="params-s"),
+    pytest.param("params", "s", "x", "'<' not supported between", id="params-s-string"),
+    pytest.param("grid", "L", None, "float() argument must be", id="grid-L-null"),
+    pytest.param(None, None, "{bad", "Expecting property name", id="not-json"),
 ])
 def test_load_constants_names_the_file_in_grid_and_params_errors(tmp_path, params_1d,
                                                                  section, key, bad, reason):
     # make_grid and ModelParams reject these entries with their own
-    # messages; the loader puts the file in front of them.
+    # messages, as json does a file that is not JSON (a section of None:
+    # bad is the file's text); the loader puts the file in front of them.
     raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
                           params=params_1d).to_dict()
-    raw[section][key] = bad
     path = tmp_path / "constants.json"
-    path.write_text(json.dumps(raw))
+    if section is None:
+        path.write_text(bad)
+    else:
+        raw[section][key] = bad
+        path.write_text(json.dumps(raw))
     with pytest.raises(ValueError) as info:
         load_constants(path)
     assert str(info.value).startswith("constants report %s: %s" % (path, reason))

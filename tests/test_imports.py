@@ -1,9 +1,11 @@
 """Tooling guards: every name imported in src/ and tests/ is used, the
-package's export list matches what it binds, importing the package pulls
-in nothing past the standard library and numpy, and the README counts every
-row of the verify battery."""
+package's export list matches what it binds, every exported function has a
+caller outside its own module, importing the package pulls in nothing past
+the standard library and numpy, and the README counts every row of the
+verify battery."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -66,6 +68,26 @@ def test_exports_match_the_package():
     unlisted = sorted(name for name in bound
                       if not name.startswith("_") and name not in exported)
     assert not unlisted, "public names missing from __all__: %s" % unlisted
+
+
+def test_every_exported_function_has_an_outside_caller():
+    # A public function that only its own module and tests call belongs
+    # behind an underscore. load_field, the reader of a run's field.bin, is
+    # the one exception.
+    package = ROOT / "src" / "fracnlse"
+    sources = {path.stem: path.read_text() for path in package.glob("*.py")
+               if path.name != "__init__.py"}
+    sources["perfbench.run"] = (ROOT / "perfbench" / "run.py").read_text()
+    orphans = []
+    for name in sorted(set(fracnlse.__all__) - {"load_field"}):
+        obj = getattr(fracnlse, name)
+        if not inspect.isfunction(obj):
+            continue
+        home = obj.__module__.rsplit(".", 1)[-1]
+        word = re.compile(r"\b%s\b" % name)
+        if not any(word.search(text) for stem, text in sources.items() if stem != home):
+            orphans.append(name)
+    assert not orphans, "exported functions with no outside caller: %s" % orphans
 
 
 def test_readme_counts_every_battery_row():

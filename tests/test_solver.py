@@ -9,11 +9,10 @@ import pytest
 from fracnlse import (Field, ModelParams, SolveConfig, compactness_threshold,
                       diagnose, lp_norm_pow, make_grid, pohozaev,
                       pohozaev_project, renormalize_mass, sample,
-                      solve_ground_state, stationarity_residual, summarize,
-                      sweep_eta)
+                      solve_ground_state, summarize, sweep_eta)
 from fracnlse import solver
 from fracnlse.fields import _summary_values
-from fracnlse.solver import STOP_REASONS, _direction, _project
+from fracnlse.solver import STOP_REASONS, _direction, _project, _stationarity_residual
 
 # Energy levels pinned from converged (2D) and unconverged-but-stable (1D,
 # line-search exit) runs of this package; both are deterministic.
@@ -315,16 +314,16 @@ def test_anchor_2d_history_monotone(anchor_2d):
 
 
 def test_anchor_2d_pde_residual_consistent(anchor_2d, params_2d):
-    recomputed = stationarity_residual(anchor_2d.final_field, params_2d,
-                                       anchor_2d.mu)
+    recomputed = _stationarity_residual(anchor_2d.final_field, params_2d,
+                                        anchor_2d.mu)
     assert recomputed == pytest.approx(anchor_2d.pde_residual, rel=1e-10)
 
 
 def test_anchor_2d_diagnostics_all_ok(anchor_2d, constants_2d, params_2d):
     diag = diagnose(anchor_2d, constants_2d, params_2d)
     assert diag.all_ok
-    assert diag.mu < 0.0
-    assert diag.energy > 0.0
+    assert diag.multiplier_negative and anchor_2d.mu < 0.0
+    assert diag.energy_positive and anchor_2d.energy_level > 0.0
     assert diag.threshold_margin == pytest.approx(
         compactness_threshold(params_2d, constants_2d)
         - anchor_2d.energy_level, rel=1e-12)
@@ -384,14 +383,14 @@ def test_mini_sweep_slope_and_scaling(params_2d):
                       tol_pohozaev=1e-9)
     etas = [10.0, 10.0 ** 1.5]
     rep = sweep_eta(params_2d, etas, cfg, eta_ref=10.0, width_ref=12.0)
-    assert [e.converged for e in rep.entries] == [True, True]
-    assert rep.entries[0].energy == pytest.approx(0.016867117, rel=1e-4)
-    assert rep.entries[1].energy == pytest.approx(0.0017742518, rel=1e-4)
+    assert [r.converged for r in rep.reports] == [True, True]
+    assert rep.reports[0].energy_level == pytest.approx(0.016867117, rel=1e-4)
+    assert rep.reports[1].energy_level == pytest.approx(0.0017742518, rel=1e-4)
     assert rep.slope == pytest.approx(-1.9561, abs=2e-3)
     assert rep.reference_slope == pytest.approx(-2.0, rel=1e-14)
     assert rep.note is None
-    assert len(rep.reports) == 2
-    assert rep.reports[1].converged
+    assert [e.report for e in rep.entries] == rep.reports
+    assert [e.error for e in rep.entries] == [None, None]
 
 
 def test_single_coupling_sweep_notes_missing_slope(params_2d):
@@ -400,7 +399,7 @@ def test_single_coupling_sweep_notes_missing_slope(params_2d):
     rep = sweep_eta(params_2d, [10.0], cfg, width_ref=12.0)
     assert rep.slope is None
     assert "single-coupling" in rep.note
-    assert rep.entries[0].converged
+    assert rep.entries[0].report.converged
 
 
 def test_sweep_entry_error_capture(params_2d):
@@ -410,8 +409,7 @@ def test_sweep_entry_error_capture(params_2d):
                       tol_pohozaev=1e-9)
     rep = sweep_eta(params_2d, [10.0], cfg, width_ref=12.0)
     entry = rep.entries[0]
-    assert not entry.converged
-    assert entry.error is not None
-    assert "fiber degenerated" in entry.error
-    assert rep.reports[0] is None
+    assert entry.report is None
+    assert entry.error == "fiber degenerated"
+    assert rep.reports == [None]
     assert rep.slope is None

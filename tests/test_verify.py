@@ -5,6 +5,8 @@ import math
 import re
 import tracemalloc
 
+import pytest
+
 import fracnlse.constants
 import fracnlse.fiber
 import fracnlse.functionals
@@ -41,8 +43,12 @@ def test_name_filter_preserves_registry_order():
     # Registry order, not request order.
     assert [r.name for r in rows] == ["fiber-derivative-identity",
                                       "manifold-energy-identity"]
-    rows = run_checks(names=["no-such-check"])
-    assert rows == []
+
+
+def test_unknown_row_names_raise():
+    # An unknown name is an error, not an empty or shorter table.
+    with pytest.raises(ValueError, match="unknown verify rows: no-such-check, zz-check$"):
+        run_checks(names=["zz-check", "manifold-energy-identity", "no-such-check"])
 
 
 RANDOMIZED = [
