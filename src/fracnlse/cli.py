@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .constants import (estimate_constants, load_constants, save_constants,
                         sobolev_sharp_constant)
-from .fields import field_to_csv, sample, save_field
+from .fields import field_to_csv, load_field, sample, save_field
 from .grids import make_grid
 from .params import ModelParams
 from .solver import (SolveConfig, compactness_threshold, diagnose,
@@ -167,19 +167,19 @@ def _write_manifest(outdir: Path, command: str, conf: dict, artifact_names: list
 # plotting from persisted artifacts (shared by solve/sweep/plot)
 
 
-def _read_csv_rows(path: Path, expected_min_cols: int) -> list:
+def _read_csv_rows(path: Path) -> list:
+    """The first two columns of a table, with an empty cell read as nan."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or len(header) < expected_min_cols:
+        if header is None or len(header) < 2:
             raise CliError("corrupt CSV %s at line 1 (bad header)" % path)
         for lineno, row in enumerate(reader, start=2):
-            if len(row) < expected_min_cols:
+            if len(row) < 2:
                 raise CliError("corrupt CSV %s at line %d (short row)" % (path, lineno))
             try:
-                rows.append([float(cell) if cell else math.nan
-                             for cell in row[:expected_min_cols]])
+                rows.append([float(cell) if cell else math.nan for cell in row[:2]])
             except ValueError:
                 raise CliError("corrupt CSV %s at line %d (non-numeric cell)"
                                % (path, lineno))
@@ -187,18 +187,15 @@ def _read_csv_rows(path: Path, expected_min_cols: int) -> list:
 
 
 def _plot_profile(outdir: Path) -> None:
-    rows = _read_csv_rows(outdir / "field.csv", 2)
-    radii = [math.sqrt(sum(c * c for c in row[:-1])) for row in rows]
-    values = [row[-1] for row in rows]
+    field, _ = load_field(outdir / "field.bin")
     write_svg(outdir / "profile.svg",
-              profile_svg(radii, values, title="converged profile"))
+              profile_svg(field.grid.radius().ravel().tolist(),
+                          field.values.ravel().tolist(), "converged profile"))
 
 
 def _plot_sweep(outdir: Path) -> None:
-    rows = _read_csv_rows(outdir / "sweep.csv", 2)
-    xs = [r[0] for r in rows if not math.isnan(r[1]) and r[1] > 0]
-    ys = [r[1] for r in rows if not math.isnan(r[1]) and r[1] > 0]
-    if not xs:
+    rows = [r for r in _read_csv_rows(outdir / "sweep.csv") if r[1] > 0]  # drops nan
+    if not rows:
         raise CliError("sweep table %s has no positive energies to plot"
                        % (outdir / "sweep.csv"))
     ref = None
@@ -206,9 +203,8 @@ def _plot_sweep(outdir: Path) -> None:
     if slope_path.exists():
         with open(slope_path) as fh:
             ref = json.load(fh).get("reference_slope")
-    write_svg(outdir / "sweep.svg",
-              loglog_svg(xs, ys, reference_slope=ref, title="level decay",
-                         xlabel="eta", ylabel="energy"))
+    write_svg(outdir / "sweep.svg", loglog_svg([r[0] for r in rows], [r[1] for r in rows],
+                                               ref, "level decay"))
 
 
 # ----------------------------------------------------------------------
@@ -349,16 +345,14 @@ def cmd_plot(args) -> int:
         raise CliError("plot needs --out pointing at a run directory")
     outdir = Path(args.out)
     made = 0
-    if (outdir / "field.csv").exists():
-        _plot_profile(outdir)
-        print("wrote %s" % (outdir / "profile.svg"))
-        made += 1
-    if (outdir / "sweep.csv").exists():
-        _plot_sweep(outdir)
-        print("wrote %s" % (outdir / "sweep.svg"))
-        made += 1
+    for source, plot, target in (("field.bin", _plot_profile, "profile.svg"),
+                                 ("sweep.csv", _plot_sweep, "sweep.svg")):
+        if (outdir / source).exists():
+            plot(outdir)
+            print("wrote %s" % (outdir / target))
+            made += 1
     if made == 0:
-        raise CliError("no plottable inputs (field.csv or sweep.csv) in %s" % outdir)
+        raise CliError("no plottable inputs (field.bin or sweep.csv) in %s" % outdir)
     return 0
 
 

@@ -145,15 +145,15 @@ def sample(grid: GridSpec, family: str, family_params: dict | None = None,
     r2 = grid.radius() ** 2
     if family == "gaussian":
         w = float(fp.pop("width", 1.0))
-        if w <= 0.0:
-            raise ValueError("gaussian width must be positive, got %r" % (w,))
+        if not 0.0 < w < math.inf:
+            raise ValueError("gaussian width must be finite and positive, got %r" % (w,))
         _reject_extras(family, fp)
         return Field(grid, np.exp(-r2 / (2.0 * w * w)))
     if family == "bubble":
         eps = float(fp.pop("epsilon", 1.0))
         s = float(fp.pop("s"))
-        if eps <= 0.0:
-            raise ValueError("bubble scale must be positive, got %r" % (eps,))
+        if not 0.0 < eps < math.inf:
+            raise ValueError("bubble scale must be finite and positive, got %r" % (eps,))
         if not (0.0 < s < 1.0) or not (2.0 * s < grid.dim):
             raise ValueError("bubble exponent needs 0 < s < 1 and 2s < N")
         _reject_extras(family, fp)

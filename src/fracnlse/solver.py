@@ -83,8 +83,8 @@ class SolveConfig:
     init_noise: float = 0.0
 
     def __post_init__(self):
-        if not (self.tol_grad > 0.0 and self.tol_pohozaev > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.tol_grad < math.inf and 0.0 < self.tol_pohozaev < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not 0.0 <= self.init_noise < math.inf:
@@ -443,8 +443,8 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
     etas = [float(e) for e in eta_list]
     if not etas:
         raise ValueError("eta list must not be empty")
-    if any(e <= 0.0 for e in etas):
-        raise ValueError("eta values must be positive")
+    if not all(0.0 < e < math.inf for e in etas):
+        raise ValueError("eta values must be finite and positive")
     if etas != sorted(etas):
         raise ValueError("eta list must be sorted ascending")
     if config.grid is None:

@@ -26,13 +26,12 @@ def _span(values, log: bool = False):
     hi = max(values)
     if log:
         lo, hi = math.log10(lo), math.log10(hi)
-    if hi - lo < 1e-300:
-        pad = max(abs(hi), 1.0) * 0.05
-        lo, hi = lo - pad, hi + pad
-    else:
-        pad = (hi - lo) * 0.05
-        lo, hi = lo - pad, hi + pad
-    return lo, hi
+    pad = (max(abs(hi), 1.0) if hi - lo < 1e-300 else hi - lo) * 0.05
+    return lo - pad, hi + pad
+
+
+def _ticks(lo, hi):
+    return [lo + i * (hi - lo) / 4 for i in range(5)]
 
 
 class _Frame:
@@ -41,19 +40,18 @@ class _Frame:
         self.x0, self.x1 = _span(xs, logx)
         self.y0, self.y1 = _span(ys, logy)
 
-    def map_x(self, v):
-        t = math.log10(v) if self.logx else v
+    def px(self, t):
+        """Pixel column of axis coordinate t (log10 of the value on a log axis)."""
         return _LEFT + (t - self.x0) / (self.x1 - self.x0) * (_WIDTH - _LEFT - _RIGHT)
 
-    def map_y(self, v):
-        t = math.log10(v) if self.logy else v
+    def py(self, t):
         return _HEIGHT - _BOTTOM - (t - self.y0) / (self.y1 - self.y0) * (_HEIGHT - _TOP - _BOTTOM)
 
-    def ticks_x(self, k=5):
-        return [self.x0 + i * (self.x1 - self.x0) / (k - 1) for i in range(k)]
+    def map_x(self, v):
+        return self.px(math.log10(v) if self.logx else v)
 
-    def ticks_y(self, k=5):
-        return [self.y0 + i * (self.y1 - self.y0) / (k - 1) for i in range(k)]
+    def map_y(self, v):
+        return self.py(math.log10(v) if self.logy else v)
 
 
 def _axes(frame, xlabel, ylabel, title):
@@ -62,15 +60,15 @@ def _axes(frame, xlabel, ylabel, title):
     y_top, y_bot = _TOP, _HEIGHT - _BOTTOM
     parts.append('<rect x="%s" y="%s" width="%s" height="%s" fill="none" stroke="black"/>'
                  % (_px(x_left), _px(y_top), _px(x_right - x_left), _px(y_bot - y_top)))
-    for t in frame.ticks_x():
-        px = _LEFT + (t - frame.x0) / (frame.x1 - frame.x0) * (_WIDTH - _LEFT - _RIGHT)
+    for t in _ticks(frame.x0, frame.x1):
+        px = frame.px(t)
         label = _fmt(10.0 ** t) if frame.logx else _fmt(t)
         parts.append('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black"/>'
                      % (_px(px), _px(y_bot), _px(px), _px(y_bot + 5)))
         parts.append('<text x="%s" y="%s" font-size="11" text-anchor="middle">%s</text>'
                      % (_px(px), _px(y_bot + 18), label))
-    for t in frame.ticks_y():
-        py = _HEIGHT - _BOTTOM - (t - frame.y0) / (frame.y1 - frame.y0) * (_HEIGHT - _TOP - _BOTTOM)
+    for t in _ticks(frame.y0, frame.y1):
+        py = frame.py(t)
         label = _fmt(10.0 ** t) if frame.logy else _fmt(t)
         parts.append('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black"/>'
                      % (_px(x_left - 5), _px(py), _px(x_left), _px(py)))
@@ -81,9 +79,8 @@ def _axes(frame, xlabel, ylabel, title):
     parts.append('<text x="15" y="%s" font-size="12" text-anchor="middle" '
                  'transform="rotate(-90 15 %s)">%s</text>'
                  % (_px((y_top + y_bot) / 2), _px((y_top + y_bot) / 2), ylabel))
-    if title:
-        parts.append('<text x="%s" y="22" font-size="13" text-anchor="middle">%s</text>'
-                     % (_px(_WIDTH / 2), title))
+    parts.append('<text x="%s" y="22" font-size="13" text-anchor="middle">%s</text>'
+                 % (_px(_WIDTH / 2), title))
     return parts
 
 
@@ -101,34 +98,32 @@ def _document(parts) -> str:
     return head + "\n" + "\n".join(parts) + "\n</svg>\n"
 
 
-def profile_svg(radii, values, title="radial profile", xlabel="|x|",
-                ylabel="u") -> str:
+def profile_svg(radii, values, title) -> str:
     """Polyline of field value against distance from the origin."""
     order = sorted(range(len(radii)), key=lambda i: (radii[i], i))
     xs = [radii[i] for i in order]
     ys = [values[i] for i in order]
     frame = _Frame(xs, ys)
-    parts = _axes(frame, xlabel, ylabel, title)
+    parts = _axes(frame, "|x|", "u", title)
     parts.append(_polyline(frame, xs, ys, "steelblue"))
     return _document(parts)
 
 
-def loglog_svg(xs, ys, reference_slope=None, title="", xlabel="eta",
-               ylabel="energy") -> str:
-    """Log-log data polyline with circles, plus an optional reference
-    power-law line anchored at the first point."""
+def loglog_svg(xs, ys, reference_slope, title) -> str:
+    """Log-log data polyline with circles, plus a reference power-law line
+    anchored at the first point unless reference_slope is None."""
     pairs = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
     if not pairs:
         raise ValueError("log-log plot needs positive data")
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
-    all_x, all_y = list(xs), list(ys)
+    all_y = list(ys)
     ref = None
-    if reference_slope is not None and len(xs) >= 1:
+    if reference_slope is not None:
         ref = [(x, ys[0] * (x / xs[0]) ** reference_slope) for x in xs]
         all_y += [r[1] for r in ref]
-    frame = _Frame(all_x, all_y, logx=True, logy=True)
-    parts = _axes(frame, xlabel, ylabel, title)
+    frame = _Frame(xs, all_y, logx=True, logy=True)
+    parts = _axes(frame, "eta", "energy", title)
     if ref is not None:
         parts.append(_polyline(frame, [r[0] for r in ref], [r[1] for r in ref],
                                "gray", dash="6 4"))

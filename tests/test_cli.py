@@ -236,6 +236,22 @@ def test_bad_init_noise_exit_one(tmp_path, noise):
     assert not (tmp_path / "n").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--init-width", "nan", "gaussian width must be finite and positive"),
+    ("--tol-grad", "inf", "tolerances must be finite and positive"),
+    ("--params", "0.4,6,inf,1", "eta must be finite and positive"),
+], ids=["width-nan", "tol-grad-inf", "eta-inf"])
+def test_non_finite_input_exit_one(tmp_path, flag, value, message):
+    # Rejected before any solve, as one error line and no numpy warning.
+    proc = run_cli("solve", "--grid", "1:128:20", "--params", "0.4,6,10,1",
+                   flag, value, "--out", str(tmp_path / "w"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+
+
 def test_bad_grid_flag_exit_one(tmp_path):
     proc = run_cli("solve", "--grid", "2x128x120", "--out", str(tmp_path / "g"))
     assert proc.returncode == 1
@@ -445,23 +461,52 @@ def test_plot_without_inputs_exit_one(tmp_path):
     proc = run_cli("plot", "--out", str(tmp_path))
     assert proc.returncode == 1
     assert "no plottable inputs" in proc.stderr
+    # field.csv is an export only: the profile is drawn from field.bin.
+    (tmp_path / "field.csv").write_text("x1,value\n0,1\n")
+    proc = run_cli("plot", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "no plottable inputs (field.bin or sweep.csv)" in proc.stderr
+
+
+def test_profile_axis_brackets_the_field_values(solve_run):
+    # The y axis spans the field's own values, padded by 5% of their range.
+    _, out = solve_run
+    field, _ = fracnlse.load_field(out / "field.bin")
+    lo, hi = float(field.values.min()), float(field.values.max())
+    svg = (out / "profile.svg").read_text()
+    labels = [float(t) for t in re.findall(r'text-anchor="end">([^<]+)</text>', svg)]
+    assert len(labels) == 5
+    assert labels == sorted(labels)
+    assert labels[0] <= lo
+    # The labels carry six significant digits.
+    assert hi <= labels[-1] <= (hi + 0.05 * (hi - lo)) * (1.0 + 1e-5)
 
 
 def test_plot_detects_corrupt_csv(tmp_path, solve_run):
     _, out = solve_run
-    field_csv = (out / "field.csv").read_text().splitlines()
+    sweep_csv = ["eta,energy,mu,poho_residual,iterations,converged,stop_reason,error"]
+    sweep_csv += ["%g,%g,1,0,5,1,converged," % (10.0 * 2 ** k, 0.1 / 4 ** k)
+                  for k in range(5)]
     broken = tmp_path / "broken"
     broken.mkdir()
-    (broken / "field.csv").write_text(
-        "\n".join(field_csv[:5] + ["not,a,number"]) + "\n")
+    (broken / "sweep.csv").write_text(
+        "\n".join(sweep_csv[:5] + ["not,a,number"]) + "\n")
     proc = run_cli("plot", "--out", str(broken))
     assert proc.returncode == 1
     assert "corrupt CSV" in proc.stderr
     assert "line 6" in proc.stderr
     # A "None" cell is corrupt too: the writers leave a missing value empty.
-    cells = field_csv[5].split(",")
+    cells = sweep_csv[5].split(",")
     cells[1] = "None"
-    (broken / "field.csv").write_text("\n".join(field_csv[:5] + [",".join(cells)]) + "\n")
+    (broken / "sweep.csv").write_text("\n".join(sweep_csv[:5] + [",".join(cells)]) + "\n")
     proc = run_cli("plot", "--out", str(broken))
     assert proc.returncode == 1
-    assert "corrupt CSV %s at line 6 (non-numeric cell)" % (broken / "field.csv") in proc.stderr
+    assert "corrupt CSV %s at line 6 (non-numeric cell)" % (broken / "sweep.csv") in proc.stderr
+    # A field container cut short is one error line too.
+    truncated = tmp_path / "truncated"
+    truncated.mkdir()
+    (truncated / "field.bin").write_bytes((out / "field.bin").read_bytes()[:-8])
+    proc = run_cli("plot", "--out", str(truncated))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1

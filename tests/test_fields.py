@@ -409,8 +409,9 @@ def test_boundary_mass_fraction_localized_vs_wide():
 
 def test_sample_gaussian_rejects_bad_width():
     grid = make_grid(1, 64, 10.0)
-    with pytest.raises(ValueError, match="width"):
-        sample(grid, "gaussian", {"width": 0.0})
+    for width in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="width"):
+            sample(grid, "gaussian", {"width": width})
 
 
 def test_sample_bubble_profile_and_validation():
@@ -418,8 +419,9 @@ def test_sample_bubble_profile_and_validation():
     u = sample(grid, "bubble", {"epsilon": 1.0, "s": 0.5})
     r2 = grid.radius() ** 2
     assert np.allclose(u.values, (1.0 + r2) ** -0.5)
-    with pytest.raises(ValueError, match="scale"):
-        sample(grid, "bubble", {"epsilon": 0.0, "s": 0.5})
+    for epsilon in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale"):
+            sample(grid, "bubble", {"epsilon": epsilon, "s": 0.5})
     with pytest.raises(ValueError, match="2s < N"):
         sample(make_grid(1, 64, 10.0), "bubble", {"epsilon": 1.0, "s": 0.6})
 

@@ -72,14 +72,13 @@ def test_exports_match_the_package():
 
 def test_every_exported_function_has_an_outside_caller():
     # A public function that only its own module and tests call belongs
-    # behind an underscore. load_field, the reader of a run's field.bin, is
-    # the one exception.
+    # behind an underscore.
     package = ROOT / "src" / "fracnlse"
     sources = {path.stem: path.read_text() for path in package.glob("*.py")
                if path.name != "__init__.py"}
     sources["perfbench.run"] = (ROOT / "perfbench" / "run.py").read_text()
     orphans = []
-    for name in sorted(set(fracnlse.__all__) - {"load_field"}):
+    for name in sorted(set(fracnlse.__all__)):
         obj = getattr(fracnlse, name)
         if not inspect.isfunction(obj):
             continue

@@ -227,8 +227,10 @@ def test_solve_validates_inputs(params_1d, params_2d):
 
 
 def test_solve_config_validation():
-    with pytest.raises(ValueError, match="tolerances"):
-        SolveConfig(tol_grad=0.0)
+    # An infinite tolerance would pass the stopping test on the first step.
+    for bad in ({"tol_grad": 0.0}, {"tol_grad": math.inf}, {"tol_pohozaev": math.inf}):
+        with pytest.raises(ValueError, match="tolerances"):
+            SolveConfig(**bad)
     with pytest.raises(ValueError, match="max_iters"):
         SolveConfig(max_iters=0)
     for noise in (-1.0, math.nan, math.inf):
@@ -369,6 +371,8 @@ def test_sweep_validations(params_2d):
         sweep_eta(params_2d, [], cfg)
     with pytest.raises(ValueError, match="positive"):
         sweep_eta(params_2d, [-1.0, 2.0], cfg)
+    with pytest.raises(ValueError, match="finite and positive"):
+        sweep_eta(params_2d, [10.0, math.inf], cfg)
     with pytest.raises(ValueError, match="sorted"):
         sweep_eta(params_2d, [10.0, 5.0], cfg)
     with pytest.raises(ValueError, match="reference grid"):
