@@ -19,8 +19,8 @@ from .fiber import (DegenerateFiberError, FiberProfile,
                     fiber_root, scale_summary)
 from .fields import (DecayGuardError, Field, FieldSummary,
                      boundary_mass_fraction, dense_oracle_frac_laplacian,
-                     dilate, field_to_csv, frac_laplacian, load_field,
-                     lp_norm_pow, sample, save_field, seminorm_sq, summarize)
+                     dilate, frac_laplacian, load_field, lp_norm_pow,
+                     sample, save_field, seminorm_sq, summarize)
 from .functionals import (GeometryReport, energy, geometry_lower_bound,
                           gradient_field, lagrange_multiplier,
                           manifold_identity_residual, pohozaev, rho)
@@ -63,7 +63,6 @@ __all__ = [
     "fiber_energy",
     "fiber_pohozaev",
     "fiber_root",
-    "field_to_csv",
     "frac_laplacian",
     "geometry_lower_bound",
     "gn_quotient",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .constants import (estimate_constants, load_constants, save_constants,
                         sobolev_sharp_constant)
-from .fields import field_to_csv, load_field, sample, save_field
+from .fields import load_field, sample, save_field
 from .grids import make_grid
 from .params import ModelParams
 from .solver import (SolveConfig, compactness_threshold, diagnose,
@@ -233,13 +233,11 @@ def cmd_solve(args) -> int:
         for i, (e, p_abs, g) in enumerate(report.history):
             writer.writerow([i, "%.17g" % e, "%.17g" % p_abs, "%.17g" % g])
     save_field(report.final_field, outdir / "field.bin", s=params.s)
-    field_to_csv(report.final_field, outdir / "field.csv")
     _dump_json(outdir / "report.json",
                {"report": report.to_dict(), "diagnostics": diagnostics})
     _plot_profile(outdir)
     _write_manifest(outdir, "solve", conf,
-                    ["report.json", "history.csv", "field.bin", "field.csv",
-                     "profile.svg"],
+                    ["report.json", "history.csv", "field.bin", "profile.svg"],
                     {"constants": args.constants} if args.constants else None)
     print("solve: converged=%s stop=%s E=%.8g mu=%.6g |P|/A=%.3e iterations=%d"
           % (report.converged, report.stop_reason, report.energy_level, report.mu,

@@ -54,7 +54,6 @@ The map has two implementations, chosen by dimension:
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import struct
@@ -484,7 +483,7 @@ def _guard_decay(field: Field, bound: float = DECAY_GUARD_DEFAULT) -> None:
 _HEADER = struct.Struct("<qqdd")  # dim, n, L, s
 
 
-def save_field(field: Field, path, s: float = 0.0) -> None:
+def save_field(field: Field, path, s: float) -> None:
     """Flat binary container: header (dim, n, L, s), then row-major
     little-endian float64 samples."""
     with open(path, "wb") as fh:
@@ -509,18 +508,6 @@ def load_field(path) -> tuple:
                              " (truncated or trailing data)" % (left, size))
         values = np.frombuffer(fh.read(size), dtype="<f8").reshape(grid.shape)
     return Field(grid, values), float(s)
-
-
-def field_to_csv(field: Field, path) -> None:
-    """Coordinates plus value, row-major, for plotting."""
-    mesh = field.grid.meshgrid()
-    cols = [c.reshape(-1) for c in mesh] + [field.values.reshape(-1)]
-    header = ["x%d" % (i + 1) for i in range(field.grid.dim)] + ["value"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*cols):
-            writer.writerow(["%.17g" % v for v in row])
 
 
 def _check_s(s: float):

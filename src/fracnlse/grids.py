@@ -108,5 +108,5 @@ def make_grid(dim: int, points_per_axis: int, half_length: float) -> GridSpec:
         raise ValueError("grid size %d too small (need at least 8 points per axis)" % n)
     L = float(half_length)
     if not (L > 0.0) or not np.isfinite(L):
-        raise ValueError("non-positive half length %r" % (half_length,))
+        raise ValueError("half length must be finite and positive, got %r" % (half_length,))
     return GridSpec(dim=dim, points_per_axis=n, half_length=L)

@@ -216,11 +216,16 @@ def solve_ground_state(init: Field, params: ModelParams,
     if params.dim != grid.dim:
         raise ValueError("params dimension does not match the grid")
     u = np.array(init.values, dtype=float)
-    if config.init_noise > 0.0:
-        rng = np.random.default_rng(config.seed)
-        rms = math.sqrt(float(np.mean(u * u)))
-        u = u + config.init_noise * rms * rng.standard_normal(grid.shape)
-    u = _renorm(u, grid, params.m)
+    try:  # an overflowed mass would renormalize to a zero field (m / inf = 0)
+        with np.errstate(over="raise", invalid="raise"):
+            if config.init_noise > 0.0:
+                rng = np.random.default_rng(config.seed)
+                rms = math.sqrt(float(np.mean(u * u)))
+                u = u + config.init_noise * rms * rng.standard_normal(grid.shape)
+            u = _renorm(u, grid, params.m)
+    except FloatingPointError:
+        raise ValueError("the initializer's mass overflows float64 (init_noise %r)"
+                         % config.init_noise) from None
     A0 = _seminorm_sq_values(u, grid, params.s)
     if A0 <= 0.0:
         raise ValueError("initializer has zero seminorm (constant fields are inadmissible)")

@@ -10,7 +10,7 @@ table runs in well under a minute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -436,8 +436,6 @@ def _check_grid_refinement(ctx):
 
 
 def _check_geometry_gap(ctx):
-    if ctx.constants is None:
-        return SKIP, "requires constants estimates"
     rep = ctx.constants
     params = rep.params
     geo = functionals.rho(params, rep)
@@ -460,10 +458,7 @@ def _check_geometry_gap(ctx):
 
 
 def _check_geometry_radius_decay(ctx):
-    if ctx.constants is None:
-        return SKIP, "requires constants estimates"
     rep = ctx.constants
-    from dataclasses import replace
     values = []
     branches = []
     for k in range(7):
@@ -486,8 +481,6 @@ def _probe_summaries(ctx, rep):
 
 
 def _check_sobolev_inequality(ctx):
-    if ctx.constants is None:
-        return SKIP, "requires constants estimates"
     rep = ctx.constants
     lo = math.inf
     for summary in _probe_summaries(ctx, rep):
@@ -497,8 +490,6 @@ def _check_sobolev_inequality(ctx):
 
 
 def _check_gn_inequality(ctx):
-    if ctx.constants is None:
-        return SKIP, "requires constants estimates"
     rep = ctx.constants
     hi = 0.0
     for summary in _probe_summaries(ctx, rep):
@@ -509,8 +500,6 @@ def _check_gn_inequality(ctx):
 
 
 def _check_threshold_margin(ctx):
-    if ctx.constants is None:
-        return SKIP, "requires constants estimates"
     rep = ctx.constants
     if rep.params.dim == 2:
         report, params, _ = ctx.anchor2d()
@@ -551,6 +540,11 @@ CHECKS = [
     ("compactness-threshold-margin", _check_threshold_margin),
 ]
 
+# Rows that read the constants estimates; without them they are skipped.
+_NEEDS_CONSTANTS = {"geometry-gap-positivity", "geometry-radius-decay",
+                    "sobolev-inequality-with-estimate", "gn-inequality-with-estimate",
+                    "compactness-threshold-margin"}
+
 
 def run_checks(constants=None, names=None) -> list:
     """Run the table, or the rows it names (an unknown name raises
@@ -567,6 +561,9 @@ def run_checks(constants=None, names=None) -> list:
     rows = []
     for position, (name, fn) in enumerate(CHECKS):
         if names is not None and name not in names:
+            continue
+        if constants is None and name in _NEEDS_CONSTANTS:
+            rows.append(CheckResult(name, SKIP, "requires constants estimates"))
             continue
         ctx.rng = np.random.default_rng([_SEED, position])
         try:

@@ -48,14 +48,18 @@ def test_solve_exit_zero_and_artifacts(solve_run):
     proc, out = solve_run
     assert proc.returncode == 0, proc.stderr
     assert "converged=True" in proc.stdout
-    for name in ("report.json", "history.csv", "field.bin", "field.csv",
-                 "profile.svg", "manifest.json"):
+    for name in ("report.json", "history.csv", "field.bin", "profile.svg",
+                 "manifest.json"):
         assert (out / name).exists(), name
 
 
 def test_solve_report_contents(solve_run):
     _, out = solve_run
-    config = json.loads((out / "manifest.json").read_text())["config"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    # The run directory holds exactly the files its manifest records.
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["artifacts"],
+                                                            "manifest.json"])
+    config = manifest["config"]
     assert config["params"] == {"dim": "2", "s": "0.5", "p": "3.5", "eta": "10.0",
                                 "m": "1.0"}
     assert config["grid"] == {"n": "128", "L": "120.0"}
@@ -109,9 +113,8 @@ def test_manifest_checksums_reproduce(solve_run):
     assert manifest["command"] == "solve"
     assert manifest["config"]["params"]["eta"] == "10.0"
     assert manifest["inputs"] == {}
-    assert sorted(manifest["artifacts"]) == ["field.bin", "field.csv",
-                                             "history.csv", "profile.svg",
-                                             "report.json"]
+    assert sorted(manifest["artifacts"]) == ["field.bin", "history.csv",
+                                             "profile.svg", "report.json"]
     for name, digest in manifest["artifacts"].items():
         assert sha256(out / name) == digest, name
 
@@ -146,6 +149,8 @@ def test_run_replays_from_its_manifest(tmp_path, request, argv):
     first = run_cli(*argv, "--out", str(tmp_path / "first"))
     assert first.returncode in (0, 2), first.stderr
     manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    assert sorted(p.name for p in (tmp_path / "first").iterdir()) == sorted(
+        [*manifest["artifacts"], "manifest.json"])
     ini = configparser.ConfigParser(interpolation=None)
     ini.optionxform = str
     ini.read_dict(manifest["config"])
@@ -240,9 +245,13 @@ def test_bad_init_noise_exit_one(tmp_path, noise):
     ("--init-width", "nan", "gaussian width must be finite and positive"),
     ("--tol-grad", "inf", "tolerances must be finite and positive"),
     ("--params", "0.4,6,inf,1", "eta must be finite and positive"),
-], ids=["width-nan", "tol-grad-inf", "eta-inf"])
+    ("--grid", "1:128:nan", "half length must be finite and positive"),
+    ("--init-noise", "1e308", "init_noise"),
+], ids=["width-nan", "tol-grad-inf", "eta-inf", "half-length-nan", "init-noise-overflow"])
 def test_non_finite_input_exit_one(tmp_path, flag, value, message):
-    # Rejected before any solve, as one error line and no numpy warning.
+    # Rejected before any descent step, as one error line and no numpy
+    # warning; an init_noise that overflows the initializer's mass is
+    # caught where the noise is drawn.
     proc = run_cli("solve", "--grid", "1:128:20", "--params", "0.4,6,10,1",
                    flag, value, "--out", str(tmp_path / "w"))
     assert proc.returncode == 1
@@ -461,7 +470,7 @@ def test_plot_without_inputs_exit_one(tmp_path):
     proc = run_cli("plot", "--out", str(tmp_path))
     assert proc.returncode == 1
     assert "no plottable inputs" in proc.stderr
-    # field.csv is an export only: the profile is drawn from field.bin.
+    # The profile is drawn from field.bin alone: a stray table does not stand in.
     (tmp_path / "field.csv").write_text("x1,value\n0,1\n")
     proc = run_cli("plot", "--out", str(tmp_path))
     assert proc.returncode == 1

@@ -7,9 +7,8 @@ import pytest
 
 import fracnlse as F
 from fracnlse import (DecayGuardError, Field, dense_oracle_frac_laplacian,
-                      dilate, field_to_csv, frac_laplacian, load_field,
-                      lp_norm_pow, make_grid, sample, save_field,
-                      seminorm_sq, summarize)
+                      dilate, frac_laplacian, load_field, lp_norm_pow,
+                      make_grid, sample, save_field, seminorm_sq, summarize)
 
 # Trapezoid-exact quadrature of a width-1 gaussian on the default 1D box,
 # pinned after refining n and L until stable; the continuum seminorm of the
@@ -493,16 +492,3 @@ def test_field_container_size_must_match_header(tmp_path):
     path.write_bytes(F.fields._HEADER.pack(3, 2 ** 20, 5.0, 0.4) + raw[F.fields._HEADER.size:])
     with pytest.raises(ValueError, match="header implies %d " % 2 ** 63):
         load_field(path)
-
-
-def test_field_to_csv_layout(tmp_path):
-    grid = make_grid(2, 16, 4.0)
-    u = gaussian(grid, 1.0)
-    path = tmp_path / "field.csv"
-    field_to_csv(u, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,value"
-    assert len(lines) == 1 + grid.num_points
-    x1, x2, val = (float(tok) for tok in lines[1].split(","))
-    assert (x1, x2) == (-4.0, -4.0)
-    assert val == pytest.approx(u.values[0, 0], rel=1e-15)

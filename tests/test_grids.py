@@ -102,5 +102,6 @@ def test_make_grid_rejects_bad_half_length():
         make_grid(1, 64, 0.0)
     with pytest.raises(ValueError, match="half length"):
         make_grid(1, 64, -3.0)
-    with pytest.raises(ValueError, match="half length"):
-        make_grid(1, 64, float("nan"))
+    for L in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="half length must be finite"):
+            make_grid(1, 64, L)
