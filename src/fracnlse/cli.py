@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
 
 from .constants import (estimate_constants, load_constants, save_constants,
@@ -219,14 +219,12 @@ def cmd_solve(args) -> int:
     constants = load_constants(args.constants) if args.constants else None
     if constants is not None:
         compactness_threshold(params, constants)  # rejects another (N, s)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     init = sample(grid, "gaussian", {"width": init_width})
     report = solve_ground_state(init, params, solve_cfg)
-    diagnostics = None
-    if report.converged and constants is not None:
-        diagnostics = diagnose(report, constants, params).to_dict()
+    diagnostics = asdict(diagnose(report, params, constants)) if report.converged else None
 
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "history.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "energy", "pohozaev_abs", "grad_norm"])
@@ -255,13 +253,13 @@ def cmd_sweep(args) -> int:
         raise CliError("bad eta list %r" % eta_raw)
     if not etas:
         raise CliError("sweep needs a non-empty eta list (--eta or [sweep] eta)")
-    outdir.mkdir(parents=True, exist_ok=True)
 
     try:
         sweep = sweep_eta(params, etas, solve_cfg, width_ref=init_width)
     except ValueError as exc:
         raise CliError(str(exc))
 
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eta", "energy", "mu", "poho_residual", "iterations",
@@ -299,11 +297,8 @@ def cmd_sweep(args) -> int:
 def cmd_constants(args) -> int:
     conf = _apply_flags(_load_config(args.config), args)
     params, grid, _, _, outdir = _parse_run(conf, "constants")
-    rungs = int(conf["constants"]["rungs"])
-    if rungs < 1:
-        raise CliError("constants ladder needs at least one rung")
+    report = estimate_constants(grid, params, rungs=int(conf["constants"]["rungs"]))
     outdir.mkdir(parents=True, exist_ok=True)
-    report = estimate_constants(grid, params, rungs=rungs)
     save_constants(report, outdir / "constants.json")
     _write_manifest(outdir, "constants", conf, ["constants.json"])
     print("constants: S_est=%.6g C_est=%.6g converged=%s"

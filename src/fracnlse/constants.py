@@ -113,9 +113,9 @@ def save_constants(report: ConstantsReport, path) -> None:
 
 def load_constants(path) -> ConstantsReport:
     """Read a report written by save_constants. A file that is not JSON, a
-    report that is not an object, lacks a key, holds a bad constant or a
-    grid or params that make_grid or ModelParams rejects raises ValueError
-    naming the file."""
+    report that is not an object, lacks a key, holds a bad constant, a
+    grid or params that make_grid or ModelParams rejects, or a grid and
+    params of different dimensions raises ValueError naming the file."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -130,12 +130,14 @@ def load_constants(path) -> ConstantsReport:
         for key in ("grid", "params"):
             if not isinstance(raw[key], dict):
                 raise ValueError("%s must be a JSON object, got %r" % (key, raw[key]))
-        grid, pr = raw["grid"], raw["params"]
-        return ConstantsReport(
-            S_est=raw["S_est"], C_est=raw["C_est"],
-            grid=make_grid(grid["dim"], grid["n"], grid["L"]),
-            params=ModelParams(dim=pr["dim"], s=pr["s"], p=pr["p"], eta=pr["eta"], m=pr["m"]),
-            refinement=raw["refinement"], converged=raw["converged"])
+        g, pr = raw["grid"], raw["params"]
+        grid = make_grid(g["dim"], g["n"], g["L"])
+        params = ModelParams(dim=pr["dim"], s=pr["s"], p=pr["p"], eta=pr["eta"], m=pr["m"])
+        if grid.dim != params.dim:
+            raise ValueError("grid dimension %d and params dimension %d differ"
+                             % (grid.dim, params.dim))
+        return ConstantsReport(S_est=raw["S_est"], C_est=raw["C_est"], grid=grid, params=params,
+                               refinement=raw["refinement"], converged=raw["converged"])
     except KeyError as exc:
         raise ValueError("constants report %s: missing key %s" % (path, exc))
     except (TypeError, ValueError) as exc:

@@ -85,8 +85,9 @@ class SolveConfig:
     def __post_init__(self):
         if not (0.0 < self.tol_grad < math.inf and 0.0 < self.tol_pohozaev < math.inf):
             raise ValueError("tolerances must be finite and positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
+                or self.max_iters < 1):
+            raise ValueError("max_iters must be an int >= 1, got %r" % (self.max_iters,))
         if not 0.0 <= self.init_noise < math.inf:
             raise ValueError("init_noise must be finite and at least 0")
 
@@ -98,7 +99,6 @@ class SolveReport:
     energy_level: float
     pohozaev_residual: float
     mu: float
-    mu_identity_residual: float
     pde_residual: float
     iterations: int
     dilations: int  # grid dilations of the initial, realized and final projections
@@ -325,7 +325,6 @@ def _descend(u, A0, params, config, grid):
         raise RuntimeError("fiber degenerated")
     E = functionals.energy(S, params)
     mu = functionals.lagrange_multiplier(S, params)
-    mu_identity = abs(mu * S.M - params.eta * (params.zeta_p - 1.0) * S.B_p)
     final = Field(grid, u)
     return SolveReport(
         final_field=final,
@@ -333,7 +332,6 @@ def _descend(u, A0, params, config, grid):
         energy_level=E,
         pohozaev_residual=abs(functionals.pohozaev(S, params)) / S.A,
         mu=mu,
-        mu_identity_residual=mu_identity,
         pde_residual=_stationarity_residual(final, params, mu),
         iterations=iterations,
         dilations=dilations,
@@ -360,50 +358,34 @@ def compactness_threshold(params: ModelParams, constants) -> float:
 
 @dataclass
 class Diagnostics:
-    below_threshold: bool
-    threshold_margin: float
-    multiplier_negative: bool
-    multiplier_identity_ok: bool
     multiplier_identity_rel: float
-    energy_identity_ok: bool
     energy_identity_rel: float
-    energy_positive: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.below_threshold and self.multiplier_negative
-                and self.multiplier_identity_ok and self.energy_identity_ok
-                and self.energy_positive)
-
-    def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["all_ok"] = self.all_ok
-        return d
+    threshold_margin: float | None  # None without a constants report
+    all_ok: bool
 
 
-def diagnose(report: SolveReport, constants, params: ModelParams) -> Diagnostics:
-    """The five checks a converged ground state must satisfy: the level
-    sits below the compactness threshold, the multiplier is negative, the
-    multiplier identity and the manifold energy identity hold, and the
-    level is positive."""
+def diagnose(report: SolveReport, params: ModelParams, constants=None) -> Diagnostics:
+    """The verdict on a converged ground state: all_ok holds when the
+    multiplier is negative, the level positive, the multiplier identity
+    mu M = eta (zeta_p - 1) B_p and the manifold energy identity hold to
+    1e-8 relative, and, given a constants report, the level sits below
+    the compactness threshold."""
     if not report.converged:
         raise ValueError("diagnose requires a converged report")
     S = report.summary
     E = report.energy_level
     mu = report.mu
-    threshold = compactness_threshold(params, constants)
-    mu_rel = report.mu_identity_residual / max(abs(mu * S.M), 1e-300)
+    mu_rel = (abs(mu * S.M - params.eta * (params.zeta_p - 1.0) * S.B_p)
+              / max(abs(mu * S.M), 1e-300))
     e_rel = (abs(functionals.manifold_identity_residual(S, params))
              / max(abs(E), 1e-300))
+    margin = None if constants is None else compactness_threshold(params, constants) - E
     return Diagnostics(
-        below_threshold=E < threshold,
-        threshold_margin=threshold - E,
-        multiplier_negative=mu < 0.0,
-        multiplier_identity_ok=mu_rel <= 1e-8,
         multiplier_identity_rel=mu_rel,
-        energy_identity_ok=e_rel <= 1e-8,
         energy_identity_rel=e_rel,
-        energy_positive=E > 0.0,
+        threshold_margin=margin,
+        all_ok=(mu < 0.0 and E > 0.0 and mu_rel <= 1e-8 and e_rel <= 1e-8
+                and (margin is None or margin > 0.0)),
     )
 
 

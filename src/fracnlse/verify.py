@@ -21,7 +21,7 @@ from .fields import (Field, FieldSummary, _summary_values,
                      lp_norm_pow, sample, seminorm_sq, summarize)
 from .grids import make_grid
 from .params import ModelParams
-from .solver import (SolveConfig, compactness_threshold, pohozaev_project,
+from .solver import (SolveConfig, compactness_threshold, diagnose, pohozaev_project,
                      renormalize_mass, solve_ground_state)
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
@@ -418,15 +418,13 @@ def _check_converged_run(ctx):
     if not report.converged:
         return False, "anchor run did not converge"
     S = report.summary
-    mu_rel = report.mu_identity_residual / abs(report.mu * S.M)
-    e_rel = (abs(functionals.manifold_identity_residual(S, params))
-             / abs(report.energy_level))
-    resid_ok = report.pde_residual <= cfg.tol_grad * max(1.0, S.A) / math.sqrt(S.M)
-    ok = (report.mu < 0 and report.energy_level > 0 and mu_rel <= 1e-8
-          and e_rel <= 1e-8 and resid_ok
+    diag = diagnose(report, params)
+    ok = (diag.all_ok
+          and report.pde_residual <= cfg.tol_grad * max(1.0, S.A) / math.sqrt(S.M)
           and report.pohozaev_residual <= cfg.tol_pohozaev)
     return ok, ("E %.4e, mu %.3e, identity residuals %.1e/%.1e, PDE residual %.1e"
-                % (report.energy_level, report.mu, mu_rel, e_rel, report.pde_residual))
+                % (report.energy_level, report.mu, diag.multiplier_identity_rel,
+                   diag.energy_identity_rel, report.pde_residual))
 
 
 def _check_grid_refinement(ctx):

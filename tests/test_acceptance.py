@@ -21,10 +21,12 @@ solver defect; the compact regime (2D anchors, the coupling sweep) meets
 every stated bound.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fracnlse import compactness_threshold, run_checks
+from fracnlse import compactness_threshold, diagnose, run_checks
 
 
 @pytest.fixture
@@ -98,18 +100,17 @@ def test_criterion_05_baseline_ground_state(baseline_runs_1d, verdict):
     assert ok, msg
 
 
-def test_criterion_06_multiplier_identity(acceptance_sweep, anchor_2d, verdict):
-    reports = [r for r in acceptance_sweep.reports if r is not None]
-    reports.append(anchor_2d)
-    assert all(r.converged for r in reports)
-    worst = 0.0
-    for r in reports:
-        rel = r.mu_identity_residual / abs(r.mu * r.summary.M)
-        worst = max(worst, rel)
+def test_criterion_06_multiplier_identity(acceptance_sweep, anchor_2d, params_2d,
+                                          verdict):
+    solved = [(e.report, replace(params_2d, eta=e.eta))
+              for e in acceptance_sweep.entries if e.report is not None]
+    solved.append((anchor_2d, params_2d))
+    assert all(r.converged for r, _ in solved)
+    worst = max(diagnose(r, params).multiplier_identity_rel for r, params in solved)
     ok = worst <= 1e-8
     msg = verdict(6, "multiplier-identity", ok,
                   "max rel residual %.2e over %d converged solutions "
-                  "(tol 1e-8)" % (worst, len(reports)))
+                  "(tol 1e-8)" % (worst, len(solved)))
     assert ok, msg
 
 

@@ -71,8 +71,10 @@ def test_solve_report_contents(solve_run):
     assert body["stop_reason"] == "converged"
     assert body["energy_level"] == pytest.approx(0.016867117, rel=1e-4)
     assert body["mu"] < 0.0
-    # No constants supplied, so no diagnostics block.
-    assert report["diagnostics"] is None
+    # Every converged solve gets the verdict; without constants there is
+    # no threshold margin.
+    assert report["diagnostics"]["all_ok"] is True
+    assert report["diagnostics"]["threshold_margin"] is None
 
 
 def test_readme_names_every_stop_reason():
@@ -128,6 +130,16 @@ def test_readme_lists_every_manifest_key(solve_run):
     names = re.findall(r"^- `([^`]+)`", block.group(1), re.M)
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(names) == sorted(manifest)
+
+
+def test_readme_lists_every_diagnostics_key():
+    # The README's list of diagnostics keys is exactly Diagnostics' fields.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"`diagnostics` block, the\s+verdict on the state:\n(.*?)\n\n", readme,
+                      re.S)
+    assert block is not None
+    names = re.findall(r"^  - `([^`]+)`", block.group(1), re.M)
+    assert sorted(names) == sorted(f.name for f in dataclasses.fields(fracnlse.Diagnostics))
 
 
 CONSTANTS_FILE = "<constants.json>"
@@ -202,6 +214,7 @@ def test_degenerate_solve_exit_one_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: fiber degenerated\n"
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -213,10 +226,12 @@ def test_degenerate_solve_exit_one_without_traceback(tmp_path):
      "unrecognized arguments: --init-noise -1 --tol-grad -5 --max-iters 0"),
     (["plot", "--out", "run", "--grid", "2:64:40", "--tol-grad", "1e-3"],
      "unrecognized arguments: --grid 2:64:40 --tol-grad 1e-3"),
+    (["constants", "--grid", "1:128:20", "--rungs", "0"], "rungs must be an int >= 1, got 0"),
 ], ids=["bad-int", "unknown-flag", "no-command", "radial-every", "verify-solve-flags",
-        "plot-solve-flags"])
+        "plot-solve-flags", "zero-rungs"])
 def test_usage_error_exit_one(tmp_path, argv, message):
-    # Exit 2 is reserved for a run that failed its quality gate.
+    # Exit 2 is reserved for a run that failed its quality gate, and a run
+    # that exits 1 leaves no run directory (runs/<command> by default).
     proc = run_cli(*argv, cwd=tmp_path)
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -259,6 +274,7 @@ def test_non_finite_input_exit_one(tmp_path, flag, value, message):
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr
+    assert not (tmp_path / "w").exists()
 
 
 def test_bad_grid_flag_exit_one(tmp_path):
@@ -362,6 +378,12 @@ def test_constants_single_rung_exit_two(tmp_path):
     assert len(report["refinement"]["S"]) == 1
 
 
+# A whole report measured at (N, s) = (2, 0.5), valid on its own.
+REPORT_2D = fracnlse.ConstantsReport(
+    S_est=1.7, C_est=0.76, grid=fracnlse.make_grid(2, 128, 20.0),
+    params=fracnlse.ModelParams(dim=2, s=0.5, p=3.5, eta=10.0, m=1.0)).to_dict()
+
+
 # A key of None stands for the whole report and a bad value of None for a
 # missing key; a whole report given as a str is the file's text. Each
 # message is the one error line, with {path} the report's path.
@@ -372,8 +394,7 @@ def test_constants_single_rung_exit_two(tmp_path):
                  "finite positive number, got nan", id="C_est-nan"),
     pytest.param("grid", None, "constants report {path}: missing key 'grid'",
                  id="missing-grid"),
-    pytest.param("params", {"dim": 2, "s": 0.5, "p": 3.5, "eta": 10.0, "m": 1.0},
-                 "constants report was measured at (N, s) = (2, 0.5), "
+    pytest.param(None, REPORT_2D, "constants report was measured at (N, s) = (2, 0.5), "
                  "the run is at (N, s) = (1, 0.4)", id="other-dim-and-s"),
     pytest.param("grid", [1, 128, 20], "constants report {path}: grid must be a "
                  "JSON object, got [1, 128, 20]", id="grid-not-object"),
@@ -389,6 +410,9 @@ def test_constants_single_rung_exit_two(tmp_path):
                  id="null-L"),
     pytest.param(None, "{bad", "constants report {path}: Expecting property name "
                  "enclosed in double quotes: line 1 column 2 (char 1)", id="not-json"),
+    pytest.param("params", {"dim": 2, "s": 0.4, "p": 3.0, "eta": 1.0, "m": 1.0},
+                 "constants report {path}: grid dimension 1 and params dimension 2 "
+                 "differ", id="grid-and-params-dims-differ"),
 ])
 def test_solve_rejects_bad_constants_report(tmp_path, key, bad, message):
     # A negative S_est once made the 1D threshold complex and the solve
@@ -397,7 +421,8 @@ def test_solve_rejects_bad_constants_report(tmp_path, key, bad, message):
     # make_grid rejects, a report that is not an object (once a TypeError
     # traceback) and a report measured at another (N, s), whose threshold
     # would certify the solve against the wrong constant. So are a string
-    # s, a null L and a file that is not JSON.
+    # s, a null L, a file that is not JSON and a report whose grid and
+    # params disagree on the dimension.
     report = fracnlse.ConstantsReport(
         S_est=0.64, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
         params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0)).to_dict()

@@ -63,6 +63,21 @@ def test_quotients_reject_degenerate_summaries(params_1d):
         gn_quotient(FieldSummary(A=0.0, M=1.0, B_p=1.0, B_star=1.0), params_1d)
 
 
+def test_ladder_quotients_equal_the_public_quotients(params_1d, params_2d):
+    # The ladder descends its own value lambdas, while the verify rows and
+    # quotient-invariance evaluate sobolev_quotient and gn_quotient; an
+    # estimate is read against those, so the two must agree to the bit.
+    rng = np.random.default_rng(2)
+    for params in (params_1d, params_2d):
+        grid = make_grid(params.dim, 16, 10.0)
+        sob, neg_gn = constants._sobolev(grid, params), constants._neg_gn(grid, params)
+        for A, M, B in np.exp(rng.normal(scale=3.0, size=(1000, 3))).tolist():
+            assert sob.value(A, M, B) == sobolev_quotient(
+                FieldSummary(A=A, M=M, B_p=1.0, B_star=B), params)
+            assert -neg_gn.value(A, M, B) == gn_quotient(
+                FieldSummary(A=A, M=M, B_p=B, B_star=1.0), params)
+
+
 def test_ladder_1d_regression(constants_1d):
     rep = constants_1d
     assert rep.converged
@@ -180,13 +195,17 @@ def test_constants_round_trip(tmp_path, constants_1d):
     pytest.param([1, 128, 20], "grid", id="list-grid"),
     pytest.param("x", "params", id="str-params"),
     pytest.param([1, 2], "top level", id="list-report"),
+    pytest.param({"dim": 2, "s": 0.4, "p": 3.0, "eta": 1.0, "m": 1.0}, "params",
+                 id="2d-params-on-1d-grid"),
 ])
 def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, bad, key):
     # A negative S_est made the 1D compactness threshold complex and a NaN
     # passed through every comparison; both must fail at load time, and so
     # must a report without one of its keys, a bool for a number (bool is
     # an int to isinstance), a non-object for grid or params or for the
-    # whole report, each naming the file and the key.
+    # whole report, and params of another dimension than the grid (which
+    # would pair 1D probes with 2D exponents), each naming the file and
+    # the key.
     raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
                           params=params_1d).to_dict()
     if key == "top level":

@@ -231,8 +231,10 @@ def test_solve_config_validation():
     for bad in ({"tol_grad": 0.0}, {"tol_grad": math.inf}, {"tol_pohozaev": math.inf}):
         with pytest.raises(ValueError, match="tolerances"):
             SolveConfig(**bad)
-    with pytest.raises(ValueError, match="max_iters"):
-        SolveConfig(max_iters=0)
+    # A float budget once died in range() and True ran one iteration.
+    for iters in (0, 1.5, True):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolveConfig(max_iters=iters)
     for noise in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="init_noise"):
             SolveConfig(init_noise=noise)
@@ -306,7 +308,7 @@ def test_anchor_2d_converges_to_pinned_level(anchor_2d, params_2d):
     assert rep.energy_level == pytest.approx(ANCHOR_2D_ENERGY, rel=1e-4)
     assert rep.mu == pytest.approx(-1.6424e-2, rel=1e-3)
     assert rep.pohozaev_residual <= 1e-12
-    assert rep.mu_identity_residual <= 1e-8 * abs(rep.mu * rep.summary.M)
+    assert diagnose(rep, params_2d).multiplier_identity_rel <= 1e-8
 
 
 def test_anchor_2d_history_monotone(anchor_2d):
@@ -322,15 +324,18 @@ def test_anchor_2d_pde_residual_consistent(anchor_2d, params_2d):
 
 
 def test_anchor_2d_diagnostics_all_ok(anchor_2d, constants_2d, params_2d):
-    diag = diagnose(anchor_2d, constants_2d, params_2d)
+    diag = diagnose(anchor_2d, params_2d, constants_2d)
     assert diag.all_ok
-    assert diag.multiplier_negative and anchor_2d.mu < 0.0
-    assert diag.energy_positive and anchor_2d.energy_level > 0.0
+    assert anchor_2d.mu < 0.0 and anchor_2d.energy_level > 0.0
     assert diag.threshold_margin == pytest.approx(
         compactness_threshold(params_2d, constants_2d)
         - anchor_2d.energy_level, rel=1e-12)
-    as_dict = diag.to_dict()
-    assert as_dict["all_ok"] is True
+    # Without a constants report the verdict has no margin to judge.
+    bare = diagnose(anchor_2d, params_2d)
+    assert bare.all_ok
+    assert bare.threshold_margin is None
+    assert (bare.multiplier_identity_rel, bare.energy_identity_rel) == (
+        diag.multiplier_identity_rel, diag.energy_identity_rel)
 
 
 def test_diagnose_requires_convergence(anchor_2d, constants_2d, params_2d,
@@ -339,8 +344,9 @@ def test_diagnose_requires_convergence(anchor_2d, constants_2d, params_2d,
     init = sample(grid, "gaussian", {"width": 1.0})
     stalled = solve_ground_state(init, params_1d,
                                  SolveConfig(grid=grid, max_iters=1))
-    with pytest.raises(ValueError, match="converged"):
-        diagnose(stalled, constants_2d, params_1d)
+    for constants in (None, constants_2d):
+        with pytest.raises(ValueError, match="converged"):
+            diagnose(stalled, params_1d, constants)
 
 
 def test_anchor_1d_level_is_stable_despite_gradient_floor():
