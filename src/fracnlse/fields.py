@@ -29,18 +29,21 @@ is harmless exactly when the field decays (the guard below enforces that).
 The map has two implementations, chosen by dimension:
 
 - In 1D it is a DFT at a non-integer frequency spacing, done as a chirp
-  transform (Bluestein) built from one table. With P the frequency and Q
-  the sample index, both centred, the phase phi P Q (phi = 2 pi e^xi / n)
-  is phi/2 (P^2 + Q^2 - (P - Q)^2), so the pre-chirp, the post-chirp and
-  the convolution kernel are all gathers from w(m) = exp(i pi e^xi m^2 / n),
-  m = 0..n, and the convolution is circular of length 2n. The phase is
-  reduced modulo 2 pi in float64 without rounding error: m^2 mod 2n in
-  integers, and for e^xi - 1 = e_hi + e_lo with e_hi short enough that
-  e_hi m^2 is exact, fmod(e_hi m^2, 2n) is exact too; only the small
+  transform (Bluestein) built from one table. The samples are real, so
+  the sum runs over the rfft half spectrum, P = 0..n/2, and takes the real
+  part. With Q the centred sample index, the phase phi P Q
+  (phi = 2 pi e^xi / n) is phi/2 (P^2 + Q^2 - (P - Q)^2), so the
+  pre-chirp, the post-chirp and the convolution kernel are all gathers
+  from w(m) = exp(i pi e^xi m^2 / n), m = 0..n, and the convolution over
+  the offsets Q - P in [-n, n/2 - 1] is circular of length 3n/2. The
+  phase is reduced modulo 2 pi in float64 without rounding error: m^2 mod
+  2n in integers, and for e^xi - 1 = e_hi + e_lo with e_hi short enough
+  that e_hi m^2 is exact, fmod(e_hi m^2, 2n) is exact too; only the small
   e_lo m^2 is rounded. Without the reduction the phase loses digits once
-  n^2 |xi| outgrows the 53-bit mantissa. It costs O(n log n), so it beats
-  an explicit matrix on a single axis, and it is the reference the matrix
-  is tested against.
+  n^2 |xi| outgrows the 53-bit mantissa. The arrays that depend on n alone
+  are built once per n. It costs O(n log n), so it beats an explicit
+  matrix on a single axis, and it is the reference the matrix is tested
+  against.
 - In 2D and 3D the map is the real n x n matrix of the interpolant, the
   Dirichlet kernel in closed form (no FFT), built once per call and applied
   along every axis with one BLAS product per axis. Splitting each sample's
@@ -58,12 +61,13 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import cache
 from numbers import Real
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import GridSpec, make_grid
+from .grids import GridSpec, _read_only, make_grid
 from .params import ModelParams
 
 XI_MAX = 3.0
@@ -210,9 +214,15 @@ def _plancherel(grid: GridSpec, a: np.ndarray, b: np.ndarray,
     x += a.imag * b.imag
     if weight is not None:
         x *= weight
-    columns = np.full(x.shape[-1], 2.0)
+    return float(grid.cell_volume / grid.num_points * (x @ _hermitian_columns(x.shape[-1])).sum())
+
+
+@cache
+def _hermitian_columns(size: int) -> np.ndarray:
+    """The weights (1, 2, ..., 2, 1) of a half spectrum's last axis."""
+    columns = np.full(size, 2.0)
     columns[0] = columns[-1] = 1.0
-    return float(grid.cell_volume / grid.num_points * np.sum(x @ columns))
+    return _read_only(columns)
 
 
 def dense_oracle_frac_laplacian(field: Field, s: float) -> Field:
@@ -260,7 +270,7 @@ def lp_norm_pow(field: Field, q: float) -> float:
 
 
 def _lp_values(values: np.ndarray, grid: GridSpec, q: float) -> float:
-    return float(grid.cell_volume * np.sum(_abs_power(values, q)))
+    return float(grid.cell_volume * _abs_power(values, q).sum())
 
 
 def _abs_power(values: np.ndarray, q: float) -> np.ndarray:
@@ -341,40 +351,53 @@ def _leaves_box(xi: float, n: int, L: float) -> np.ndarray:
     return np.abs(float(np.exp(xi)) * x) >= L
 
 
+@cache
+def _chirp_tables(n: int) -> tuple:
+    """The arrays of _resample_axis that depend on n alone, read-only: m^2
+    and m^2 mod 2n for m = 0..n (float64, exact), the table indices |Q| of
+    the post-chirp and |Q - P| of the kernel at each position of the
+    convolution, and the weights gamma_P (-1)^P, P = 0..n/2."""
+    half = n // 2
+    m = np.arange(n + 1)
+    sq = m * m
+    pos = np.arange(3 * half)
+    offset = np.where(pos < n, pos, pos - 3 * half) - half
+    weight = np.full(half + 1, 2.0)
+    weight[0] = weight[-1] = 1.0
+    weight[1::2] *= -1.0
+    return tuple(_read_only(a) for a in (sq.astype(float), (sq % (2 * n)).astype(float),
+                                          np.abs(m[:n] - half), np.abs(offset), weight))
+
+
 def _resample_axis(u: np.ndarray, xi: float, n: int, L: float) -> np.ndarray:
     """Evaluate e^{xi/2} * (trig interpolant of u)(e^xi x_j) along the last
     axis, zeroing points that leave the box; leading axes are a batch.
 
-    With P = k - n/2 (k = 0..n) indexing the Nyquist-split spectrum c_P and
-    Q = j - n/2 the sample, x_j = h Q and the interpolant at e^xi x_j is
-    (1/n) sum_P c_P (-1)^P exp(i phi P Q), phi = 2 pi e^xi / n, where (-1)^P
-    shifts the box to [-L, L). The chirps are gathers from the table w of
-    the module docstring: the pre-chirp (-1)^P w(|P|), the post-chirp
-    w(|Q|) and the kernel conj(w(|P - Q|)), P - Q in [-n + 1, n], which a
-    circular convolution of length 2n holds without wrap-around. For
+    With r = rfft(u) over P = 0..n/2 and Q = j - n/2 the sample, x_j = h Q
+    and, u being real, the interpolant at e^xi x_j is
+    (1/n) Re sum_P gamma_P (-1)^P r_P exp(i phi P Q), phi = 2 pi e^xi / n,
+    with gamma_0 = gamma_{n/2} = 1 and gamma_P = 2 otherwise: the sum over
+    the full, Nyquist-split spectrum folded onto its half. (-1)^P shifts
+    the box to [-L, L). The chirps are gathers from the table w of the
+    module docstring: the pre-chirp gamma_P (-1)^P w(P), the post-chirp
+    w(|Q|) and the kernel conj(w(|Q - P|)), Q - P in [-n, n/2 - 1], which a
+    circular convolution of length 3n/2 holds without wrap-around. For
     n^2 < 2^b, e_hi keeps 53 - b bits of expm1(xi), so e_hi m^2 is exact,
     and |e_lo m^2| < |e^xi - 1| 2^{2b - 53} is rounded far below the
     rounding of the sum.
     """
+    sq, sq_mod, post, offset, weight = _chirp_tables(n)
+    half = n // 2
     e = math.expm1(xi)
     frac, expo = math.frexp(e)
     bits = 53 - (n * n).bit_length()
     e_hi = math.ldexp(round(math.ldexp(frac, bits)), expo - bits)
-    m = np.arange(n + 1)
-    sq = m * m
-    t = sq % (2 * n) + np.fmod(e_hi * sq, 2 * n) + (e - e_hi) * sq
+    t = sq_mod + np.fmod(e_hi * sq, 2 * n) + (e - e_hi) * sq
     w = np.exp((1j * np.pi / n) * np.fmod(t, 2 * n))
-    post = w[np.abs(m[:n] - n // 2)]
-    pre = w[np.abs(m - n // 2)]
-    pre[(n // 2 + 1) % 2::2] *= -1.0
-    r = np.fft.rfft(u, axis=-1)
-    c = np.concatenate([r[..., :0:-1].conj(), r], axis=-1)
-    # Split the Nyquist coefficient between +-n/2 so the interpolant stays real.
-    c[..., 0] *= 0.5
-    c[..., -1] *= 0.5
-    kernel = np.fft.fft(np.concatenate([w, w[n - 1:0:-1]]).conj())
-    y = np.fft.ifft(np.fft.fft(c * pre, 2 * n, axis=-1) * kernel, axis=-1)[..., :n]
-    v = (np.exp(0.5 * xi) / n) * (y * post).real
+    pre = np.fft.rfft(u, axis=-1) * (weight * w[:half + 1])
+    kernel = np.fft.fft(w[offset].conj())
+    y = np.fft.ifft(np.fft.fft(pre, 3 * half, axis=-1) * kernel, axis=-1)[..., :n]
+    v = (np.exp(0.5 * xi) / n) * (y * w[post]).real
     v[..., _leaves_box(xi, n, L)] = 0.0
     return v
 

@@ -8,13 +8,14 @@ Derived arrays that operator evaluations reuse (coordinates, the multiplier
 frozen and hashable, so equal grids share one cached array, which is
 therefore read-only (an in-place write raises instead of corrupting every
 equal grid). |k|^2 is read only to build a symbol, a band-limited sample
-or the classical-limit check, so it is computed on demand.
+or the classical-limit check, so it is computed on demand. The cell volume
+h^N, a factor of every quadrature sum, is computed once per grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from numbers import Integral
 
 import numpy as np
@@ -46,7 +47,7 @@ class GridSpec:
     def num_points(self) -> int:
         return self.points_per_axis ** self.dim
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return self.spacing ** self.dim
 

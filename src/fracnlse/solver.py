@@ -88,6 +88,8 @@ class SolveConfig:
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
                 or self.max_iters < 1):
             raise ValueError("max_iters must be an int >= 1, got %r" % (self.max_iters,))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError("seed must be an int >= 0, got %r" % (self.seed,))
         if not 0.0 <= self.init_noise < math.inf:
             raise ValueError("init_noise must be finite and at least 0")
 

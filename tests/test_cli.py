@@ -227,8 +227,10 @@ def test_degenerate_solve_exit_one_without_traceback(tmp_path):
     (["plot", "--out", "run", "--grid", "2:64:40", "--tol-grad", "1e-3"],
      "unrecognized arguments: --grid 2:64:40 --tol-grad 1e-3"),
     (["constants", "--grid", "1:128:20", "--rungs", "0"], "rungs must be an int >= 1, got 0"),
+    (["solve", "--grid", "1:128:20", "--params", "0.4,6,10,1", "--seed", "-1",
+      "--init-noise", "0.01", "--max-iters", "2"], "seed must be an int >= 0, got -1"),
 ], ids=["bad-int", "unknown-flag", "no-command", "radial-every", "verify-solve-flags",
-        "plot-solve-flags", "zero-rungs"])
+        "plot-solve-flags", "zero-rungs", "negative-seed"])
 def test_usage_error_exit_one(tmp_path, argv, message):
     # Exit 2 is reserved for a run that failed its quality gate, and a run
     # that exits 1 leaves no run directory (runs/<command> by default).

@@ -82,6 +82,96 @@ def test_fiber_root_contract_random_profiles(params_1d, params_2d):
                     profile, xi_star)
 
 
+def _bisection_root(profile):
+    """The fiber root by plain bisection from the same doubling bracket,
+    returning (xi, evaluations): the reference fiber_root must equal."""
+    params = profile.params
+    A, Bp, Bs = profile.base.A, profile.base.B_p, profile.base.B_star
+    cp = params.eta * params.zeta_p
+    e_star = params.two_star - 2.0
+    e_p = params.zeta_p * params.p - 2.0
+
+    def phi(t):
+        return A - t ** e_star * Bs - cp * t ** e_p * Bp
+
+    iters = 0
+    lo = hi = 1.0
+    f1 = phi(1.0)
+    if f1 > 0.0:
+        while phi(hi) > 0.0:
+            hi *= 2.0
+            iters += 1
+        lo = hi / 2.0
+    elif f1 < 0.0:
+        while phi(lo) < 0.0:
+            lo *= 0.5
+            iters += 1
+        hi = lo * 2.0
+    while hi - lo > 1e-17 * hi and iters < 200:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if phi(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        iters += 1
+    return math.log(0.5 * (lo + hi)) / params.s, iters
+
+
+def test_fiber_root_equals_bisection_bit_for_bit(params_1d, params_2d):
+    # Every point fiber_root evaluates moves the bracket as a bisection
+    # midpoint would, so it ends on the same adjacent pair. Profiles: random
+    # ones, ones whose root sits 1e-12 .. 1e-2 from xi = 0 as in the solver's
+    # projections, far roots behind 20 to 60 bracket doublings, the B_p = 0
+    # closed form, and phi(1) = 0 exactly.
+    rng = np.random.default_rng(10)
+    profiles = []
+    for params in (params_1d, params_2d):
+        cp = params.eta * params.zeta_p
+        for k in range(1200):
+            s4 = random_summary(rng)
+            if k % 3 == 1:
+                xi0 = fiber_root(FiberProfile(base=s4, params=params))
+                s4 = scale_summary(s4, xi0 + rng.normal() * 10.0 ** rng.uniform(-12, -2),
+                                   params)
+            elif k % 3 == 2 and k % 2:
+                s4 = FieldSummary(A=s4.A * 2.0 ** rng.uniform(-60, 60), M=s4.M,
+                                  B_p=s4.B_p, B_star=s4.B_star)
+            elif k % 3 == 2:
+                s4 = FieldSummary(A=s4.A, M=s4.M, B_p=0.0, B_star=s4.B_star)
+            profiles.append(FiberProfile(base=s4, params=params))
+        flat = [FieldSummary(A=3.0, M=1.0, B_p=2.0 / cp, B_star=1.0),
+                FieldSummary(A=2.0, M=1.0, B_p=0.0, B_star=2.0)]
+        assert flat[0].A - flat[0].B_star - cp * flat[0].B_p == 0.0
+        for s4 in flat:
+            assert fiber_root(FiberProfile(base=s4, params=params)) == 0.0
+            profiles.append(FiberProfile(base=s4, params=params))
+    deepest = 0.0
+    for profile in profiles:
+        xi_ref, iters_ref = _bisection_root(profile)
+        xi, iters = fiber_root(profile, return_iterations=True)
+        assert iters_ref < 200
+        assert (xi, math.copysign(1.0, xi)) == (xi_ref, math.copysign(1.0, xi_ref)), profile
+        deepest = max(deepest, abs(profile.params.s * xi) / math.log(2.0))
+    assert deepest >= 20.0
+
+
+def test_fiber_root_evaluations_near_the_root(params_1d, params_2d):
+    # The solver's projections ask for roots within about 1e-2 of xi = 0,
+    # where bisection spends about 53 evaluations and Newton a handful.
+    rng = np.random.default_rng(11)
+    counts = []
+    for params in (params_1d, params_2d):
+        for _ in range(500):
+            s4 = random_summary(rng)
+            xi0 = fiber_root(FiberProfile(base=s4, params=params))
+            near = scale_summary(s4, xi0 + rng.normal() * 10.0 ** rng.uniform(-12, -2), params)
+            counts.append(fiber_root(FiberProfile(base=near, params=params),
+                                     return_iterations=True)[1])
+    assert np.median(counts) <= 20
+
+
 def test_fiber_root_agrees_with_dense_scan(params_1d):
     rng = np.random.default_rng(4)
     s4 = random_summary(rng)

@@ -273,16 +273,17 @@ def _resample_inputs(grid):
     # adds an error that no float64 scale avoids: rounding e^xi to a double
     # moves the evaluation points by up to 1.1e-16 |e^xi x|, which at
     # |k| <= k_max/2, n = 2048, xi = 2.99 is 2.4e-14 of max|u|.
+    # On the coarsest grids the whole band lies below |k| = 2.
     kmax = np.pi / grid.spacing
     return np.stack([
         gaussian(grid, 1.0).values,
         sample(grid, "random_bandlimited",
-               {"cutoff": 2.0 / kmax, "envelope_width": 4.0}, seed=7).values])
+               {"cutoff": min(1.0, 2.0 / kmax), "envelope_width": 4.0}, seed=7).values])
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                     reason="the reference needs an extended-precision long double")
-@pytest.mark.parametrize("n", [48, 64, 256, 1024, 2048, 32768])
+@pytest.mark.parametrize("n", [48, 50, 64, 256, 1024, 2048, 32768])
 def test_resample_axis_matches_long_double_kernel(n):
     # The 1D chirp transform against the Dirichlet kernel applied in long
     # double. Its phase table is reduced modulo 2 pi in float64 without
@@ -303,12 +304,13 @@ def test_resample_axis_matches_long_double_kernel(n):
             assert np.all(err <= bound * np.abs(u).max(axis=-1)), (xi, err)
 
 
-@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("n", [8, 50, 64, 256, 1024])
 def test_resample_axis_batch_and_matrix_agree(n):
     # float64 only, so it runs where the long-double tests skip: a (3, n)
     # batch is three row-wise calls bit for bit, and the chirp transform
     # agrees with the closed-form resampling matrix at the bound the 2D
-    # per-axis test uses.
+    # per-axis test uses. n = 8 is the smallest grid, and at n = 50 the
+    # convolution length 3n/2 is odd.
     L = 20.0
     grid = make_grid(1, n, L)
     u = np.vstack([_resample_inputs(grid),
@@ -320,6 +322,27 @@ def test_resample_axis_batch_and_matrix_agree(n):
         assert np.array_equal(out, rows), xi
         ref = u @ F.fields._resampling_matrix(xi, n, L).T
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(u)), xi
+
+
+@pytest.mark.parametrize("n", [50, 1024])
+def test_transforms_per_1d_dilation(monkeypatch, n):
+    # A 1D dilation takes one rfft of the samples and three transforms of
+    # the convolution length 3n/2: the padded pre-chirped half spectrum,
+    # the kernel and the inverse.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(a, n=None, *args, **kwargs):
+            calls.append((name, np.shape(a)[-1] if n is None else n))
+            return fn(a, n, *args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    grid = make_grid(1, n, 20.0)
+    F.fields._dilate_values(gaussian(grid, 1.0).values, grid, 0.3)
+    size = 3 * n // 2
+    assert sorted(calls) == [("fft", size), ("fft", size), ("ifft", size), ("rfft", n)]
 
 
 def test_dilation_at_zero_is_identity():

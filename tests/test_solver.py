@@ -238,6 +238,10 @@ def test_solve_config_validation():
     for noise in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="init_noise"):
             SolveConfig(init_noise=noise)
+    # A float seed once passed here and died in the noise draw.
+    for seed in (1.5, True, -1):
+        with pytest.raises(ValueError, match="seed must be an int >= 0"):
+            SolveConfig(seed=seed, init_noise=0.01)
 
 
 def test_iteration_budget_reports_unconverged(params_1d):
