@@ -109,22 +109,26 @@ def fiber_root(profile: FiberProfile, return_iterations: bool = False):
     iters = 0
     lo = hi = 1.0
     f_lo = f_hi = phi(1.0)
-    if f_lo[0] > 0.0:
-        while f_hi[0] > 0.0:
-            lo, f_lo = hi, f_hi
-            hi *= 2.0
-            iters += 1
-            if iters > 200:
-                raise RuntimeError("fiber root bracket expansion failed")
-            f_hi = phi(hi)
-    elif f_lo[0] < 0.0:
-        while f_lo[0] < 0.0:
-            hi, f_hi = lo, f_lo
-            lo *= 0.5
-            iters += 1
-            if iters > 200:
-                raise RuntimeError("fiber root bracket expansion failed")
-            f_lo = phi(lo)
+    try:
+        if f_lo[0] > 0.0:
+            while f_hi[0] > 0.0:
+                lo, f_lo = hi, f_hi
+                hi *= 2.0
+                iters += 1
+                if iters > 200:
+                    raise RuntimeError("fiber root bracket expansion failed")
+                f_hi = phi(hi)
+        elif f_lo[0] < 0.0:
+            while f_lo[0] < 0.0:
+                hi, f_hi = lo, f_lo
+                lo *= 0.5
+                iters += 1
+                if iters > 200:
+                    raise RuntimeError("fiber root bracket expansion failed")
+                f_lo = phi(lo)
+    except OverflowError:
+        # t ** e_star leaves the float range before the doubling cap
+        raise RuntimeError("fiber root bracket expansion failed") from None
     # Start from the end with the shorter Newton step |phi| / slope.
     if abs(f_lo[0]) * f_hi[1] < abs(f_hi[0]) * f_lo[1]:
         x, (f, slope) = lo, f_lo

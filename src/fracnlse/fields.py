@@ -170,10 +170,11 @@ def sample(grid: GridSpec, family: str, family_params: dict | None = None,
         _reject_extras(family, fp)
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(grid.shape)
-        spec = np.fft.fftn(noise)
         kmax = np.pi * grid.points_per_axis / (2.0 * grid.half_length)
-        keep = np.sqrt(grid.wavenumber_sq()) <= cutoff * kmax
-        vals = np.fft.ifftn(spec * keep).real
+        # |k| on the half spectrum: symbol(0.5) is |k|^2 ** 0.5, bit for bit
+        # np.sqrt, and an even mask keeps the filtered spectrum Hermitian.
+        keep = grid.half_symbol(0.5) <= cutoff * kmax
+        vals = np.fft.irfftn(np.fft.rfftn(noise) * keep)
         if env is not None:
             vals = vals * np.exp(-r2 / (2.0 * float(env) ** 2))
         peak = np.max(np.abs(vals))

@@ -7,8 +7,9 @@ Derived arrays that operator evaluations reuse (coordinates, the multiplier
 |k|^{2s}, the boundary mask) are cached on the grid's methods: GridSpec is
 frozen and hashable, so equal grids share one cached array, which is
 therefore read-only (an in-place write raises instead of corrupting every
-equal grid). |k|^2 is read only to build a symbol, a band-limited sample
-or the classical-limit check, so it is computed on demand. The cell volume
+equal grid). |k|^2 is read only to build a symbol or the classical-limit
+check, so it is computed on demand; a band-limited sample reads |k| as the
+half symbol of order 1/2. The cell volume
 h^N, a factor of every quadrature sum, is computed once per grid.
 """
 

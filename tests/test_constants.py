@@ -424,3 +424,96 @@ def test_descent_budget_still_raises(monkeypatch, params_1d):
     monkeypatch.setattr(constants, "_MAX_ITERS", 5)
     with pytest.raises(RuntimeError, match="still improving after 5 iterations"):
         estimate_sobolev(make_grid(1, 128, 20.0), params_1d, rungs=1)
+
+
+@pytest.mark.parametrize("which", ["S", "C"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_screen_ends_at_its_slope_tolerance(monkeypatch, params_1d, params_2d, dim, which):
+    # slope_tol takes the place of _SLOPE_TOL in the slope test: a screen
+    # ends at the first direction with slope <= _SCREEN_TOL |val|, well
+    # before the same start reaches _SLOPE_TOL.
+    grid, params, u0 = kernel_case(dim, params_1d, params_2d)
+    quotient = QUOTIENTS[which][0](grid, params)
+    direction = constants._direction
+    screened = []
+
+    def spy(u, uh, parts, quotient):
+        out = direction(u, uh, parts, quotient)
+        screened.append(out[0] <= constants._SCREEN_TOL * abs(quotient.value(*parts)))
+        return out
+
+    monkeypatch.setattr(constants, "_direction", spy)
+    _, iters, ended, _ = constants._descend_quotient(u0, quotient, constants._SCREEN_TOL)
+    assert ended and iters == len(screened)
+    assert screened[-1] and not any(screened[:-1])
+    _, full_iters, _, _ = constants._descend_quotient(u0, quotient)
+    assert full_iters > iters
+
+
+def ladder_calls(monkeypatch):
+    """Record (u0, n, slope_tol, result) of every kernel call."""
+    descend, calls = constants._descend_quotient, []
+
+    def spy(u0, quotient, slope_tol=None):
+        out = descend(u0, quotient, slope_tol)
+        calls.append((u0, quotient.grid.points_per_axis, slope_tol, out))
+        return out
+
+    monkeypatch.setattr(constants, "_descend_quotient", spy)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["S", "C"])
+def test_first_rung_screens_every_start_then_finishes_the_lowest(monkeypatch, params_1d,
+                                                                 which):
+    # The first rung descends each start to _SCREEN_TOL, then the state of
+    # the lowest screened value on to _SLOPE_TOL; each later rung descends
+    # its one warm start to _SLOPE_TOL. Only finished values are traced.
+    grid = make_grid(1, 128, 20.0)
+    estimate, to_trace = {"S": (estimate_sobolev, lambda v: v),
+                          "C": (estimate_gn, lambda v: (-v) ** (1.0 / params_1d.p))}[which]
+    starts = constants._starts(grid, params_1d)
+    calls = ladder_calls(monkeypatch)
+    frag = estimate(grid, params_1d, rungs=3)
+    assert len(calls) == len(starts) + 3
+    screens, finishes = calls[:len(starts)], calls[len(starts):]
+    for (u0, n, tol, _), start in zip(screens, starts):
+        assert n == 128 and tol == constants._SCREEN_TOL
+        assert np.array_equal(u0, start)
+    values = [out[0] for _, _, _, out in screens]
+    assert min(values) < max(values)
+    lowest = min(screens, key=lambda call: call[3][0])[3]
+    assert finishes[0][0] is lowest[3]
+    assert [(n, tol) for _, n, tol, _ in finishes] == [
+        (128, constants._SLOPE_TOL), (256, constants._SLOPE_TOL), (512, constants._SLOPE_TOL)]
+    assert frag["refinement"] == [(n, to_trace(out[0])) for _, n, _, out in finishes]
+
+
+def test_screening_keeps_the_ladder_values(monkeypatch, params_1d):
+    # Finishing only the lowest screened start lands, rung by rung, where
+    # descending every start to _SLOPE_TOL does.
+    grid = make_grid(1, 128, 20.0)
+    screened = estimate_constants(grid, params_1d, rungs=2)
+    monkeypatch.setattr(constants, "_SCREEN_TOL", constants._SLOPE_TOL)
+    full = estimate_constants(grid, params_1d, rungs=2)
+    for key in ("S", "C"):
+        assert [n for n, _ in screened.refinement[key]] == [128, 256]
+        for (n, got), (_, want) in zip(screened.refinement[key], full.refinement[key]):
+            assert got == pytest.approx(want, rel=1e-10)
+    assert screened.S_est == pytest.approx(full.S_est, rel=1e-10)
+    assert screened.C_est == pytest.approx(full.C_est, rel=1e-10)
+
+
+@pytest.mark.parametrize("stage", ["screen", "finish"])
+def test_a_screen_or_finish_out_of_budget_raises(monkeypatch, params_1d, stage):
+    # A start that reports its budget spent is an error in either stage.
+    spent = constants._SCREEN_TOL if stage == "screen" else constants._SLOPE_TOL
+    descend = constants._descend_quotient
+
+    def spy(u0, quotient, slope_tol=None):
+        val, iters, ended, u = descend(u0, quotient, slope_tol)
+        return val, iters, ended and slope_tol != spent, u
+
+    monkeypatch.setattr(constants, "_descend_quotient", spy)
+    with pytest.raises(RuntimeError, match="still improving"):
+        estimate_sobolev(make_grid(1, 128, 20.0), params_1d, rungs=1)

@@ -231,3 +231,13 @@ def test_degenerate_profiles_rejected(params_1d):
         FiberProfile(base=FieldSummary(A=1.0, M=1.0, B_p=0.0, B_star=0.0),
                      params=params_1d)
     assert issubclass(DegenerateFiberError, ValueError)
+
+
+def test_fiber_root_overflowing_bracket_fails_like_the_doubling_cap(params_1d):
+    # The root sits near t = 1e75, past the point where t ** e_star (about 8
+    # here) leaves the float range, about 128 doublings and before the cap
+    # of 200: the overflow ends in the cap's RuntimeError, not OverflowError.
+    profile = FiberProfile(base=FieldSummary(A=1e300, M=1.0, B_p=1e-300, B_star=1e-300),
+                           params=params_1d)
+    with pytest.raises(RuntimeError, match="fiber root bracket expansion failed"):
+        fiber_root(profile)

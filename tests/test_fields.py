@@ -460,6 +460,24 @@ def test_sample_bandlimited_deterministic_and_bounded():
         sample(grid, "random_bandlimited", {"cutoff": 1.5})
 
 
+@pytest.mark.parametrize("dim, n", [(1, 128), (2, 32), (3, 16)])
+@pytest.mark.parametrize("cutoff", [0.1, 0.5, 1.0])
+def test_sample_bandlimited_matches_the_full_spectrum_filter(dim, n, cutoff):
+    # The sampler filters the rfftn half spectrum of its noise; the same
+    # filter on the full fftn spectrum is the oracle. cutoff = 1.0 keeps the
+    # Nyquist modes on the axes, where |k| equals k_max.
+    grid = make_grid(dim, n, 10.0)
+    kmax = np.pi * n / (2.0 * grid.half_length)
+    keep = np.sqrt(grid.wavenumber_sq()) <= cutoff * kmax
+    assert keep[(n // 2,) + (0,) * (dim - 1)] == (cutoff == 1.0)
+    noise = np.random.default_rng(7).standard_normal(grid.shape)
+    expected = np.fft.ifftn(np.fft.fftn(noise) * keep).real
+    expected /= np.max(np.abs(expected))
+    got = sample(grid, "random_bandlimited", {"cutoff": cutoff}, seed=7).values
+    assert got.shape == grid.shape
+    assert np.max(np.abs(got - expected)) <= 1e-14
+
+
 def test_sample_rejects_unknown_family_and_extras():
     grid = make_grid(1, 64, 10.0)
     with pytest.raises(ValueError, match="unknown sample family"):
