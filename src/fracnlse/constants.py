@@ -123,23 +123,28 @@ def save_constants(report: ConstantsReport, path) -> None:
         fh.write("\n")
 
 
+def _check_positive(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (math.isfinite(value) and value > 0.0)):
+        raise ValueError("%s must be a finite positive number, got %r" % (name, value))
+
+
 def load_constants(path) -> ConstantsReport:
     """Read a report written by save_constants. A file that is not JSON, a
     report that is not an object, lacks a key, holds a bad constant, a
-    grid or params that make_grid or ModelParams rejects, or a grid and
-    params of different dimensions raises ValueError naming the file."""
+    grid or params that make_grid or ModelParams rejects, a grid and
+    params of different dimensions, a refinement that is not an object
+    whose S and C are non-empty lists of [n, value] with n a grid size of
+    the report's dimension and value finite and positive, or a converged
+    that is not a JSON boolean raises ValueError naming the file."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("the top level must be a JSON object, got %r" % (raw,))
         for key in ("S_est", "C_est"):
-            value = raw[key]
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not (math.isfinite(value) and value > 0.0)):
-                raise ValueError("%s must be a finite positive number, got %r"
-                                 % (key, value))
-        for key in ("grid", "params"):
+            _check_positive(key, raw[key])
+        for key in ("grid", "params", "refinement"):
             if not isinstance(raw[key], dict):
                 raise ValueError("%s must be a JSON object, got %r" % (key, raw[key]))
         g, pr = raw["grid"], raw["params"]
@@ -148,6 +153,20 @@ def load_constants(path) -> ConstantsReport:
         if grid.dim != params.dim:
             raise ValueError("grid dimension %d and params dimension %d differ"
                              % (grid.dim, params.dim))
+        for label in ("S", "C"):
+            trace = raw["refinement"].get(label)
+            if not (isinstance(trace, list) and trace
+                    and all(isinstance(r, list) and len(r) == 2 for r in trace)):
+                raise ValueError("refinement %s must be a non-empty list of [n, value], "
+                                 "got %r" % (label, trace))
+            for n, value in trace:
+                try:
+                    make_grid(grid.dim, n, grid.half_length)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError("refinement %s grid size: %s" % (label, exc)) from None
+                _check_positive("refinement %s value" % label, value)
+        if not isinstance(raw["converged"], bool):
+            raise ValueError("converged must be true or false, got %r" % (raw["converged"],))
         return ConstantsReport(S_est=raw["S_est"], C_est=raw["C_est"], grid=grid, params=params,
                                refinement=raw["refinement"], converged=raw["converged"])
     except KeyError as exc:

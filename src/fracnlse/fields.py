@@ -18,9 +18,9 @@ others, whose mirror images the half spectrum omits. The half transforms
 cost a fraction of the complex ones on the same samples, the symbol is a
 view of the full one and the weight a 1-D vector, so no second n-D array
 is cached. Grids have an even n, so irfftn recovers all n samples of the
-last axis without being told n. The public frac_laplacian runs the same
-half-spectrum operator as the solver, so the dense oracle checks the path
-the solver takes.
+last axis without being told n. The public frac_laplacian applies the
+half-spectrum symbol that the solver's gradient multiplies by, so the
+dense oracle checks the operator the descent runs.
 
 Dilation (xi * u)(x) = e^{N xi / 2} u(e^xi x) is realized by evaluating the
 trigonometric interpolant of u at the scaled points, one axis at a time with
@@ -142,7 +142,8 @@ def sample(grid: GridSpec, family: str, family_params: dict | None = None,
     bubble:             (eps^2 + |x|^2)^{-(N-2s)/2},  params {"epsilon": eps, "s": s}
     random_bandlimited: white noise with modes above cutoff*k_max removed,
                         params {"cutoff": f in (0,1], "envelope_width": w or None},
-                        deterministic given seed
+                        deterministic given seed; a finite w > 0 applies
+                        the envelope exp(-|x|^2 / (2 w^2))
     """
     fp = dict(family_params or {})
     r2 = grid.radius() ** 2
@@ -167,6 +168,11 @@ def sample(grid: GridSpec, family: str, family_params: dict | None = None,
         env = fp.pop("envelope_width", None)
         if not (0.0 < cutoff <= 1.0):
             raise ValueError("cutoff fraction must lie in (0, 1], got %r" % (cutoff,))
+        if env is not None:
+            env = float(env)
+            if not 0.0 < env < math.inf:
+                raise ValueError("envelope width must be None or finite and positive, "
+                                 "got %r" % (env,))
         _reject_extras(family, fp)
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(grid.shape)
@@ -176,7 +182,7 @@ def sample(grid: GridSpec, family: str, family_params: dict | None = None,
         keep = grid.half_symbol(0.5) <= cutoff * kmax
         vals = np.fft.irfftn(np.fft.rfftn(noise) * keep)
         if env is not None:
-            vals = vals * np.exp(-r2 / (2.0 * float(env) ** 2))
+            vals = vals * np.exp(-r2 / (2.0 * env ** 2))
         peak = np.max(np.abs(vals))
         if peak > 0:
             vals = vals / peak
@@ -194,15 +200,10 @@ def _reject_extras(family: str, leftover: dict):
 
 
 def frac_laplacian(field: Field, s: float) -> Field:
-    """Apply (-Delta)^s as the Fourier multiplier |k|^{2s}."""
+    """Apply (-Delta)^s as the Fourier multiplier |k|^{2s} on the half spectrum."""
     _check_s(s)
-    return Field(field.grid, _frac_laplacian_values(field.values, field.grid, s))
-
-
-def _frac_laplacian_values(values: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
-    """(-Delta)^s of real samples, no checks: the inverse rfftn of |k|^{2s}
-    times their half spectrum."""
-    return np.fft.irfftn(grid.half_symbol(s) * np.fft.rfftn(values))
+    grid = field.grid
+    return Field(grid, np.fft.irfftn(grid.half_symbol(s) * np.fft.rfftn(field.values)))
 
 
 def _plancherel(grid: GridSpec, a: np.ndarray, b: np.ndarray,
@@ -363,8 +364,7 @@ def _chirp_tables(n: int) -> tuple:
     sq = m * m
     pos = np.arange(3 * half)
     offset = np.where(pos < n, pos, pos - 3 * half) - half
-    weight = np.full(half + 1, 2.0)
-    weight[0] = weight[-1] = 1.0
+    weight = _hermitian_columns(half + 1).copy()
     weight[1::2] *= -1.0
     return tuple(_read_only(a) for a in (sq.astype(float), (sq % (2 * n)).astype(float),
                                           np.abs(m[:n] - half), np.abs(offset), weight))

@@ -1,6 +1,7 @@
-"""The variational objects: energy, Pohozaev functional, gradient,
-Lagrange multiplier, the manifold energy identity, and the small-seminorm
-geometry radius rho(m, eta).
+"""The variational objects: energy, Pohozaev functional, the energy
+gradient (written once, on the rfftn half spectrum, for the descent, the
+PDE residual and gradient_field), Lagrange multiplier, the manifold energy
+identity, and the small-seminorm geometry radius rho(m, eta).
 
 Everything scalar-valued acts on a FieldSummary (A, M, B_p, B_star), so
 the algebraic identities among these functionals hold to rounding with no
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, FieldSummary, _abs_power, _frac_laplacian_values
+from .fields import Field, FieldSummary, _abs_power
 from .grids import GridSpec
 from .params import ModelParams
 
@@ -41,20 +42,22 @@ def odd_power(values: np.ndarray, q: float) -> np.ndarray:
     return _abs_power(values, q - 2.0) * values
 
 
-def _nonlinear_values(values: np.ndarray, params: ModelParams) -> np.ndarray:
-    """N(u) = |u|^{2*_s - 2} u + eta |u|^{p-2} u, the nonlinear part of the
-    gradient."""
-    return odd_power(values, params.two_star) + params.eta * odd_power(values, params.p)
+def _gradient_half(u: np.ndarray, uh: np.ndarray, grid: GridSpec, params: ModelParams,
+                   mu: float) -> np.ndarray:
+    """The rfftn half spectrum of (-Delta)^s u - |u|^{2*_s - 2} u
+    - eta |u|^{p-2} u - mu u, the multiplier-shifted L2 gradient at real
+    samples u with half spectrum uh."""
+    nonlinear = odd_power(u, params.two_star) + params.eta * odd_power(u, params.p)
+    return (grid.half_symbol(params.s) - mu) * uh - np.fft.rfftn(nonlinear)
 
 
 def gradient_field(field: Field, params: ModelParams) -> Field:
-    """Unconstrained L2 gradient of the energy:
-    (-Delta)^s u - |u|^{2*_s - 2} u - eta |u|^{p-2} u."""
-    return Field(field.grid, _gradient_values(field.values, field.grid, params))
-
-
-def _gradient_values(values: np.ndarray, grid: GridSpec, params: ModelParams) -> np.ndarray:
-    return _frac_laplacian_values(values, grid, params.s) - _nonlinear_values(values, params)
+    """Unconstrained L2 gradient of the energy,
+    (-Delta)^s u - |u|^{2*_s - 2} u - eta |u|^{p-2} u: the descent's
+    gradient at mu = 0, transformed back."""
+    u = field.values
+    return Field(field.grid, np.fft.irfftn(_gradient_half(u, np.fft.rfftn(u), field.grid,
+                                                          params, 0.0)))
 
 
 def lagrange_multiplier(summary: FieldSummary, params: ModelParams) -> float:

@@ -10,8 +10,8 @@ tangent-projected, multiplier-shifted gradient
     mu = (A - B_star - eta B_p)/M,
 
 so the fixed point solves the Euler-Lagrange equation on the sphere. The
-loop keeps no copy of a formula: the nonlinear part of the gradient and
-the multiplier come from functionals, the fiber root and the dilation
+loop keeps no copy of a formula: the gradient, in Fourier space, and the
+multiplier come from functionals, the fiber root and the dilation
 transport of summaries from fiber, and the projection returns the
 spectrum and summary it measured last, so no state is transformed or
 summarized twice.
@@ -192,13 +192,6 @@ def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
     return Field(u.grid, values)
 
 
-def _stationarity_residual(field: Field, params: ModelParams, mu: float) -> float:
-    """Relative L2 residual of the Euler-Lagrange equation at (field, mu)."""
-    u = field.values
-    r = functionals._gradient_values(u, field.grid, params) - mu * u
-    return math.sqrt(_lp_values(r, field.grid, 2.0) / _lp_values(u, field.grid, 2.0))
-
-
 # ----------------------------------------------------------------------
 # the solve loop
 
@@ -242,7 +235,7 @@ def _direction(u, uh, S, params, grid):
     """Descent data at the projected iterate u, with uh its rfftn half
     spectrum and S its summary, formed in Fourier space.
 
-    The tangent-projected gradient is g_hat = (|k|^{2s} - mu) uh - F[N(u)]
+    The tangent-projected gradient g_hat is functionals._gradient_half
     minus its uh component, and the direction d is the tangent projection
     of F^-1[g_hat / (c0 + |k|^{2s})] with c0 = 1 + max(0, -mu); every inner
     product is taken by Plancherel on the half spectra. Returns
@@ -252,7 +245,7 @@ def _direction(u, uh, S, params, grid):
     """
     sym = grid.half_symbol(params.s)
     mu = functionals.lagrange_multiplier(S, params)
-    gh = (sym - mu) * uh - np.fft.rfftn(functionals._nonlinear_values(u, params))
+    gh = functionals._gradient_half(u, uh, grid, params, mu)
     gh -= (_plancherel(grid, gh, uh) / S.M) * uh
     gn2 = _plancherel(grid, gh, gh)
     dh = gh / ((1.0 + max(0.0, -mu)) + sym)
@@ -319,7 +312,7 @@ def _descend(u, A0, params, config, grid):
             break
         al = min(2.0 * al, 1e3)
 
-    u, _, S, k = _project(u, grid, params, rounds=25, tol=1e-12)
+    u, uh, S, k = _project(u, grid, params, rounds=25, tol=1e-12)
     dilations += k
     # The line-search exit skips the loop's guard, so the final
     # state is checked too: a collapsed iterate never comes back as a report.
@@ -327,14 +320,14 @@ def _descend(u, A0, params, config, grid):
         raise RuntimeError("fiber degenerated")
     E = functionals.energy(S, params)
     mu = functionals.lagrange_multiplier(S, params)
-    final = Field(grid, u)
+    rh = functionals._gradient_half(u, uh, grid, params, mu)  # Euler-Lagrange residual
     return SolveReport(
-        final_field=final,
+        final_field=Field(grid, u),
         summary=S,
         energy_level=E,
         pohozaev_residual=abs(functionals.pohozaev(S, params)) / S.A,
         mu=mu,
-        pde_residual=_stationarity_residual(final, params, mu),
+        pde_residual=math.sqrt(_plancherel(grid, rh, rh) / S.M),
         iterations=iterations,
         dilations=dilations,
         history=history,

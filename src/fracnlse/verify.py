@@ -285,6 +285,8 @@ def _check_fiber_root_contract(ctx):
 
 
 def _check_gradient_finite_difference(ctx):
+    """Checks gradient_field, the gradient the descent forms, at mu = 0,
+    against central differences of the energy."""
     grid = make_grid(1, 64, 8.0)
     params = ctx.params1d()
     h = grid.cell_volume

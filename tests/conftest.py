@@ -88,4 +88,4 @@ def acceptance_sweep(params_2d):
     cfg = F.SolveConfig(grid=grid, tol_grad=2e-3, tol_pohozaev=1e-9,
                         max_iters=900)
     etas = [float(e) for e in np.geomspace(10.0, 1000.0, 5)]
-    return F.sweep_eta(params_2d, etas, cfg, eta_ref=10.0, width_ref=12.0)
+    return F.sweep_eta(params_2d, etas, cfg, width_ref=12.0)

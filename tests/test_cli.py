@@ -383,7 +383,8 @@ def test_constants_single_rung_exit_two(tmp_path):
 # A whole report measured at (N, s) = (2, 0.5), valid on its own.
 REPORT_2D = fracnlse.ConstantsReport(
     S_est=1.7, C_est=0.76, grid=fracnlse.make_grid(2, 128, 20.0),
-    params=fracnlse.ModelParams(dim=2, s=0.5, p=3.5, eta=10.0, m=1.0)).to_dict()
+    params=fracnlse.ModelParams(dim=2, s=0.5, p=3.5, eta=10.0, m=1.0),
+    refinement={"S": [[128, 1.7]], "C": [[128, 0.76]]}).to_dict()
 
 
 # A key of None stands for the whole report and a bad value of None for a
@@ -482,6 +483,32 @@ def test_constants_then_verify_full_pass(tmp_path):
     proc = run_cli("verify", "--constants", str(out / "constants.json"))
     assert proc.returncode == 0, proc.stderr
     assert "24 pass, 0 fail, 0 skipped" in proc.stdout
+
+
+@pytest.mark.parametrize("key, bad, message", [
+    pytest.param("refinement", {}, "refinement S must be a non-empty list of [n, value], "
+                 "got None", id="empty-refinement"),
+    pytest.param("refinement", {"S": [["a", 0.64]], "C": [[128, 1.06]]},
+                 "refinement S grid size: invalid literal for int() with base 10: 'a'",
+                 id="str-n"),
+    pytest.param("converged", "yes", "converged must be true or false, got 'yes'",
+                 id="str-converged"),
+])
+def test_verify_rejects_malformed_constants_report(tmp_path, key, bad, message):
+    # These once loaded: the two probe-sandwich rows then failed with a
+    # raised KeyError or ValueError (exit 2), and a string converged passed
+    # (exit 0). They are input errors now, before any row runs.
+    report = fracnlse.ConstantsReport(
+        S_est=0.64, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
+        params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0),
+        refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]}).to_dict()
+    report[key] = bad
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(report))
+    proc = run_cli("verify", "--constants", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: constants report %s: %s" % (path, message)]
+    assert proc.stdout == ""
 
 
 def test_verify_without_constants_reports_skips(tmp_path):

@@ -197,6 +197,22 @@ def test_constants_round_trip(tmp_path, constants_1d):
     pytest.param([1, 2], "top level", id="list-report"),
     pytest.param({"dim": 2, "s": 0.4, "p": 3.0, "eta": 1.0, "m": 1.0}, "params",
                  id="2d-params-on-1d-grid"),
+    pytest.param({}, "refinement", id="empty-refinement"),
+    pytest.param("x", "refinement", id="str-refinement"),
+    pytest.param({"S": [], "C": [[128, 1.06]]}, "refinement", id="empty-S-trace"),
+    pytest.param({"S": [[128, 0.64]], "C": "x"}, "refinement", id="str-C-trace"),
+    pytest.param({"S": [[128]], "C": [[128, 1.06]]}, "refinement", id="short-rung"),
+    pytest.param({"S": [["a", 0.64]], "C": [[128, 1.06]]}, "refinement", id="str-n"),
+    pytest.param({"S": [[129, 0.64]], "C": [[128, 1.06]]}, "refinement", id="odd-n"),
+    pytest.param({"S": [[4, 0.64]], "C": [[128, 1.06]]}, "refinement", id="small-n"),
+    pytest.param({"S": [[128, 0.64]], "C": [[128, -1.0]]}, "refinement",
+                 id="negative-rung-value"),
+    pytest.param({"S": [[128, math.nan]], "C": [[128, 1.06]]}, "refinement",
+                 id="nan-rung-value"),
+    pytest.param({"S": [[128, True]], "C": [[128, 1.06]]}, "refinement",
+                 id="bool-rung-value"),
+    pytest.param("yes", "converged", id="str-converged"),
+    pytest.param(1, "converged", id="int-converged"),
 ])
 def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, bad, key):
     # A negative S_est made the 1D compactness threshold complex and a NaN
@@ -205,9 +221,13 @@ def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, ba
     # an int to isinstance), a non-object for grid or params or for the
     # whole report, and params of another dimension than the grid (which
     # would pair 1D probes with 2D exponents), each naming the file and
-    # the key.
+    # the key. So must a refinement that is not an object of two non-empty
+    # [n, value] traces with grid sizes and positive values (the probe
+    # sandwich reads its grid from the last S rung, and once raised inside
+    # verify's rows instead), and a converged that is not a JSON boolean.
     raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
-                          params=params_1d).to_dict()
+                          params=params_1d, refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]},
+                          converged=False).to_dict()
     if key == "top level":
         raw = bad
     elif bad is None:

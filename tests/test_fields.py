@@ -149,7 +149,7 @@ def test_half_spectrum_operator_matches_full_dft(dim, n, L, s):
     grid = make_grid(dim, n, L)
     for u in half_spectrum_inputs(grid):
         full = np.fft.ifftn(grid.symbol(s) * np.fft.fftn(u.values)).real
-        half = F.fields._frac_laplacian_values(u.values, grid, s)
+        half = frac_laplacian(u, s).values
         assert half.shape == grid.shape
         assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
 
@@ -458,6 +458,24 @@ def test_sample_bandlimited_deterministic_and_bounded():
         sample(grid, "random_bandlimited", {"cutoff": 0.0})
     with pytest.raises(ValueError, match="cutoff"):
         sample(grid, "random_bandlimited", {"cutoff": 1.5})
+
+
+def test_sample_bandlimited_envelope_width():
+    # The envelope width follows the gaussian width rule: None or finite and
+    # positive. 0 and NaN once failed as non-finite field values, -2 drew
+    # the field of +2 and inf dropped the envelope without a word.
+    grid = make_grid(1, 128, 10.0)
+    plain = sample(grid, "random_bandlimited", {"cutoff": 0.25}, seed=4)
+    assert np.array_equal(plain.values, sample(
+        grid, "random_bandlimited", {"cutoff": 0.25, "envelope_width": None}, seed=4).values)
+    wrapped = sample(grid, "random_bandlimited", {"cutoff": 0.25, "envelope_width": 2.0},
+                     seed=4).values
+    expected = plain.values * np.exp(-grid.radius() ** 2 / 8.0)
+    assert np.max(np.abs(wrapped - expected / np.max(np.abs(expected)))) <= 1e-15
+    for width in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="envelope width must be None or finite "
+                                             "and positive, got"):
+            sample(grid, "random_bandlimited", {"cutoff": 0.25, "envelope_width": width})
 
 
 @pytest.mark.parametrize("dim, n", [(1, 128), (2, 32), (3, 16)])

@@ -1,8 +1,9 @@
 """Tooling guards: every name imported in src/ and tests/ is used, the
 package's export list matches what it binds, every exported function has a
-caller outside its own module, importing the package pulls in nothing past
-the standard library and numpy, and the README counts every row of the
-verify battery."""
+caller outside its own module, every private module-level definition is
+used in src/, importing the package pulls in nothing past the standard
+library and numpy, and the README counts every row of the verify
+battery."""
 
 import ast
 import inspect
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import fracnlse
@@ -87,6 +89,28 @@ def test_every_exported_function_has_an_outside_caller():
         if not any(word.search(text) for stem, text in sources.items() if stem != home):
             orphans.append(name)
     assert not orphans, "exported functions with no outside caller: %s" % orphans
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names a subtree reads, as bare names or as attributes."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_definition_is_used_in_src():
+    # A module-level private function or class that nothing in src/ reads
+    # outside its own body is kept only for its tests; the tests should
+    # call what the package runs instead.
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src" / "fracnlse").glob("*.py"))]
+    read = sum((_references(tree) for tree in trees), Counter())
+    private = [node for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")]
+    assert len(private) > 50
+    unused = sorted(node.name for node in private
+                    if read[node.name] <= _references(node)[node.name])
+    assert not unused, "private definitions nothing in src/ uses: %s" % unused
 
 
 def test_readme_counts_every_battery_row():
