@@ -10,10 +10,8 @@ Gagliardo-Nirenberg constants, and a battery of self-verification checks
 covering the identities and inequalities the solver relies on.
 """
 
-from .constants import (ConstantsReport, estimate_constants, estimate_gn,
-                        estimate_sobolev, gn_quotient, load_constants,
-                        probe_fields, save_constants, sobolev_quotient,
-                        sobolev_sharp_constant)
+from importlib import import_module as _import_module
+
 from .fiber import (DegenerateFiberError, FiberProfile,
                     fiber_derivative_residual, fiber_energy, fiber_pohozaev,
                     fiber_root, scale_summary)
@@ -30,7 +28,27 @@ from .solver import (Diagnostics, SolveConfig, SolveReport, SweepEntry,
                      SweepReport, compactness_threshold, diagnose,
                      pohozaev_project, renormalize_mass, solve_ground_state,
                      sweep_eta)
-from .verify import CheckResult, run_checks
+
+# The constants ladder and the verify battery load on first access (PEP 562),
+# so a solve or a sweep never compiles them.
+_LAZY = {name: "constants" for name in (
+    "ConstantsReport", "estimate_constants", "estimate_gn", "estimate_sobolev",
+    "gn_quotient", "load_constants", "probe_fields", "save_constants",
+    "sobolev_quotient", "sobolev_sharp_constant")}
+_LAZY.update(CheckResult="verify", run_checks="verify")
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(_import_module("." + _LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

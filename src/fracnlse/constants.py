@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from itertools import islice
 from numbers import Integral
 
@@ -101,8 +101,8 @@ class ConstantsReport:
     C_est: float
     grid: GridSpec
     params: ModelParams
-    refinement: dict = dataclass_field(default_factory=dict)
-    converged: bool = False
+    refinement: dict
+    converged: bool
 
     def to_dict(self) -> dict:
         return {

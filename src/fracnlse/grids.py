@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -103,8 +103,12 @@ def make_grid(dim: int, points_per_axis: int, half_length: float) -> GridSpec:
     """Validated GridSpec constructor."""
     if isinstance(dim, bool) or not isinstance(dim, Integral) or dim not in (1, 2, 3):
         raise ValueError("unsupported dimension %r (must be 1, 2, or 3)" % (dim,))
-    n = int(points_per_axis)
-    if n != points_per_axis or n % 2 != 0:
+    n = points_per_axis
+    if isinstance(n, bool) or not (isinstance(n, Integral)
+                                   or isinstance(n, Real) and float(n).is_integer()):
+        raise ValueError("points per axis must be an integer, got %r" % (n,))
+    n = int(n)
+    if n % 2 != 0:
         raise ValueError("odd grid size %r (points per axis must be even)" % (points_per_axis,))
     if n < 8:
         raise ValueError("grid size %d too small (need at least 8 points per axis)" % n)

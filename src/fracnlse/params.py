@@ -43,9 +43,9 @@ class ModelParams:
             raise ValueError(
                 "2s must be smaller than the dimension: 2*%g >= %d" % (self.s, self.dim)
             )
-        if not (0.0 < self.eta < math.inf):
+        if isinstance(self.eta, bool) or not (0.0 < self.eta < math.inf):
             raise ValueError("eta must be finite and positive, got %r" % (self.eta,))
-        if not (0.0 < self.m < math.inf):
+        if isinstance(self.m, bool) or not (0.0 < self.m < math.inf):
             raise ValueError("mass parameter m must be finite and positive, got %r" % (self.m,))
         n, s, p = float(self.dim), self.s, self.p
         two_star = 2.0 * n / (n - 2.0 * s)

@@ -83,15 +83,19 @@ class SolveConfig:
     init_noise: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.tol_grad < math.inf and 0.0 < self.tol_pohozaev < math.inf):
-            raise ValueError("tolerances must be finite and positive")
+        for name in ("tol_grad", "tol_pohozaev"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0.0 < value < math.inf:
+                raise ValueError("tolerances must be finite and positive, got %s=%r"
+                                 % (name, value))
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
                 or self.max_iters < 1):
             raise ValueError("max_iters must be an int >= 1, got %r" % (self.max_iters,))
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
             raise ValueError("seed must be an int >= 0, got %r" % (self.seed,))
-        if not 0.0 <= self.init_noise < math.inf:
-            raise ValueError("init_noise must be finite and at least 0")
+        if isinstance(self.init_noise, bool) or not 0.0 <= self.init_noise < math.inf:
+            raise ValueError("init_noise must be finite and at least 0, got %r"
+                             % (self.init_noise,))
 
 
 @dataclass

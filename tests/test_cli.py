@@ -384,7 +384,7 @@ def test_constants_single_rung_exit_two(tmp_path):
 REPORT_2D = fracnlse.ConstantsReport(
     S_est=1.7, C_est=0.76, grid=fracnlse.make_grid(2, 128, 20.0),
     params=fracnlse.ModelParams(dim=2, s=0.5, p=3.5, eta=10.0, m=1.0),
-    refinement={"S": [[128, 1.7]], "C": [[128, 0.76]]}).to_dict()
+    refinement={"S": [[128, 1.7]], "C": [[128, 0.76]]}, converged=False).to_dict()
 
 
 # A key of None stands for the whole report and a bad value of None for a
@@ -428,7 +428,8 @@ def test_solve_rejects_bad_constants_report(tmp_path, key, bad, message):
     # params disagree on the dimension.
     report = fracnlse.ConstantsReport(
         S_est=0.64, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
-        params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0)).to_dict()
+        params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0),
+        refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]}, converged=False).to_dict()
     if key is None:
         report = bad
     elif bad is None:
@@ -489,8 +490,11 @@ def test_constants_then_verify_full_pass(tmp_path):
     pytest.param("refinement", {}, "refinement S must be a non-empty list of [n, value], "
                  "got None", id="empty-refinement"),
     pytest.param("refinement", {"S": [["a", 0.64]], "C": [[128, 1.06]]},
-                 "refinement S grid size: invalid literal for int() with base 10: 'a'",
+                 "refinement S grid size: points per axis must be an integer, got 'a'",
                  id="str-n"),
+    pytest.param("refinement", {"S": [["128", 0.64]], "C": [[128, 1.06]]},
+                 "refinement S grid size: points per axis must be an integer, got '128'",
+                 id="digit-str-n"),
     pytest.param("converged", "yes", "converged must be true or false, got 'yes'",
                  id="str-converged"),
 ])
@@ -501,7 +505,7 @@ def test_verify_rejects_malformed_constants_report(tmp_path, key, bad, message):
     report = fracnlse.ConstantsReport(
         S_est=0.64, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
         params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0),
-        refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]}).to_dict()
+        refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]}, converged=False).to_dict()
     report[key] = bad
     path = tmp_path / "constants.json"
     path.write_text(json.dumps(report))

@@ -185,6 +185,17 @@ def test_constants_round_trip(tmp_path, constants_1d):
     assert back.refinement == constants_1d.refinement
 
 
+def test_report_requires_its_refinement_and_verdict(params_1d):
+    # Their defaults ({} and False) once built a report that save_constants
+    # wrote and load_constants rejected.
+    grid = make_grid(1, 128, 20.0)
+    with pytest.raises(TypeError, match="'refinement' and 'converged'"):
+        ConstantsReport(S_est=0.64, C_est=1.06, grid=grid, params=params_1d)
+    with pytest.raises(TypeError, match="'converged'"):
+        ConstantsReport(S_est=0.64, C_est=1.06, grid=grid, params=params_1d,
+                        refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]})
+
+
 # None stands for a missing key.
 @pytest.mark.parametrize("bad, key", [
     *(pytest.param(bad, key, id="%r-%s" % (bad, key))
@@ -244,6 +255,8 @@ def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, ba
 @pytest.mark.parametrize("section, key, bad, reason", [
     pytest.param("grid", "dim", 1.0, "unsupported dimension 1.0", id="grid-dim"),
     pytest.param("grid", "n", 4, "grid size 4 too small", id="grid-n"),
+    pytest.param("grid", "n", "128", "points per axis must be an integer, got '128'",
+                 id="grid-n-string"),
     pytest.param("params", "dim", 1.0, "unsupported dimension 1.0", id="params-dim"),
     pytest.param("params", "s", 1.5, "s must lie in (0, 1)", id="params-s"),
     pytest.param("params", "s", "x", "'<' not supported between", id="params-s-string"),
@@ -256,7 +269,8 @@ def test_load_constants_names_the_file_in_grid_and_params_errors(tmp_path, param
     # messages, as json does a file that is not JSON (a section of None:
     # bad is the file's text); the loader puts the file in front of them.
     raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
-                          params=params_1d).to_dict()
+                          params=params_1d, refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]},
+                          converged=False).to_dict()
     path = tmp_path / "constants.json"
     if section is None:
         path.write_text(bad)

@@ -92,7 +92,8 @@ def test_multiplier_formula(params_1d):
 
 def constants_report(S, C, params):
     return ConstantsReport(S_est=S, C_est=C, grid=make_grid(params.dim, 64, 20.0),
-                           params=params)
+                           params=params, refinement={"S": [[64, S]], "C": [[64, C]]},
+                           converged=True)
 
 
 def test_rho_sobolev_branch_closed_form():

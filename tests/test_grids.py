@@ -95,6 +95,11 @@ def test_make_grid_rejects_odd_or_tiny_sizes():
         make_grid(1, 65, 10.0)
     with pytest.raises(ValueError, match="too small"):
         make_grid(1, 4, 10.0)
+    # These were once all called an odd grid size.
+    for n, shown in (("128", "'128'"), (128.5, "128.5"), (True, "True")):
+        with pytest.raises(ValueError,
+                           match="points per axis must be an integer, got %s$" % shown):
+            make_grid(1, n, 10.0)
 
 
 def test_make_grid_rejects_bad_half_length():

@@ -2,10 +2,11 @@
 package's export list matches what it binds, every exported function has a
 caller outside its own module, every private module-level definition is
 used in src/, importing the package pulls in nothing past the standard
-library and numpy, and the README counts every row of the verify
-battery."""
+library and numpy and none of the modules it loads on first use, and the
+README counts every row of the verify battery."""
 
 import ast
+import importlib
 import inspect
 import os
 import re
@@ -72,6 +73,19 @@ def test_exports_match_the_package():
     assert not unlisted, "public names missing from __all__: %s" % unlisted
 
 
+def test_lazy_names_resolve_to_their_modules():
+    # The names the package loads on first use are exported, listed by
+    # dir() and the very objects of their modules; any other name is an
+    # AttributeError, so hasattr and submodule imports keep working.
+    assert fracnlse._LAZY
+    for name, module in fracnlse._LAZY.items():
+        assert name in fracnlse.__all__
+        assert name in dir(fracnlse)
+        home = importlib.import_module("fracnlse." + module)
+        assert getattr(fracnlse, name) is getattr(home, name)
+    assert not hasattr(fracnlse, "no_such_name")
+
+
 def test_every_exported_function_has_an_outside_caller():
     # A public function that only its own module and tests call belongs
     # behind an underscore.
@@ -104,9 +118,10 @@ def test_every_private_definition_is_used_in_src():
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in sorted((ROOT / "src" / "fracnlse").glob("*.py"))]
     read = sum((_references(tree) for tree in trees), Counter())
+    # Module dunders (__getattr__, __dir__) are read by the interpreter.
     private = [node for tree in trees for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_")]
+               and node.name.startswith("_") and not node.name.endswith("__")]
     assert len(private) > 50
     unused = sorted(node.name for node in private
                     if read[node.name] <= _references(node)[node.name])
@@ -124,7 +139,9 @@ def test_readme_counts_every_battery_row():
 
 def test_package_import_loads_only_stdlib_and_numpy():
     # The cold import is part of every CLI call and of the benchmark's
-    # setup time; a third-party module pulled in at import time shows there.
+    # setup time; a third-party module pulled in at import time shows there,
+    # and so do the constants ladder and the verify battery, which a solve
+    # never runs.
     probe = ("import sys\n"
              "before = set(sys.modules)\n"
              "import fracnlse\n"
@@ -132,7 +149,10 @@ def test_package_import_loads_only_stdlib_and_numpy():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    packages = {name.split(".")[0] for name in proc.stdout.split()}
+    loaded = set(proc.stdout.split())
+    deferred = {"fracnlse." + name for name in ("constants", "verify", "cli", "svg")}
+    assert not loaded & deferred, "import fracnlse loads %s" % sorted(loaded & deferred)
+    packages = {name.split(".")[0] for name in loaded}
     assert "fracnlse" in packages
     foreign = sorted(packages - sys.stdlib_module_names - {"fracnlse", "numpy"})
     assert not foreign, "import fracnlse loads %s" % foreign

@@ -91,6 +91,11 @@ def test_params_validation_eta_and_mass_positive():
         ModelParams(dim=1, s=0.4, p=6.0, eta=float("inf"), m=1.0)
     with pytest.raises(ValueError, match="m must be finite"):
         ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=float("inf"))
+    # True once passed as a coupling or a mass of 1.
+    with pytest.raises(ValueError, match="eta must be finite and positive, got True"):
+        ModelParams(dim=1, s=0.4, p=6.0, eta=True, m=1.0)
+    with pytest.raises(ValueError, match="m must be finite and positive, got True"):
+        ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=True)
 
 
 def test_mass_critical_sits_inside_admissible_window():

@@ -232,6 +232,13 @@ def test_solve_config_validation():
     for bad in ({"tol_grad": 0.0}, {"tol_grad": math.inf}, {"tol_pohozaev": math.inf}):
         with pytest.raises(ValueError, match="tolerances"):
             SolveConfig(**bad)
+    # A bool is an int to isinstance, and True once passed as a tolerance
+    # or a noise level of 1.
+    for name in ("tol_grad", "tol_pohozaev"):
+        with pytest.raises(ValueError, match="tolerances .* got %s=True" % name):
+            SolveConfig(**{name: True})
+    with pytest.raises(ValueError, match="init_noise .* got True"):
+        SolveConfig(init_noise=True)
     # A float budget once died in range() and True ran one iteration.
     for iters in (0, 1.5, True):
         with pytest.raises(ValueError, match="max_iters"):
