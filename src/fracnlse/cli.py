@@ -54,15 +54,23 @@ _SOLVE_KNOBS = {f.name: type(f.default) for f in dataclass_fields(SolveConfig)
                 if f.name != "grid"}
 _SOLVE_FLAGS = {**_SOLVE_KNOBS, "init_width": float}
 
-_DEFAULTS = {
-    "params": {"dim": "1", "s": "0.4", "p": "6.0", "eta": "1.0", "m": "1.0"},
-    "grid": {"n": "1024", "L": "40.0"},
-    "solve": {**{name: str(getattr(SolveConfig, name)) for name in _SOLVE_KNOBS},
-              "init_width": ""},
-    "sweep": {"eta": ""},
-    "constants": {"rungs": "3"},
-    "output": {"dir": ""},
+
+def _etas(raw: str) -> list:
+    return [float(tok) for tok in raw.split(",") if tok.strip()]
+
+
+# Every INI key: its default as a file holds it, and its type (init_width is unset).
+_INI = {
+    "params": {"dim": ("1", int), "s": ("0.4", float), "p": ("6.0", float),
+               "eta": ("1.0", float), "m": ("1.0", float)},
+    "grid": {"n": ("1024", int), "L": ("40.0", float)},
+    "solve": {name: (str(getattr(SolveConfig, name, "")), kind)
+              for name, kind in _SOLVE_FLAGS.items()},
+    "sweep": {"eta": ("", _etas)},
+    "constants": {"rungs": ("3", int)},
+    "output": {"dir": ("", str)},
 }
+_WANT = {int: "an integer", float: "a number", _etas: "a comma-separated list of numbers"}
 
 # The config key each single-valued flag overrides, by argparse dest.
 _FLAG_KEYS = {**{name: ("solve", name) for name in _SOLVE_FLAGS},
@@ -71,7 +79,8 @@ _FLAG_KEYS = {**{name: ("solve", name) for name in _SOLVE_FLAGS},
 
 
 def _load_config(path: str | None) -> dict:
-    conf = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
+    conf = {sec: {key: default for key, (default, _) in keys.items()}
+            for sec, keys in _INI.items()}
     if path:
         parser = configparser.ConfigParser()
         parser.optionxform = str
@@ -119,22 +128,27 @@ def _apply_flags(conf: dict, args: argparse.Namespace) -> dict:
     return conf
 
 
-def _parse_run(conf: dict, command: str):
+def _convert(sec: str, key: str, kind, raw: str):
+    """raw as kind (an empty init_width as None), or an error naming it."""
     try:
-        params = ModelParams(dim=int(conf["params"]["dim"]),
-                             s=float(conf["params"]["s"]),
-                             p=float(conf["params"]["p"]),
-                             eta=float(conf["params"]["eta"]),
-                             m=float(conf["params"]["m"]))
-        grid = make_grid(params.dim, int(conf["grid"]["n"]), float(conf["grid"]["L"]))
-        solve_cfg = SolveConfig(grid=grid, **{
-            name: kind(conf["solve"][name]) for name, kind in _SOLVE_KNOBS.items()})
+        return None if key == "init_width" and not raw else kind(raw)
+    except ValueError:
+        raise CliError("[%s] %s must be %s, got %r" % (sec, key, _WANT[kind], raw)) from None
+
+
+def _parse_run(conf: dict, command: str) -> tuple:
+    """(params, grid, solve_cfg, init_width, etas, rungs, outdir) of a run;
+    every INI value is converted here."""
+    val = {sec: {key: _convert(sec, key, kind, conf[sec][key]) for key, (_, kind) in keys.items()}
+           for sec, keys in _INI.items()}
+    try:
+        params = ModelParams(**val["params"])
+        grid = make_grid(params.dim, val["grid"]["n"], val["grid"]["L"])
+        solve_cfg = SolveConfig(grid=grid, **{name: val["solve"][name] for name in _SOLVE_KNOBS})
     except ValueError as exc:
         raise CliError(str(exc))
-    width_raw = conf["solve"]["init_width"]
-    init_width = float(width_raw) if width_raw else None
-    outdir = Path(conf["output"]["dir"] or ("runs/%s" % command))
-    return params, grid, solve_cfg, init_width, outdir
+    return (params, grid, solve_cfg, val["solve"]["init_width"], val["sweep"]["eta"],
+            val["constants"]["rungs"], Path(val["output"]["dir"] or "runs/%s" % command))
 
 
 def _sha256(path: Path) -> str:
@@ -213,7 +227,7 @@ def _plot_sweep(outdir: Path) -> None:
 
 def cmd_solve(args) -> int:
     conf = _apply_flags(_load_config(args.config), args)
-    params, grid, solve_cfg, init_width, outdir = _parse_run(conf, "solve")
+    params, grid, solve_cfg, init_width, _, _, outdir = _parse_run(conf, "solve")
     if init_width is None:
         init_width = grid.half_length / 10.0
     constants = load_constants(args.constants) if args.constants else None
@@ -245,12 +259,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     conf = _apply_flags(_load_config(args.config), args)
-    params, _, solve_cfg, init_width, outdir = _parse_run(conf, "sweep")
-    eta_raw = conf["sweep"]["eta"]
-    try:
-        etas = [float(tok) for tok in eta_raw.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError("bad eta list %r" % eta_raw)
+    params, _, solve_cfg, init_width, etas, _, outdir = _parse_run(conf, "sweep")
     if not etas:
         raise CliError("sweep needs a non-empty eta list (--eta or [sweep] eta)")
 
@@ -296,8 +305,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_constants(args) -> int:
     conf = _apply_flags(_load_config(args.config), args)
-    params, grid, _, _, outdir = _parse_run(conf, "constants")
-    report = estimate_constants(grid, params, rungs=int(conf["constants"]["rungs"]))
+    params, grid, _, _, _, rungs, outdir = _parse_run(conf, "constants")
+    report = estimate_constants(grid, params, rungs=rungs)
     outdir.mkdir(parents=True, exist_ok=True)
     save_constants(report, outdir / "constants.json")
     _write_manifest(outdir, "constants", conf, ["constants.json"])

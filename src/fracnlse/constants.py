@@ -10,6 +10,10 @@ that single restriction restores the decaying-field optimization problem
 and is the only regularization used (grid-scale spikes are not competitive
 for either quotient and need no special handling).
 
+The ladder descends the public quotients, sobolev_quotient and the negated
+gn_quotient, that the verify rows check, with the solver's mass projection
+(at unit mass) and trial pricing.
+
 Both descents share one kernel, built like the solver's. The direction is
 the gradient preconditioned by 1 / (1 + |k|^{2s}), formed on the iterate's
 carried rfftn half spectrum, with its slope taken by Plancherel. A trial's A
@@ -61,7 +65,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .fields import FieldSummary, _lp_values, _plancherel, sample
+from .fields import FieldSummary, _lp_values, _plancherel, _quadratic_price, _renorm, sample
 from .functionals import odd_power
 from .grids import GridSpec, make_grid
 from .params import ModelParams
@@ -131,12 +135,13 @@ def _check_positive(name: str, value) -> None:
 
 def load_constants(path) -> ConstantsReport:
     """Read a report written by save_constants. A file that is not JSON, a
-    report that is not an object, lacks a key, holds a bad constant, a
-    grid or params that make_grid or ModelParams rejects, a grid and
-    params of different dimensions, a refinement that is not an object
-    whose S and C are non-empty lists of [n, value] with n a grid size of
-    the report's dimension and value finite and positive, or a converged
-    that is not a JSON boolean raises ValueError naming the file."""
+    report that is not an object, lacks a key, holds a grid or params that
+    make_grid or ModelParams rejects, a grid and params of different
+    dimensions, a refinement that is not an object whose S and C are
+    non-empty lists of [n, value] (n a grid size of the report's dimension,
+    value finite and positive), or an S_est, C_est or converged that is not
+    what the estimators read off those traces raises ValueError naming the
+    file and the key."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -165,8 +170,14 @@ def load_constants(path) -> ConstantsReport:
                 except (TypeError, ValueError) as exc:
                     raise ValueError("refinement %s grid size: %s" % (label, exc)) from None
                 _check_positive("refinement %s value" % label, value)
+            if raw[label + "_est"] != trace[-1][1]:
+                raise ValueError("%s_est %r is not %r, the value of the last refinement %s "
+                                 "rung" % (label, raw[label + "_est"], trace[-1][1], label))
         if not isinstance(raw["converged"], bool):
             raise ValueError("converged must be true or false, got %r" % (raw["converged"],))
+        if raw["converged"] != all(_ladder_converged(raw["refinement"][k]) for k in "SC"):
+            raise ValueError("converged %s disagrees with the refinement traces' 5 percent "
+                             "drift test" % json.dumps(raw["converged"]))
         return ConstantsReport(S_est=raw["S_est"], C_est=raw["C_est"], grid=grid, params=params,
                                refinement=raw["refinement"], converged=raw["converged"])
     except KeyError as exc:
@@ -188,13 +199,6 @@ _LINE_SEARCH_MAX = 60
 
 def _mean_zero(values: np.ndarray) -> np.ndarray:
     return values - np.mean(values)
-
-
-def _unit_mass(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    norm = np.sqrt(grid.cell_volume * np.sum(values * values))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero field")
-    return values / norm
 
 
 class _Quotient:
@@ -230,11 +234,10 @@ def _direction(u, uh, parts, quotient):
     with its zero mode removed (the mean-zero projection), and the
     direction is d = F^-1[g_hat / (1 + |k|^{2s})]. Returns (slope, d,
     price, gh, dh): slope = <g, d> by Plancherel, gh and dh are the half
-    spectra of g and d, and price(al) gives (A, M) of
-    u - al d from the quadratic laws A(u - al d) = A - 2 al <u, d>_s
-    + al^2 A(d) and M(u - al d) = M - 2 al <u, d> + al^2 M(d). Since
-    (1 + (-Delta)^s) d = g, the seminorm terms are <u, d>_s = <u, g> - <u, d>
-    and A(d) = <g, d> - M(d), and the M terms are sums over the grid.
+    spectra of g and d, and price(al) gives (A, M) of u - al d
+    (fields._quadratic_price). Since (1 + (-Delta)^s) d = g, the seminorm
+    terms are <u, d>_s = <u, g> - <u, d> and A(d) = <g, d> - M(d), and the
+    M terms are sums over the grid.
     """
     A, M, B = parts
     grid, sym = quotient.grid, quotient.sym
@@ -246,17 +249,12 @@ def _direction(u, uh, parts, quotient):
     slope = _plancherel(grid, gh, dh)
     M_ud = grid.cell_volume * float(np.vdot(u, d))
     M_dd = grid.cell_volume * float(np.vdot(d, d))
-    A_ud, A_dd = _plancherel(grid, uh, gh) - M_ud, slope - M_dd
-
-    def price(al):
-        return (A - al * (2.0 * A_ud - al * A_dd),
-                M - al * (2.0 * M_ud - al * M_dd))
-
+    price = _quadratic_price(A, M, _plancherel(grid, uh, gh) - M_ud, slope - M_dd,
+                             M_ud, M_dd)
     return slope, d, price, gh, dh
 
 
-def _descend_quotient(u0: np.ndarray, quotient: _Quotient,
-                      slope_tol: float | None = None) -> tuple:
+def _descend_quotient(u0: np.ndarray, quotient: _Quotient, slope_tol: float) -> tuple:
     """Preconditioned backtracking descent of a scale-invariant quotient
     from u0, kept on the unit-mass, mean-zero subspace.
 
@@ -278,21 +276,19 @@ def _descend_quotient(u0: np.ndarray, quotient: _Quotient,
 
     A start has two exits: the slope test slope <= slope_tol |val|, taken
     before any trial at the iterate, and a line search that halves
-    _LINE_SEARCH_MAX times without a decrease. slope_tol defaults to
-    _SLOPE_TOL, read at the call. Returns (value, iterations,
+    _LINE_SEARCH_MAX times without a decrease. Returns (value, iterations,
     ended, field); iterations counts the directions formed, and ended is
     False only when the iteration budget ran out first.
     """
     grid, r, value = quotient.grid, quotient.r, quotient.value
-    tol = _SLOPE_TOL if slope_tol is None else slope_tol
-    u = _unit_mass(_mean_zero(u0), grid)
+    u = _renorm(_mean_zero(u0), grid, 1.0)
     uh, A, M = _measure(u, quotient)
     parts = (A, M, _lp_values(u, grid, r))
     val = value(*parts)
     al, last = _STEP_INIT, None
     for it in range(_MAX_ITERS):
         slope, d, price, gh, dh = _direction(u, uh, parts, quotient)
-        if slope <= tol * abs(val):
+        if slope <= slope_tol * abs(val):
             return val, it + 1, True, u
         if last is not None:
             sh, gh_old, dh_old = last
@@ -326,32 +322,29 @@ def _sobolev(grid: GridSpec, params: ModelParams) -> _Quotient:
     Its gradient is 2 B*^{-2/q} [(-Delta)^s u - (A/B*) |u|^{q-2} u]; the
     constant in front is irrelevant to the direction and dropped.
     """
-    q = params.two_star
-    return _Quotient(grid, params.s, q,
-                     value=lambda A, M, B: A / B ** (2.0 / q),
+    return _Quotient(grid, params.s, params.two_star,
+                     value=lambda A, M, B: sobolev_quotient(FieldSummary(A, M, 0.0, B), params),
                      gradient=lambda A, M, B: (1.0, 0.0, A / B))
 
 
 def _neg_gn(grid: GridSpec, params: ModelParams) -> _Quotient:
-    """The negated GN quotient -B_p / den, den = A^{p zeta/2} M^{p(1-zeta)/2},
-    on grid.
+    """The negated GN quotient -Q, Q = gn_quotient = B_p / den with
+    den = A^{p zeta/2} M^{p(1-zeta)/2}, on grid.
 
     Negation is exact in floating point: the value and the gradient
-    Q [p zeta (-Delta)^s u / A + p (1 - zeta) u / M] - p |u|^{p-2} u / den,
-    with Q = B_p / den, are the exact negatives of those of the quotient,
-    so descending it takes the same steps as ascent on the quotient.
+    Q [p zeta (-Delta)^s u / A + p (1 - zeta) u / M] - p |u|^{p-2} u / den
+    are the exact negatives of those of the quotient, so descending it
+    takes the same steps as ascent on the quotient.
     """
-    p = params.p
-    zeta = params.zeta_p
+    p, zeta = params.p, params.zeta_p
     ea, eb = p * zeta / 2.0, p * (1.0 - zeta) / 2.0
 
     def gradient(A, M, B):
-        den = A ** ea * M ** eb
-        Q = B / den
-        return Q * p * zeta / A, Q * p * (1.0 - zeta) / M, p / den
+        Q = gn_quotient(FieldSummary(A, M, B, 0.0), params)
+        return Q * p * zeta / A, Q * p * (1.0 - zeta) / M, p / (A ** ea * M ** eb)
 
     return _Quotient(grid, params.s, p,
-                     value=lambda A, M, B: -(B / (A ** ea * M ** eb)),
+                     value=lambda A, M, B: -gn_quotient(FieldSummary(A, M, B, 0.0), params),
                      gradient=gradient)
 
 
@@ -387,7 +380,7 @@ def _run_ladder(grid: GridSpec, params: ModelParams, rungs: int, quotient_on) ->
     descending each to slope <= _SCREEN_TOL |value|, and finishes only the
     one with the lowest screened value, descending it on to _SLOPE_TOL; a
     rung with one start descends it to _SLOPE_TOL. Only finished values
-    enter the trace. Returns (final value, trace)."""
+    enter the trace, which is returned."""
     if isinstance(rungs, bool) or not isinstance(rungs, Integral) or rungs < 1:
         raise ValueError("rungs must be an int >= 1, got %r" % (rungs,))
     trace = []
@@ -416,22 +409,12 @@ def _run_ladder(grid: GridSpec, params: ModelParams, rungs: int, quotient_on) ->
             big = make_grid(g.dim, 2 * g.points_per_axis, g.half_length)
             best_u = _refine_values(best_u, g)
             g = big
-    return trace[-1][1], trace
+    return trace
 
 
-def estimate_sobolev(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
-    """Minimize the Sobolev quotient; refinement trace over the ladder."""
-    value, trace = _run_ladder(grid, params, rungs, _sobolev)
-    return {"value": value, "refinement": trace, "converged": _ladder_converged(trace)}
-
-
-def estimate_gn(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
-    """Maximize the GN quotient; the constant estimate is the p-th root of
-    the optimal quotient."""
-    neg_ratio, trace = _run_ladder(grid, params, rungs, _neg_gn)
-    trace = [(n, (-r) ** (1.0 / params.p)) for n, r in trace]
-    return {"value": (-neg_ratio) ** (1.0 / params.p), "refinement": trace,
-            "converged": _ladder_converged(trace)}
+def _estimate(trace: list) -> dict:
+    """An estimator's result, read off its trace as load_constants checks."""
+    return {"value": trace[-1][1], "refinement": trace, "converged": _ladder_converged(trace)}
 
 
 def _ladder_converged(trace: list) -> bool:
@@ -441,19 +424,25 @@ def _ladder_converged(trace: list) -> bool:
     return abs(last - prev) <= 0.05 * abs(prev)
 
 
+def estimate_sobolev(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
+    """Minimize the Sobolev quotient; refinement trace over the ladder."""
+    return _estimate(_run_ladder(grid, params, rungs, _sobolev))
+
+
+def estimate_gn(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
+    """Maximize the GN quotient; the constant estimate is the p-th root of
+    the optimal quotient."""
+    trace = _run_ladder(grid, params, rungs, _neg_gn)
+    return _estimate([(n, (-r) ** (1.0 / params.p)) for n, r in trace])
+
+
 def estimate_constants(grid: GridSpec, params: ModelParams,
                        rungs: int = 3) -> ConstantsReport:
-    s_frag = estimate_sobolev(grid, params, rungs)
-    c_frag = estimate_gn(grid, params, rungs)
+    frags = {"S": estimate_sobolev(grid, params, rungs), "C": estimate_gn(grid, params, rungs)}
     return ConstantsReport(
-        S_est=s_frag["value"],
-        C_est=c_frag["value"],
-        grid=grid,
-        params=params,
-        refinement={"S": [list(t) for t in s_frag["refinement"]],
-                    "C": [list(t) for t in c_frag["refinement"]]},
-        converged=s_frag["converged"] and c_frag["converged"],
-    )
+        S_est=frags["S"]["value"], C_est=frags["C"]["value"], grid=grid, params=params,
+        refinement={k: [list(t) for t in f["refinement"]] for k, f in frags.items()},
+        converged=all(f["converged"] for f in frags.values()))
 
 
 # ----------------------------------------------------------------------
@@ -502,4 +491,4 @@ def probe_fields(grid: GridSpec, params: ModelParams, count: int = 50,
                          seed=int(rng.integers(0, 2 ** 31))).values
 
     for values in islice(families(), count):
-        yield _unit_mass(_mean_zero(values), grid)
+        yield _renorm(_mean_zero(values), grid, 1.0)

@@ -148,31 +148,25 @@ def sample(grid: GridSpec, family: str, family_params: dict | None = None,
     fp = dict(family_params or {})
     r2 = grid.radius() ** 2
     if family == "gaussian":
-        w = float(fp.pop("width", 1.0))
-        if not 0.0 < w < math.inf:
-            raise ValueError("gaussian width must be finite and positive, got %r" % (w,))
+        w = _checked(fp.pop("width", 1.0), lambda w: 0.0 < w < math.inf,
+                     "gaussian width must be finite and positive, got %r")
         _reject_extras(family, fp)
         return Field(grid, np.exp(-r2 / (2.0 * w * w)))
     if family == "bubble":
-        eps = float(fp.pop("epsilon", 1.0))
-        s = float(fp.pop("s"))
-        if not 0.0 < eps < math.inf:
-            raise ValueError("bubble scale must be finite and positive, got %r" % (eps,))
-        if not (0.0 < s < 1.0) or not (2.0 * s < grid.dim):
-            raise ValueError("bubble exponent needs 0 < s < 1 and 2s < N")
+        eps = _checked(fp.pop("epsilon", 1.0), lambda e: 0.0 < e < math.inf,
+                       "bubble scale must be finite and positive, got %r")
+        s = _checked(fp.pop("s"), lambda s: 0.0 < s < 1.0 and 2.0 * s < grid.dim,
+                     "bubble exponent needs 0 < s < 1 and 2s < N, got s=%r")
         _reject_extras(family, fp)
         power = -(grid.dim - 2.0 * s) / 2.0
         return Field(grid, (eps * eps + r2) ** power)
     if family == "random_bandlimited":
-        cutoff = float(fp.pop("cutoff", 0.25))
+        cutoff = _checked(fp.pop("cutoff", 0.25), lambda c: 0.0 < c <= 1.0,
+                          "cutoff fraction must lie in (0, 1], got %r")
         env = fp.pop("envelope_width", None)
-        if not (0.0 < cutoff <= 1.0):
-            raise ValueError("cutoff fraction must lie in (0, 1], got %r" % (cutoff,))
         if env is not None:
-            env = float(env)
-            if not 0.0 < env < math.inf:
-                raise ValueError("envelope width must be None or finite and positive, "
-                                 "got %r" % (env,))
+            env = _checked(env, lambda w: 0.0 < w < math.inf,
+                           "envelope width must be None or finite and positive, got %r")
         _reject_extras(family, fp)
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(grid.shape)
@@ -188,6 +182,13 @@ def sample(grid: GridSpec, family: str, family_params: dict | None = None,
             vals = vals / peak
         return Field(grid, vals)
     raise ValueError("unknown sample family %r" % (family,))
+
+
+def _checked(value, ok, message: str) -> float:
+    """float(value) if ok accepts it, else, or for a bool, ValueError(message % value)."""
+    if isinstance(value, bool) or not ok(float(value)):
+        raise ValueError(message % (value,))
+    return float(value)
 
 
 def _reject_extras(family: str, leftover: dict):
@@ -273,6 +274,20 @@ def lp_norm_pow(field: Field, q: float) -> float:
 
 def _lp_values(values: np.ndarray, grid: GridSpec, q: float) -> float:
     return float(grid.cell_volume * _abs_power(values, q).sum())
+
+
+def _renorm(values: np.ndarray, grid: GridSpec, m: float) -> np.ndarray:
+    norm = math.sqrt(_lp_values(values, grid, 2.0))
+    if norm == 0.0:
+        raise ValueError("cannot renormalize the zero field")
+    return (m / norm) * values
+
+
+def _quadratic_price(A: float, M: float, A_ud: float, A_dd: float,
+                     M_ud: float, M_dd: float):
+    """price(al) = (A, M) of u - al d by the quadratic laws of both descents,
+    A - 2 al <u, d>_s + al^2 A(d) and M - 2 al <u, d> + al^2 M(d)."""
+    return lambda al: (A - al * (2.0 * A_ud - al * A_dd), M - al * (2.0 * M_ud - al * M_dd))
 
 
 def _abs_power(values: np.ndarray, q: float) -> np.ndarray:

@@ -67,6 +67,12 @@ def lagrange_multiplier(summary: FieldSummary, params: ModelParams) -> float:
     return (summary.A - summary.B_star - params.eta * summary.B_p) / summary.M
 
 
+def _multiplier_identity_rel(mu: float, summary: FieldSummary, params: ModelParams) -> float:
+    """|mu M - eta (zeta_p - 1) B_p| / |mu M|, zero where P = 0."""
+    return (abs(mu * summary.M - params.eta * (params.zeta_p - 1.0) * summary.B_p)
+            / max(abs(mu * summary.M), 1e-300))
+
+
 def manifold_identity_residual(summary: FieldSummary, params: ModelParams) -> float:
     """energy - [(eta/2p)(zeta_p p - 2) B_p + (s/N) B_star].
 

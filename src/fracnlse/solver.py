@@ -60,7 +60,8 @@ import numpy as np
 
 from . import functionals
 from .fields import (Field, FieldSummary, _dilate_values, _guard_decay, _lp_values,
-                     _plancherel, _seminorm_sq_values, _summary_values, sample)
+                     _plancherel, _quadratic_price, _renorm, _seminorm_sq_values,
+                     _summary_values, sample)
 from .fiber import DegenerateFiberError, FiberProfile, fiber_root, scale_summary
 from .grids import GridSpec, make_grid
 from .params import ModelParams
@@ -127,13 +128,6 @@ class SolveReport:
 
 def renormalize_mass(u: Field, m: float) -> Field:
     return Field(u.grid, _renorm(u.values, u.grid, m))
-
-
-def _renorm(values: np.ndarray, grid: GridSpec, m: float) -> np.ndarray:
-    norm = math.sqrt(_lp_values(values, grid, 2.0))
-    if norm == 0.0:
-        raise ValueError("cannot renormalize the zero field")
-    return (m / norm) * values
 
 
 # ----------------------------------------------------------------------
@@ -243,9 +237,8 @@ def _direction(u, uh, S, params, grid):
     minus its uh component, and the direction d is the tangent projection
     of F^-1[g_hat / (c0 + |k|^{2s})] with c0 = 1 + max(0, -mu); every inner
     product is taken by Plancherel on the half spectra. Returns
-    (|g|^2, d, price), where price(al) gives (A, M) of u - al d from
-    the quadratic laws A(u - al d) = A - 2 al <u, d>_s + al^2 A(d) and
-    M(u - al d) = M - 2 al <u, d> + al^2 M(d).
+    (|g|^2, d, price), where price(al) gives (A, M) of u - al d
+    (fields._quadratic_price).
     """
     sym = grid.half_symbol(params.s)
     mu = functionals.lagrange_multiplier(S, params)
@@ -254,13 +247,9 @@ def _direction(u, uh, S, params, grid):
     gn2 = _plancherel(grid, gh, gh)
     dh = gh / ((1.0 + max(0.0, -mu)) + sym)
     dh -= (_plancherel(grid, dh, uh) / S.M) * uh
-    A_ud, A_dd = _plancherel(grid, uh, dh, sym), _plancherel(grid, dh, dh, sym)
-    M_ud, M_dd = _plancherel(grid, uh, dh), _plancherel(grid, dh, dh)
-
-    def price(al):
-        return (S.A - al * (2.0 * A_ud - al * A_dd),
-                S.M - al * (2.0 * M_ud - al * M_dd))
-
+    price = _quadratic_price(S.A, S.M,
+                             _plancherel(grid, uh, dh, sym), _plancherel(grid, dh, dh, sym),
+                             _plancherel(grid, uh, dh), _plancherel(grid, dh, dh))
     return gn2, np.fft.irfftn(dh), price
 
 
@@ -374,8 +363,7 @@ def diagnose(report: SolveReport, params: ModelParams, constants=None) -> Diagno
     S = report.summary
     E = report.energy_level
     mu = report.mu
-    mu_rel = (abs(mu * S.M - params.eta * (params.zeta_p - 1.0) * S.B_p)
-              / max(abs(mu * S.M), 1e-300))
+    mu_rel = functionals._multiplier_identity_rel(mu, S, params)
     e_rel = (abs(functionals.manifold_identity_residual(S, params))
              / max(abs(E), 1e-300))
     margin = None if constants is None else compactness_threshold(params, constants) - E
@@ -425,14 +413,16 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
     grid, tol_grad and width_ref belong to, defaults to the smallest eta
     and may not exceed it: below eta_ref the box would shrink and the
     tolerance loosen. width_ref defaults to L/40 of the reference box.
+    The couplings, strictly ascending, are finite positive numbers (no bool).
     """
-    etas = [float(e) for e in eta_list]
+    etas = list(eta_list)
     if not etas:
         raise ValueError("eta list must not be empty")
-    if not all(0.0 < e < math.inf for e in etas):
-        raise ValueError("eta values must be finite and positive")
-    if etas != sorted(etas):
-        raise ValueError("eta list must be sorted ascending")
+    if not all(not isinstance(e, bool) and 0.0 < float(e) < math.inf for e in etas):
+        raise ValueError("eta values must be finite and positive numbers, got %r" % (etas,))
+    etas = [float(e) for e in etas]
+    if not all(a < b for a, b in zip(etas, etas[1:])):
+        raise ValueError("eta list must be sorted strictly ascending, got %r" % (etas,))
     if config.grid is None:
         raise ValueError("sweep needs a reference grid in the solve config")
 

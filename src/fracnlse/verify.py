@@ -315,9 +315,7 @@ def _check_multiplier_sign_identity(ctx):
         prof = fiber.FiberProfile(ctx.random_summary(), params)
         on_manifold = fiber.scale_summary(prof.base, fiber.fiber_root(prof), params)
         mu = functionals.lagrange_multiplier(on_manifold, params)
-        lhs = mu * on_manifold.M
-        rhs = params.eta * (params.zeta_p - 1.0) * on_manifold.B_p
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
+        worst = max(worst, functionals._multiplier_identity_rel(mu, on_manifold, params))
     return worst <= 1e-12, "max multiplier-identity deviation %.2e at P = 0" % worst
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import fracnlse
-from fracnlse.cli import _DEFAULTS, build_parser
+from fracnlse.cli import _INI, build_parser
 
 SOLVE_2D = ["--grid", "2:128:120", "--params", "0.5,3.5,10,1",
             "--init-width", "12", "--tol-grad", "2e-2",
@@ -91,7 +91,7 @@ def test_solve_knobs_agree_across_ini_config_and_report(solve_run):
     _, out = solve_run
     knobs = {f.name for f in dataclasses.fields(fracnlse.SolveConfig)} - {"grid"}
     cli_knobs = knobs | {"init_width"}
-    assert set(_DEFAULTS["solve"]) == cli_knobs
+    assert set(_INI["solve"]) == cli_knobs
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["config"]["solve"]) == cli_knobs
     # Beside its own flags, each solving subcommand takes one flag per knob.
@@ -320,6 +320,27 @@ def test_bad_config_file_exit_one(tmp_path, text, message):
     assert not (tmp_path / "t").exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("constants", "[constants]\nrungs = 1.5\n", "[constants] rungs must be an integer, got '1.5'"),
+    ("solve", "[solve]\nmax_iters = 1e3\n", "[solve] max_iters must be an integer, got '1e3'"),
+    ("solve", "[grid]\nn = abc\n", "[grid] n must be an integer, got 'abc'"),
+    ("sweep", "[params]\ndim = two\n", "[params] dim must be an integer, got 'two'"),
+    ("solve", "[params]\ns = half\n", "[params] s must be a number, got 'half'"),
+    ("solve", "[solve]\ninit_width = wide\n",
+     "[solve] init_width must be a number, got 'wide'"),
+], ids=["rungs-float", "max-iters-exponent", "n-word", "dim-word", "s-word", "width-word"])
+def test_bad_config_value_names_section_and_key(tmp_path, command, text, message):
+    # int() and float() once reported these as "invalid literal for int()
+    # with base 10: '1.5'", naming neither the section nor the key.
+    config = tmp_path / "bad.ini"
+    config.write_text(text)
+    proc = run_cli(command, "--config", str(config), "--out", str(tmp_path / "b"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: %s\n" % message
+    assert not (tmp_path / "b").exists()
+
+
 def test_missing_config_file_exit_one(tmp_path):
     proc = run_cli("solve", "--config", str(tmp_path / "nope.ini"))
     assert proc.returncode == 1
@@ -364,7 +385,7 @@ def test_sweep_rejects_malformed_eta(tmp_path):
     proc = run_cli("sweep", *SOLVE_2D, "--eta", "10,abc",
                    "--out", str(tmp_path / "s"))
     assert proc.returncode == 1
-    assert "bad eta list" in proc.stderr
+    assert "[sweep] eta must be a comma-separated list of numbers, got '10,abc'" in proc.stderr
 
 
 def test_constants_single_rung_exit_two(tmp_path):

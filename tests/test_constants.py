@@ -12,7 +12,7 @@ from fracnlse import (ConstantsReport, Field, FieldSummary, gn_quotient,
                       sobolev_sharp_constant, summarize)
 from fracnlse import constants
 from fracnlse.constants import estimate_constants, estimate_gn, estimate_sobolev
-from fracnlse.fields import _lp_values, _summary_values
+from fracnlse.fields import _lp_values, _renorm, _summary_values
 
 # Refinement-ladder values pinned from converged runs of this package; the
 # estimators are deterministic (fixed multistart set, fixed descent), so
@@ -61,21 +61,6 @@ def test_quotients_reject_degenerate_summaries(params_1d):
                          params_1d)
     with pytest.raises(ValueError):
         gn_quotient(FieldSummary(A=0.0, M=1.0, B_p=1.0, B_star=1.0), params_1d)
-
-
-def test_ladder_quotients_equal_the_public_quotients(params_1d, params_2d):
-    # The ladder descends its own value lambdas, while the verify rows and
-    # quotient-invariance evaluate sobolev_quotient and gn_quotient; an
-    # estimate is read against those, so the two must agree to the bit.
-    rng = np.random.default_rng(2)
-    for params in (params_1d, params_2d):
-        grid = make_grid(params.dim, 16, 10.0)
-        sob, neg_gn = constants._sobolev(grid, params), constants._neg_gn(grid, params)
-        for A, M, B in np.exp(rng.normal(scale=3.0, size=(1000, 3))).tolist():
-            assert sob.value(A, M, B) == sobolev_quotient(
-                FieldSummary(A=A, M=M, B_p=1.0, B_star=B), params)
-            assert -neg_gn.value(A, M, B) == gn_quotient(
-                FieldSummary(A=A, M=M, B_p=B, B_star=1.0), params)
 
 
 def test_ladder_1d_regression(constants_1d):
@@ -224,6 +209,9 @@ def test_report_requires_its_refinement_and_verdict(params_1d):
                  id="bool-rung-value"),
     pytest.param("yes", "converged", id="str-converged"),
     pytest.param(1, "converged", id="int-converged"),
+    pytest.param(5.0, "S_est", id="S_est-not-the-last-rung"),
+    pytest.param(1.0, "C_est", id="C_est-not-the-last-rung"),
+    pytest.param(True, "converged", id="converged-on-one-rung"),
 ])
 def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, bad, key):
     # A negative S_est made the 1D compactness threshold complex and a NaN
@@ -235,7 +223,10 @@ def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, ba
     # the key. So must a refinement that is not an object of two non-empty
     # [n, value] traces with grid sizes and positive values (the probe
     # sandwich reads its grid from the last S rung, and once raised inside
-    # verify's rows instead), and a converged that is not a JSON boolean.
+    # verify's rows instead), and a converged that is not a JSON boolean. A
+    # report takes its numbers from its trace: S_est and C_est must be the
+    # last rungs' values (the threshold reads S_est), and converged what the
+    # 5 percent drift test says of both traces (one rung never converges).
     raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
                           params=params_1d, refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]},
                           converged=False).to_dict()
@@ -332,7 +323,8 @@ def test_accepted_steps_strictly_lower_the_quotient(monkeypatch, params_1d, para
 
     direction = constants._direction
     monkeypatch.setattr(constants, "_direction", spy)
-    val, iters, ended, _ = constants._descend_quotient(u0, quotient_on(grid, params))
+    val, iters, ended, _ = constants._descend_quotient(u0, quotient_on(grid, params),
+                                                        constants._SLOPE_TOL)
     assert ended and iters == len(seen) > 20
     assert val == seen[-1]
     assert all(b < a for a, b in zip(seen, seen[1:]))
@@ -345,7 +337,7 @@ def test_trial_pricing_matches_measured_parts(params_1d, params_2d, dim, which):
     # summary measured on the trial itself.
     grid, params, u0 = kernel_case(dim, params_1d, params_2d)
     quotient = QUOTIENTS[which][0](grid, params)
-    u = constants._unit_mass(constants._mean_zero(u0), grid)
+    u = _renorm(constants._mean_zero(u0), grid, 1.0)
     uh, A, M = constants._measure(u, quotient)
     slope, d, price, _, _ = constants._direction(
         u, uh, (A, M, _lp_values(u, grid, quotient.r)), quotient)
@@ -387,7 +379,8 @@ def test_transforms_per_accepted_step(monkeypatch, params_1d, params_2d, dim, wh
 
     monkeypatch.setattr(constants, "_measure", counting_measure)
     monkeypatch.setattr(constants, "_direction", counting_direction)
-    _, iters, ended, _ = constants._descend_quotient(u0, QUOTIENTS[which][0](grid, params))
+    _, iters, ended, _ = constants._descend_quotient(u0, QUOTIENTS[which][0](grid, params),
+                                                  constants._SLOPE_TOL)
     assert ended and iters == len(steps) > 20
     for (f0, m0), (f1, m1) in zip(steps, steps[1:]):
         rejected = m1 - m0 - 1
@@ -416,7 +409,8 @@ def test_trials_per_accepted_step(monkeypatch, params_1d, params_2d, dim, which)
         return slope, d, counted, gh, dh
 
     monkeypatch.setattr(constants, "_direction", spy)
-    _, iters, ended, _ = constants._descend_quotient(u0, QUOTIENTS[which][0](grid, params))
+    _, iters, ended, _ = constants._descend_quotient(u0, QUOTIENTS[which][0](grid, params),
+                                                  constants._SLOPE_TOL)
     assert ended and iters == len(trials) > 20
     # every direction but the last is followed by an accepted step
     accepted = trials[:-1]
@@ -441,12 +435,11 @@ def test_start_ends_at_the_slope_tolerance(monkeypatch, params_1d, params_2d, di
         return out
 
     monkeypatch.setattr(constants, "_direction", spy)
-    val, iters, ended, _ = constants._descend_quotient(u0, quotient)
+    val, iters, ended, _ = constants._descend_quotient(u0, quotient, constants._SLOPE_TOL)
     assert ended and iters == len(stationary)
     assert stationary[-1] and not any(stationary[:-1])
 
-    monkeypatch.setattr(constants, "_SLOPE_TOL", 0.0)
-    floor_val, floor_iters, floor_ended, _ = constants._descend_quotient(u0, quotient)
+    floor_val, floor_iters, floor_ended, _ = constants._descend_quotient(u0, quotient, 0.0)
     assert floor_ended and floor_iters > iters
     assert val == pytest.approx(floor_val, rel=1e-9)
 
@@ -480,7 +473,7 @@ def test_screen_ends_at_its_slope_tolerance(monkeypatch, params_1d, params_2d, d
     _, iters, ended, _ = constants._descend_quotient(u0, quotient, constants._SCREEN_TOL)
     assert ended and iters == len(screened)
     assert screened[-1] and not any(screened[:-1])
-    _, full_iters, _, _ = constants._descend_quotient(u0, quotient)
+    _, full_iters, _, _ = constants._descend_quotient(u0, quotient, constants._SLOPE_TOL)
     assert full_iters > iters
 
 
@@ -488,7 +481,7 @@ def ladder_calls(monkeypatch):
     """Record (u0, n, slope_tol, result) of every kernel call."""
     descend, calls = constants._descend_quotient, []
 
-    def spy(u0, quotient, slope_tol=None):
+    def spy(u0, quotient, slope_tol):
         out = descend(u0, quotient, slope_tol)
         calls.append((u0, quotient.grid.points_per_axis, slope_tol, out))
         return out
@@ -544,7 +537,7 @@ def test_a_screen_or_finish_out_of_budget_raises(monkeypatch, params_1d, stage):
     spent = constants._SCREEN_TOL if stage == "screen" else constants._SLOPE_TOL
     descend = constants._descend_quotient
 
-    def spy(u0, quotient, slope_tol=None):
+    def spy(u0, quotient, slope_tol):
         val, iters, ended, u = descend(u0, quotient, slope_tol)
         return val, iters, ended and slope_tol != spent, u
 

@@ -431,7 +431,7 @@ def test_boundary_mass_fraction_localized_vs_wide():
 
 def test_sample_gaussian_rejects_bad_width():
     grid = make_grid(1, 64, 10.0)
-    for width in (0.0, math.nan, math.inf):
+    for width in (0.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="width"):
             sample(grid, "gaussian", {"width": width})
 
@@ -441,7 +441,7 @@ def test_sample_bubble_profile_and_validation():
     u = sample(grid, "bubble", {"epsilon": 1.0, "s": 0.5})
     r2 = grid.radius() ** 2
     assert np.allclose(u.values, (1.0 + r2) ** -0.5)
-    for epsilon in (0.0, math.nan, math.inf):
+    for epsilon in (0.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="scale"):
             sample(grid, "bubble", {"epsilon": epsilon, "s": 0.5})
     with pytest.raises(ValueError, match="2s < N"):
@@ -458,6 +458,8 @@ def test_sample_bandlimited_deterministic_and_bounded():
         sample(grid, "random_bandlimited", {"cutoff": 0.0})
     with pytest.raises(ValueError, match="cutoff"):
         sample(grid, "random_bandlimited", {"cutoff": 1.5})
+    with pytest.raises(ValueError, match="cutoff fraction must lie in \\(0, 1\\], got True"):
+        sample(grid, "random_bandlimited", {"cutoff": True})
 
 
 def test_sample_bandlimited_envelope_width():
@@ -472,7 +474,7 @@ def test_sample_bandlimited_envelope_width():
                      seed=4).values
     expected = plain.values * np.exp(-grid.radius() ** 2 / 8.0)
     assert np.max(np.abs(wrapped - expected / np.max(np.abs(expected)))) <= 1e-15
-    for width in (0.0, -2.0, math.nan, math.inf):
+    for width in (0.0, -2.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="envelope width must be None or finite "
                                              "and positive, got"):
             sample(grid, "random_bandlimited", {"cutoff": 0.25, "envelope_width": width})

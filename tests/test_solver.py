@@ -398,6 +398,12 @@ def test_sweep_validations(params_2d):
         sweep_eta(params_2d, [10.0, math.inf], cfg)
     with pytest.raises(ValueError, match="sorted"):
         sweep_eta(params_2d, [10.0, 5.0], cfg)
+    # A repeated coupling once gave an invented slope with a RankWarning.
+    with pytest.raises(ValueError, match="sorted"):
+        sweep_eta(params_2d, [10.0, 10.0], cfg)
+    # float(True) is 1.0; a bool is not a coupling.
+    with pytest.raises(ValueError, match="finite and positive numbers, got \\[True\\]"):
+        sweep_eta(params_2d, [True], cfg)
     with pytest.raises(ValueError, match="reference grid"):
         sweep_eta(params_2d, [10.0], SolveConfig())
     # Below eta_ref the box would shrink and the scaled tolerance loosen.
