@@ -21,7 +21,8 @@ from .fields import (DecayGuardError, Field, FieldSummary,
                      sample, save_field, seminorm_sq, summarize)
 from .functionals import (GeometryReport, energy, geometry_lower_bound,
                           gradient_field, lagrange_multiplier,
-                          manifold_identity_residual, pohozaev, rho)
+                          manifold_identity_residual, pohozaev, rho,
+                          sobolev_sharp_constant)
 from .grids import GridSpec, make_grid
 from .params import ModelParams
 from .solver import (Diagnostics, SolveConfig, SolveReport, SweepEntry,
@@ -34,7 +35,7 @@ from .solver import (Diagnostics, SolveConfig, SolveReport, SweepEntry,
 _LAZY = {name: "constants" for name in (
     "ConstantsReport", "estimate_constants", "estimate_gn", "estimate_sobolev",
     "gn_quotient", "load_constants", "probe_fields", "save_constants",
-    "sobolev_quotient", "sobolev_sharp_constant")}
+    "sobolev_quotient")}
 _LAZY.update(CheckResult="verify", run_checks="verify")
 
 

@@ -4,9 +4,9 @@ Configuration comes from an INI-style file plus command-line flags, with
 flags winning. Every run of solve, sweep and constants writes a manifest.
 Its "config" block is the resolved INI state (every section after flags),
 so `--config` on that block with a fresh `--out` reproduces every artifact
-bit-identically on the same numpy and BLAS build; "inputs" and "artifacts"
-hold the SHA-256 checksums of the files the run read and wrote. Exit
-codes: 0 success, 1 usage or error, 2 ran but unconverged or failed checks.
+bit-identically on the same numpy and BLAS build; "artifacts" holds the
+SHA-256 checksums of the files the run wrote. Exit codes: 0 success, 1
+usage or error, 2 ran but unconverged or failed checks.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ import sys
 from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
 
-from .constants import (estimate_constants, load_constants, save_constants,
-                        sobolev_sharp_constant)
+from .constants import estimate_constants, load_constants, save_constants
 from .fields import load_field, sample, save_field
+from .functionals import sobolev_sharp_constant
 from .grids import make_grid
 from .params import ModelParams
-from .solver import (SolveConfig, compactness_threshold, diagnose,
-                     solve_ground_state, sweep_eta)
+from .solver import SolveConfig, diagnose, solve_ground_state, sweep_eta
 from .svg import loglog_svg, profile_svg, write_svg
 from .verify import FAIL, PASS, SKIP, run_checks
 
@@ -76,6 +75,12 @@ _WANT = {int: "an integer", float: "a number", _etas: "a comma-separated list of
 _FLAG_KEYS = {**{name: ("solve", name) for name in _SOLVE_FLAGS},
               "eta": ("sweep", "eta"), "rungs": ("constants", "rungs"),
               "out": ("output", "dir")}
+# The two multi-valued flags: their separator, their form, and the config
+# key each token sets.
+_SPLIT_FLAGS = {
+    "grid": (":", "N:n:L", [("params", "dim"), ("grid", "n"), ("grid", "L")]),
+    "params": (",", "s,p,eta,m", [("params", key) for key in ("s", "p", "eta", "m")]),
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -102,23 +107,16 @@ def _load_config(path: str | None) -> dict:
 
 
 def _apply_flags(conf: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "grid", None):
-        try:
-            dim_s, n_s, L_s = args.grid.split(":")
-            conf["params"]["dim"] = str(int(dim_s))
-            conf["grid"]["n"] = str(int(n_s))
-            conf["grid"]["L"] = repr(float(L_s))
-        except ValueError as exc:
-            raise CliError("bad --grid value %r (want N:n:L): %s" % (args.grid, exc))
-    if getattr(args, "params", None):
-        parts = args.params.split(",")
-        if len(parts) != 4:
-            raise CliError("bad --params value %r (want s,p,eta,m)" % args.params)
-        for key, val in zip(("s", "p", "eta", "m"), parts):
-            try:
-                conf["params"][key] = repr(float(val))
-            except ValueError:
-                raise CliError("bad --params component %r" % val)
+    """conf with each flag's value written over it as typed (a --grid or
+    --params value split into its tokens); _parse_run converts them."""
+    for dest, (sep, form, keys) in _SPLIT_FLAGS.items():
+        raw = getattr(args, dest, None)
+        if raw:
+            tokens = raw.split(sep)
+            if len(tokens) != len(keys):
+                raise CliError("bad --%s value %r (want %s)" % (dest, raw, form))
+            for (sec, key), tok in zip(keys, tokens):
+                conf[sec][key] = tok.strip()
     # A number counts even when it is 0; a string (--eta, --out) only when
     # it is non-empty.
     for dest, (sec, key) in _FLAG_KEYS.items():
@@ -163,16 +161,12 @@ def _dump_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(outdir: Path, command: str, conf: dict, artifact_names: list,
-                    inputs: dict | None = None) -> None:
+def _write_manifest(outdir: Path, command: str, conf: dict, artifact_names: list) -> None:
     """The one record of a run: the resolved config it replays from, and
-    the checksums of the input files it read (by flag) and of its
-    artifacts."""
+    the checksums of its artifacts."""
     _dump_json(outdir / "manifest.json", {
         "command": command,
         "config": conf,
-        "inputs": {flag: {"path": path, "sha256": _sha256(Path(path))}
-                   for flag, path in (inputs or {}).items()},
         "artifacts": {name: _sha256(outdir / name) for name in sorted(artifact_names)},
     })
 
@@ -230,13 +224,10 @@ def cmd_solve(args) -> int:
     params, grid, solve_cfg, init_width, _, _, outdir = _parse_run(conf, "solve")
     if init_width is None:
         init_width = grid.half_length / 10.0
-    constants = load_constants(args.constants) if args.constants else None
-    if constants is not None:
-        compactness_threshold(params, constants)  # rejects another (N, s)
 
     init = sample(grid, "gaussian", {"width": init_width})
     report = solve_ground_state(init, params, solve_cfg)
-    diagnostics = asdict(diagnose(report, params, constants)) if report.converged else None
+    diagnostics = asdict(diagnose(report, params)) if report.converged else None
 
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "history.csv", "w", newline="") as fh:
@@ -249,8 +240,7 @@ def cmd_solve(args) -> int:
                {"report": report.to_dict(), "diagnostics": diagnostics})
     _plot_profile(outdir)
     _write_manifest(outdir, "solve", conf,
-                    ["report.json", "history.csv", "field.bin", "profile.svg"],
-                    {"constants": args.constants} if args.constants else None)
+                    ["report.json", "history.csv", "field.bin", "profile.svg"])
     print("solve: converged=%s stop=%s E=%.8g mu=%.6g |P|/A=%.3e iterations=%d"
           % (report.converged, report.stop_reason, report.energy_level, report.mu,
              report.pohozaev_residual, report.iterations))
@@ -390,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_run_flags(sub)
         if name in ("solve", "sweep"):
             _add_solve_flags(sub)
-        if name in ("solve", "verify"):
+        if name == "verify":
             sub.add_argument("--constants", help="path to a constants report JSON")
         if name == "sweep":
             sub.add_argument("--eta", help="comma-separated coupling list")

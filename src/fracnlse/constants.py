@@ -6,9 +6,11 @@ constants have zero seminorm, so the Sobolev quotient can descend to zero
 and the GN quotient diverges along nearly-constant fields. Neither limit
 exists on the whole space the inequalities live on, so both optimizers
 project iterates and gradients onto the mean-zero subspace at every step;
-that single restriction restores the decaying-field optimization problem
-and is the only regularization used (grid-scale spikes are not competitive
-for either quotient and need no special handling).
+that single restriction is the only regularization used. It does not keep
+the optima resolved: on a periodic grid both quotients are invariant under
+amplitude and dilation, so the optimum depends on n alone, and the ladder's
+optimizers are grid-scale spikes (one to three samples above half their
+maximum). The estimates are lattice constants, not continuum ones.
 
 The ladder descends the public quotients, sobolev_quotient and the negated
 gn_quotient, that the verify rows check, with the solver's mass projection
@@ -46,9 +48,11 @@ _SCREEN_TOL relative, so of two distinct minima closer than that the
 higher one may be finished, and the ladder's 5 percent drift test would
 not see it.
 
-The continuum constants have a closed-form reference for the Sobolev side:
-sobolev_sharp_constant gives the sharp S of Lieb and Cotsiolis-Tavoularis,
-against which the grid estimate can be read.
+The Sobolev side has a closed form, functionals.sobolev_sharp_constant
+(Lieb; Cotsiolis-Tavoularis), which the compactness threshold reads; S_est
+lies 31 percent above it in 1D (s = 0.4) and 2.6 percent below it in 2D
+(s = 1/2). S_est and C_est feed rho, geometry_lower_bound and the verify
+rows that take a constants report.
 
 Estimates are grid-relative: the refinement ladder reruns the optimization
 at doubled resolution and the report's converged flag records whether the
@@ -85,18 +89,6 @@ def gn_quotient(summary: FieldSummary, params: ModelParams) -> float:
     zeta = params.zeta_p
     return summary.B_p / (summary.A ** (params.p * zeta / 2.0)
                           * summary.M ** (params.p * (1.0 - zeta) / 2.0))
-
-
-def sobolev_sharp_constant(dim: int, s: float) -> float:
-    """The sharp constant S of ||(-Delta)^{s/2} u||^2 >= S ||u||_{2*_s}^2 on
-    R^N (Lieb, Ann. Math. 118 (1983); Cotsiolis-Tavoularis, JMAA 295 (2004)):
-    2^{2s} pi^s Gamma((N+2s)/2) / Gamma((N-2s)/2) (Gamma(N/2) / Gamma(N))^{2s/N}."""
-    if not (0.0 < s < 1.0) or not (2.0 * s < dim):
-        raise ValueError("sharp Sobolev constant needs 0 < s < 1 and 2s < N, got "
-                         "N=%r, s=%r" % (dim, s))
-    return (2.0 ** (2.0 * s) * math.pi ** s
-            * math.gamma((dim + 2.0 * s) / 2.0) / math.gamma((dim - 2.0 * s) / 2.0)
-            * (math.gamma(dim / 2.0) / math.gamma(dim)) ** (2.0 * s / dim))
 
 
 @dataclass
@@ -138,10 +130,10 @@ def load_constants(path) -> ConstantsReport:
     report that is not an object, lacks a key, holds a grid or params that
     make_grid or ModelParams rejects, a grid and params of different
     dimensions, a refinement that is not an object whose S and C are
-    non-empty lists of [n, value] (n a grid size of the report's dimension,
-    value finite and positive), or an S_est, C_est or converged that is not
-    what the estimators read off those traces raises ValueError naming the
-    file and the key."""
+    non-empty ladders of [n, value] (n the report grid's n on the first
+    rung and doubled on each next, value finite and positive), or an S_est,
+    C_est or converged that is not what the estimators read off those
+    traces raises ValueError naming the file and the key."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -164,11 +156,15 @@ def load_constants(path) -> ConstantsReport:
                     and all(isinstance(r, list) and len(r) == 2 for r in trace)):
                 raise ValueError("refinement %s must be a non-empty list of [n, value], "
                                  "got %r" % (label, trace))
-            for n, value in trace:
+            for rung, (n, value) in enumerate(trace):
                 try:
                     make_grid(grid.dim, n, grid.half_length)
                 except (TypeError, ValueError) as exc:
                     raise ValueError("refinement %s grid size: %s" % (label, exc)) from None
+                if n != grid.points_per_axis * 2 ** rung:
+                    raise ValueError("refinement %s rung %d has grid size %r, not %d (the "
+                                     "report grid's n doubled per rung)"
+                                     % (label, rung, n, grid.points_per_axis * 2 ** rung))
                 _check_positive("refinement %s value" % label, value)
             if raw[label + "_est"] != trace[-1][1]:
                 raise ValueError("%s_est %r is not %r, the value of the last refinement %s "

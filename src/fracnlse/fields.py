@@ -327,10 +327,14 @@ def _abs_power(values: np.ndarray, q: float) -> np.ndarray:
     return out * np.abs(values) if k & 1 else out
 
 
-def summarize(field: Field, params: ModelParams) -> FieldSummary:
-    if params.dim != field.grid.dim:
+def _check_dim(grid: GridSpec, params: ModelParams) -> None:
+    if params.dim != grid.dim:
         raise ValueError("params dimension %d does not match grid dimension %d"
-                         % (params.dim, field.grid.dim))
+                         % (params.dim, grid.dim))
+
+
+def summarize(field: Field, params: ModelParams) -> FieldSummary:
+    _check_dim(field.grid, params)
     return _summary_values(field.values, field.grid, params)
 
 

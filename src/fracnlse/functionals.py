@@ -1,7 +1,8 @@
 """The variational objects: energy, Pohozaev functional, the energy
 gradient (written once, on the rfftn half spectrum, for the descent, the
 PDE residual and gradient_field), Lagrange multiplier, the manifold energy
-identity, and the small-seminorm geometry radius rho(m, eta).
+identity, the sharp fractional Sobolev constant, and the small-seminorm
+geometry radius rho(m, eta).
 
 Everything scalar-valued acts on a FieldSummary (A, M, B_p, B_star), so
 the algebraic identities among these functionals hold to rounding with no
@@ -16,11 +17,12 @@ the reductions are checked term by term in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, FieldSummary, _abs_power
+from .fields import Field, FieldSummary, _abs_power, _check_dim
 from .grids import GridSpec
 from .params import ModelParams
 
@@ -55,6 +57,7 @@ def gradient_field(field: Field, params: ModelParams) -> Field:
     """Unconstrained L2 gradient of the energy,
     (-Delta)^s u - |u|^{2*_s - 2} u - eta |u|^{p-2} u: the descent's
     gradient at mu = 0, transformed back."""
+    _check_dim(field.grid, params)
     u = field.values
     return Field(field.grid, np.fft.irfftn(_gradient_half(u, np.fft.rfftn(u), field.grid,
                                                           params, 0.0)))
@@ -83,6 +86,18 @@ def manifold_identity_residual(summary: FieldSummary, params: ModelParams) -> fl
     bracket = (params.eta / (2.0 * params.p)) * (params.zeta_p * params.p - 2.0) * summary.B_p
     bracket += (params.s / params.dim) * summary.B_star
     return energy(summary, params) - bracket
+
+
+def sobolev_sharp_constant(dim: int, s: float) -> float:
+    """The sharp constant S of ||(-Delta)^{s/2} u||^2 >= S ||u||_{2*_s}^2 on
+    R^N (Lieb, Ann. Math. 118 (1983); Cotsiolis-Tavoularis, JMAA 295 (2004)):
+    2^{2s} pi^s Gamma((N+2s)/2) / Gamma((N-2s)/2) (Gamma(N/2) / Gamma(N))^{2s/N}."""
+    if not (0.0 < s < 1.0) or not (2.0 * s < dim):
+        raise ValueError("sharp Sobolev constant needs 0 < s < 1 and 2s < N, got "
+                         "N=%r, s=%r" % (dim, s))
+    return (2.0 ** (2.0 * s) * math.pi ** s
+            * math.gamma((dim + 2.0 * s) / 2.0) / math.gamma((dim - 2.0 * s) / 2.0)
+            * (math.gamma(dim / 2.0) / math.gamma(dim)) ** (2.0 * s / dim))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Ground-state computation by manifold-projected descent on the mass
-sphere, plus diagnostics and the coupling sweep.
+sphere, plus the verdict on a converged state (its identities and its
+margin below the closed-form compactness threshold) and the coupling sweep.
 
 The iteration follows the constrained first-order optimality structure:
 renormalize the mass, move the iterate onto the zero set of the Pohozaev
@@ -59,9 +60,9 @@ from numbers import Integral
 import numpy as np
 
 from . import functionals
-from .fields import (Field, FieldSummary, _dilate_values, _guard_decay, _lp_values,
-                     _plancherel, _quadratic_price, _renorm, _seminorm_sq_values,
-                     _summary_values, sample)
+from .fields import (Field, FieldSummary, _check_dim, _dilate_values, _guard_decay,
+                     _lp_values, _plancherel, _quadratic_price, _renorm,
+                     _seminorm_sq_values, _summary_values, sample)
 from .fiber import DegenerateFiberError, FiberProfile, fiber_root, scale_summary
 from .grids import GridSpec, make_grid
 from .params import ModelParams
@@ -183,6 +184,7 @@ def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
                          "a boundary mass bound is dilate's decay_guard" % (decay_guard,))
     if isinstance(rounds, bool) or not isinstance(rounds, Integral) or rounds < 1:
         raise ValueError("rounds must be an int >= 1, got %r" % (rounds,))
+    _check_dim(u.grid, params)
     if decay_guard:
         _guard_decay(u)
     mass = math.sqrt(_lp_values(u.values, u.grid, 2.0))
@@ -206,8 +208,7 @@ def solve_ground_state(init: Field, params: ModelParams,
     grid = init.grid
     if config.grid is not None and config.grid != grid:
         raise ValueError("config grid does not match the initializer's grid")
-    if params.dim != grid.dim:
-        raise ValueError("params dimension does not match the grid")
+    _check_dim(grid, params)
     u = np.array(init.values, dtype=float)
     try:  # an overflowed mass would renormalize to a zero field (m / inf = 0)
         with np.errstate(over="raise", invalid="raise"):
@@ -329,15 +330,11 @@ def _descend(u, A0, params, config, grid):
     )
 
 
-def compactness_threshold(params: ModelParams, constants) -> float:
-    """s S^{N/2s} / N with the Sobolev estimate S_est of a constants report,
-    which must have been measured at the same (N, s)."""
-    measured = (constants.params.dim, constants.params.s)
-    if measured != (params.dim, params.s):
-        raise ValueError("constants report was measured at (N, s) = (%g, %g), "
-                         "the run is at (N, s) = (%g, %g)"
-                         % (*measured, params.dim, params.s))
-    return params.s * constants.S_est ** (params.dim / (2.0 * params.s)) / params.dim
+def compactness_threshold(params: ModelParams) -> float:
+    """s S^{N/2s} / N with S the sharp Sobolev constant of (N, s), the level
+    below which Palais-Smale sequences are compact."""
+    S = functionals.sobolev_sharp_constant(params.dim, params.s)
+    return params.s * S ** (params.dim / (2.0 * params.s)) / params.dim
 
 
 # ----------------------------------------------------------------------
@@ -348,16 +345,15 @@ def compactness_threshold(params: ModelParams, constants) -> float:
 class Diagnostics:
     multiplier_identity_rel: float
     energy_identity_rel: float
-    threshold_margin: float | None  # None without a constants report
+    threshold_margin: float
     all_ok: bool
 
 
-def diagnose(report: SolveReport, params: ModelParams, constants=None) -> Diagnostics:
+def diagnose(report: SolveReport, params: ModelParams) -> Diagnostics:
     """The verdict on a converged ground state: all_ok holds when the
     multiplier is negative, the level positive, the multiplier identity
     mu M = eta (zeta_p - 1) B_p and the manifold energy identity hold to
-    1e-8 relative, and, given a constants report, the level sits below
-    the compactness threshold."""
+    1e-8 relative, and the level sits below the compactness threshold."""
     if not report.converged:
         raise ValueError("diagnose requires a converged report")
     S = report.summary
@@ -366,13 +362,13 @@ def diagnose(report: SolveReport, params: ModelParams, constants=None) -> Diagno
     mu_rel = functionals._multiplier_identity_rel(mu, S, params)
     e_rel = (abs(functionals.manifold_identity_residual(S, params))
              / max(abs(E), 1e-300))
-    margin = None if constants is None else compactness_threshold(params, constants) - E
+    margin = compactness_threshold(params) - E
     return Diagnostics(
         multiplier_identity_rel=mu_rel,
         energy_identity_rel=e_rel,
         threshold_margin=margin,
         all_ok=(mu < 0.0 and E > 0.0 and mu_rel <= 1e-8 and e_rel <= 1e-8
-                and (margin is None or margin > 0.0)),
+                and margin > 0.0),
     )
 
 

@@ -129,9 +129,8 @@ def test_criterion_07_level_decay_slope(acceptance_sweep, verdict):
     assert ok, msg
 
 
-def test_criterion_08_compactness_threshold(acceptance_sweep, constants_2d,
-                                            params_2d, verdict):
-    threshold = compactness_threshold(params_2d, constants_2d)
+def test_criterion_08_compactness_threshold(acceptance_sweep, params_2d, verdict):
+    threshold = compactness_threshold(params_2d)
     margins = [(e.eta, threshold - e.report.energy_level)
                for e in acceptance_sweep.entries
                if e.report is not None and e.report.converged]

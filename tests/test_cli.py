@@ -4,6 +4,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -59,10 +60,10 @@ def test_solve_report_contents(solve_run):
     # The run directory holds exactly the files its manifest records.
     assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["artifacts"],
                                                             "manifest.json"])
+    # --grid and --params tokens are kept as typed, like every other value.
     config = manifest["config"]
-    assert config["params"] == {"dim": "2", "s": "0.5", "p": "3.5", "eta": "10.0",
-                                "m": "1.0"}
-    assert config["grid"] == {"n": "128", "L": "120.0"}
+    assert config["params"] == {"dim": "2", "s": "0.5", "p": "3.5", "eta": "10", "m": "1"}
+    assert config["grid"] == {"n": "128", "L": "120"}
     assert config["solve"]["tol_grad"] == "0.02"
     report = json.loads((out / "report.json").read_text())
     assert set(report) == {"report", "diagnostics"}
@@ -71,10 +72,11 @@ def test_solve_report_contents(solve_run):
     assert body["stop_reason"] == "converged"
     assert body["energy_level"] == pytest.approx(0.016867117, rel=1e-4)
     assert body["mu"] < 0.0
-    # Every converged solve gets the verdict; without constants there is
-    # no threshold margin.
+    # Every converged solve gets the verdict, and its margin is below the
+    # closed-form 2D threshold pi/4 at s = 1/2.
     assert report["diagnostics"]["all_ok"] is True
-    assert report["diagnostics"]["threshold_margin"] is None
+    assert report["diagnostics"]["threshold_margin"] == pytest.approx(
+        math.pi / 4.0 - body["energy_level"], rel=1e-12)
 
 
 def test_readme_names_every_stop_reason():
@@ -96,7 +98,7 @@ def test_solve_knobs_agree_across_ini_config_and_report(solve_run):
     assert set(manifest["config"]["solve"]) == cli_knobs
     # Beside its own flags, each solving subcommand takes one flag per knob.
     common = {"command", "func", "out", "config", "grid", "params"}
-    for command, own in (("solve", {"constants"}), ("sweep", {"eta"})):
+    for command, own in (("solve", set()), ("sweep", {"eta"})):
         dests = set(vars(build_parser().parse_args([command])))
         assert dests - common - own == cli_knobs, command
 
@@ -113,8 +115,7 @@ def test_manifest_checksums_reproduce(solve_run):
     _, out = solve_run
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "solve"
-    assert manifest["config"]["params"]["eta"] == "10.0"
-    assert manifest["inputs"] == {}
+    assert manifest["config"]["params"]["eta"] == "10"
     assert sorted(manifest["artifacts"]) == ["field.bin", "history.csv",
                                              "profile.svg", "report.json"]
     for name, digest in manifest["artifacts"].items():
@@ -142,22 +143,15 @@ def test_readme_lists_every_diagnostics_key():
     assert sorted(names) == sorted(f.name for f in dataclasses.fields(fracnlse.Diagnostics))
 
 
-CONSTANTS_FILE = "<constants.json>"
-
-
 @pytest.mark.parametrize("argv", [
     ["sweep", "--grid", "1:128:20", "--params", "0.4,6,10,1", "--eta", "10,20",
      "--init-width", "3", "--max-iters", "3", "--init-noise", "0.01", "--seed", "4"],
-    ["solve", *SOLVE_2D, "--constants", CONSTANTS_FILE],
+    ["solve", *SOLVE_2D],
     ["constants", "--grid", "1:128:20", "--rungs", "2"],
-], ids=["sweep", "solve-constants", "constants"])
-def test_run_replays_from_its_manifest(tmp_path, request, argv):
+], ids=["sweep", "solve", "constants"])
+def test_run_replays_from_its_manifest(tmp_path, argv):
     # The manifest's config block is the resolved INI state, so rerunning
     # from it with a fresh --out reproduces every artifact byte for byte.
-    if CONSTANTS_FILE in argv:
-        path = tmp_path / "constants.json"
-        fracnlse.save_constants(request.getfixturevalue("constants_2d"), path)
-        argv = [str(path) if arg == CONSTANTS_FILE else arg for arg in argv]
     first = run_cli(*argv, "--out", str(tmp_path / "first"))
     assert first.returncode in (0, 2), first.stderr
     manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
@@ -168,12 +162,8 @@ def test_run_replays_from_its_manifest(tmp_path, request, argv):
     ini.read_dict(manifest["config"])
     with open(tmp_path / "replay.ini", "w") as fh:
         ini.write(fh)
-    inputs = []
-    for flag, record in manifest["inputs"].items():
-        assert sha256(Path(record["path"])) == record["sha256"], flag
-        inputs += ["--" + flag, record["path"]]
     replay = run_cli(manifest["command"], "--config", str(tmp_path / "replay.ini"),
-                     *inputs, "--out", str(tmp_path / "replay"))
+                     "--out", str(tmp_path / "replay"))
     assert replay.returncode == first.returncode, replay.stderr
     assert manifest["artifacts"]
     for name, digest in manifest["artifacts"].items():
@@ -229,8 +219,9 @@ def test_degenerate_solve_exit_one_without_traceback(tmp_path):
     (["constants", "--grid", "1:128:20", "--rungs", "0"], "rungs must be an int >= 1, got 0"),
     (["solve", "--grid", "1:128:20", "--params", "0.4,6,10,1", "--seed", "-1",
       "--init-noise", "0.01", "--max-iters", "2"], "seed must be an int >= 0, got -1"),
+    (["solve", "--constants", "x.json"], "unrecognized arguments: --constants x.json"),
 ], ids=["bad-int", "unknown-flag", "no-command", "radial-every", "verify-solve-flags",
-        "plot-solve-flags", "zero-rungs", "negative-seed"])
+        "plot-solve-flags", "zero-rungs", "negative-seed", "solve-constants"])
 def test_usage_error_exit_one(tmp_path, argv, message):
     # Exit 2 is reserved for a run that failed its quality gate, and a run
     # that exits 1 leaves no run directory (runs/<command> by default).
@@ -283,6 +274,24 @@ def test_bad_grid_flag_exit_one(tmp_path):
     proc = run_cli("solve", "--grid", "2x128x120", "--out", str(tmp_path / "g"))
     assert proc.returncode == 1
     assert "bad --grid value" in proc.stderr
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid", "2:128:x", "[grid] L must be a number, got 'x'"),
+    ("--grid", "two:128:120", "[params] dim must be an integer, got 'two'"),
+    ("--grid", "2:128.5:120", "[grid] n must be an integer, got '128.5'"),
+    ("--params", "0.5,3.5,ten,1", "[params] eta must be a number, got 'ten'"),
+    ("--params", "0.5,3.5,10", "bad --params value '0.5,3.5,10' (want s,p,eta,m)"),
+], ids=["grid-L-word", "grid-dim-word", "grid-n-fraction", "params-eta-word",
+        "params-three-tokens"])
+def test_split_flag_tokens_convert_like_config_values(tmp_path, flag, value, message):
+    # --grid and --params only split their value; each token is converted
+    # with the INI values, so a bad one names its section and key.
+    proc = run_cli("solve", flag, value, "--out", str(tmp_path / "f"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: %s\n" % message
+    assert not (tmp_path / "f").exists()
 
 
 def test_config_file_with_flag_overrides(tmp_path):
@@ -401,99 +410,26 @@ def test_constants_single_rung_exit_two(tmp_path):
     assert len(report["refinement"]["S"]) == 1
 
 
-# A whole report measured at (N, s) = (2, 0.5), valid on its own.
-REPORT_2D = fracnlse.ConstantsReport(
-    S_est=1.7, C_est=0.76, grid=fracnlse.make_grid(2, 128, 20.0),
-    params=fracnlse.ModelParams(dim=2, s=0.5, p=3.5, eta=10.0, m=1.0),
-    refinement={"S": [[128, 1.7]], "C": [[128, 0.76]]}, converged=False).to_dict()
-
-
-# A key of None stands for the whole report and a bad value of None for a
-# missing key; a whole report given as a str is the file's text. Each
-# message is the one error line, with {path} the report's path.
-@pytest.mark.parametrize("key, bad, message", [
-    pytest.param("S_est", -0.5, "constants report {path}: S_est must be a finite "
-                 "positive number, got -0.5", id="S_est--0.5"),
-    pytest.param("C_est", float("nan"), "constants report {path}: C_est must be a "
-                 "finite positive number, got nan", id="C_est-nan"),
-    pytest.param("grid", None, "constants report {path}: missing key 'grid'",
-                 id="missing-grid"),
-    pytest.param(None, REPORT_2D, "constants report was measured at (N, s) = (2, 0.5), "
-                 "the run is at (N, s) = (1, 0.4)", id="other-dim-and-s"),
-    pytest.param("grid", [1, 128, 20], "constants report {path}: grid must be a "
-                 "JSON object, got [1, 128, 20]", id="grid-not-object"),
-    pytest.param("grid", {"dim": 1.0, "n": 128, "L": 20.0}, "constants report {path}: "
-                 "unsupported dimension 1.0 (must be 1, 2, or 3)", id="float-grid-dim"),
-    pytest.param(None, [1, 2], "constants report {path}: the top level must be a "
-                 "JSON object, got [1, 2]", id="report-not-object"),
-    pytest.param("params", {"dim": 1, "s": "x", "p": 6.0, "eta": 1.0, "m": 1.0},
-                 "constants report {path}: '<' not supported between instances of "
-                 "'float' and 'str'", id="string-s"),
-    pytest.param("grid", {"dim": 1, "n": 128, "L": None}, "constants report {path}: "
-                 "float() argument must be a string or a real number, not 'NoneType'",
-                 id="null-L"),
-    pytest.param(None, "{bad", "constants report {path}: Expecting property name "
-                 "enclosed in double quotes: line 1 column 2 (char 1)", id="not-json"),
-    pytest.param("params", {"dim": 2, "s": 0.4, "p": 3.0, "eta": 1.0, "m": 1.0},
-                 "constants report {path}: grid dimension 1 and params dimension 2 "
-                 "differ", id="grid-and-params-dims-differ"),
-])
-def test_solve_rejects_bad_constants_report(tmp_path, key, bad, message):
-    # A negative S_est once made the 1D threshold complex and the solve
-    # died in a traceback with report.json cut off; it is now an input error,
-    # as are a missing key, a grid that is not a JSON object or that
-    # make_grid rejects, a report that is not an object (once a TypeError
-    # traceback) and a report measured at another (N, s), whose threshold
-    # would certify the solve against the wrong constant. So are a string
-    # s, a null L, a file that is not JSON and a report whose grid and
-    # params disagree on the dimension.
-    report = fracnlse.ConstantsReport(
-        S_est=0.64, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
-        params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0),
-        refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]}, converged=False).to_dict()
-    if key is None:
-        report = bad
-    elif bad is None:
-        del report[key]
-    else:
-        report[key] = bad
-    path = tmp_path / "constants.json"
-    path.write_text(report if isinstance(report, str) else json.dumps(report))
-    out = tmp_path / "run"
-    proc = run_cli("solve", "--grid", "1:128:20", "--params", "0.4,6,1,1",
-                   "--constants", str(path), "--out", str(out))
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == ["error: " + message.format(path=path)]
-    assert not out.exists()
-
-
 @pytest.fixture(scope="module")
-def solve_constants_run(tmp_path_factory, constants_2d):
-    tmp = tmp_path_factory.mktemp("solve_constants")
-    path = tmp / "constants.json"
-    fracnlse.save_constants(constants_2d, path)
-    proc = run_cli("solve", *SOLVE_2D, "--constants", str(path), "--out", str(tmp / "run"))
-    assert proc.returncode == 0, proc.stderr
-    return json.loads((tmp / "run" / "report.json").read_text())
+def solve_report(solve_run):
+    _, out = solve_run
+    return json.loads((out / "report.json").read_text())
 
 
-def test_solve_with_constants_writes_diagnostics(solve_constants_run, constants_2d,
-                                                 params_2d):
+def test_solve_writes_threshold_margin(solve_report, params_2d):
     # The threshold margin of a converged solve lives in the diagnostics
     # block, and only there.
-    report = solve_constants_run
-    diagnostics = report["diagnostics"]
+    diagnostics = solve_report["diagnostics"]
     assert diagnostics["all_ok"] is True
-    expected = (fracnlse.compactness_threshold(params_2d, constants_2d)
-                - report["report"]["energy_level"])
+    expected = (fracnlse.compactness_threshold(params_2d)
+                - solve_report["report"]["energy_level"])
     assert diagnostics["threshold_margin"] == pytest.approx(expected, rel=1e-12)
-    assert "compactness_margin" not in report["report"]
+    assert "compactness_margin" not in solve_report["report"]
 
 
-def test_diagnostics_restate_no_report_key(solve_constants_run):
+def test_diagnostics_restate_no_report_key(solve_report):
     # The level and the multiplier live in the report block only.
-    report = solve_constants_run
-    assert set(report["diagnostics"]) & set(report["report"]) == set()
+    assert set(solve_report["diagnostics"]) & set(solve_report["report"]) == set()
 
 
 def test_constants_then_verify_full_pass(tmp_path):
@@ -507,7 +443,31 @@ def test_constants_then_verify_full_pass(tmp_path):
     assert "24 pass, 0 fail, 0 skipped" in proc.stdout
 
 
+# A key of None stands for the whole report and a bad value of None for a
+# missing key; a whole report given as a str is the file's text. Each
+# message is the one error line after "constants report <path>: ".
 @pytest.mark.parametrize("key, bad, message", [
+    pytest.param("S_est", -0.5, "S_est must be a finite positive number, got -0.5",
+                 id="S_est--0.5"),
+    pytest.param("C_est", float("nan"), "C_est must be a finite positive number, got nan",
+                 id="C_est-nan"),
+    pytest.param("grid", None, "missing key 'grid'", id="missing-grid"),
+    pytest.param("grid", [1, 128, 20], "grid must be a JSON object, got [1, 128, 20]",
+                 id="grid-not-object"),
+    pytest.param("grid", {"dim": 1.0, "n": 128, "L": 20.0},
+                 "unsupported dimension 1.0 (must be 1, 2, or 3)", id="float-grid-dim"),
+    pytest.param(None, [1, 2], "the top level must be a JSON object, got [1, 2]",
+                 id="report-not-object"),
+    pytest.param("params", {"dim": 1, "s": "x", "p": 6.0, "eta": 1.0, "m": 1.0},
+                 "'<' not supported between instances of 'float' and 'str'", id="string-s"),
+    pytest.param("grid", {"dim": 1, "n": 128, "L": None},
+                 "float() argument must be a string or a real number, not 'NoneType'",
+                 id="null-L"),
+    pytest.param(None, "{bad", "Expecting property name enclosed in double quotes: "
+                 "line 1 column 2 (char 1)", id="not-json"),
+    pytest.param("params", {"dim": 2, "s": 0.4, "p": 3.0, "eta": 1.0, "m": 1.0},
+                 "grid dimension 1 and params dimension 2 differ",
+                 id="grid-and-params-dims-differ"),
     pytest.param("refinement", {}, "refinement S must be a non-empty list of [n, value], "
                  "got None", id="empty-refinement"),
     pytest.param("refinement", {"S": [["a", 0.64]], "C": [[128, 1.06]]},
@@ -520,16 +480,24 @@ def test_constants_then_verify_full_pass(tmp_path):
                  id="str-converged"),
 ])
 def test_verify_rejects_malformed_constants_report(tmp_path, key, bad, message):
-    # These once loaded: the two probe-sandwich rows then failed with a
-    # raised KeyError or ValueError (exit 2), and a string converged passed
-    # (exit 0). They are input errors now, before any row runs.
+    # Each is an input error before any row runs. A negative S_est once made
+    # the 1D threshold complex (when it read S_est); a report that is not an object was a
+    # TypeError traceback; grid and params of different dimensions paired
+    # 1D probes with 2D exponents; a malformed refinement made the
+    # probe-sandwich rows fail with a raised KeyError or ValueError (exit 2),
+    # and a string converged passed (exit 0).
     report = fracnlse.ConstantsReport(
         S_est=0.64, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
         params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0),
         refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]}, converged=False).to_dict()
-    report[key] = bad
+    if key is None:
+        report = bad
+    elif bad is None:
+        del report[key]
+    else:
+        report[key] = bad
     path = tmp_path / "constants.json"
-    path.write_text(json.dumps(report))
+    path.write_text(report if isinstance(report, str) else json.dumps(report))
     proc = run_cli("verify", "--constants", str(path))
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: constants report %s: %s" % (path, message)]
@@ -539,10 +507,15 @@ def test_verify_rejects_malformed_constants_report(tmp_path, key, bad, message):
 def test_verify_without_constants_reports_skips(tmp_path):
     proc = run_cli("verify", "--out", str(tmp_path / "v"))
     assert proc.returncode == 2
-    assert "0 fail, 5 skipped" in proc.stdout
+    assert "20 pass, 0 fail, 4 skipped" in proc.stdout
     rows = json.loads((tmp_path / "v" / "verify.json").read_text())["rows"]
-    assert sum(1 for r in rows if r["status"] == "skip") == 5
+    assert sum(1 for r in rows if r["status"] == "skip") == 4
     assert sum(1 for r in rows if r["status"] == "fail") == 0
+    # The threshold row reads the sharp Sobolev constant's closed form, so
+    # it runs without a report, on both anchors.
+    threshold, = [r["detail"] for r in rows if r["name"] == "compactness-threshold-margin"]
+    assert re.fullmatch(r"2D threshold 0\.7854, level \S+, margin \S+; "
+                        r"1D threshold 0\.1634, level \S+, margin \S+", threshold)
 
 
 def test_plot_without_inputs_exit_one(tmp_path):

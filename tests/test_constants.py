@@ -207,6 +207,14 @@ def test_report_requires_its_refinement_and_verdict(params_1d):
                  id="nan-rung-value"),
     pytest.param({"S": [[128, True]], "C": [[128, 1.06]]}, "refinement",
                  id="bool-rung-value"),
+    pytest.param({"S": [[1024, 0.71], [256, 0.70]], "C": [[64, 1.05], [64, 1.06]]},
+                 "refinement", id="rungs-off-the-ladder"),
+    pytest.param({"S": [[256, 0.64]], "C": [[128, 1.06]]}, "refinement",
+                 id="first-rung-off-the-grid"),
+    pytest.param({"S": [[128, 0.7], [128, 0.64]], "C": [[128, 1.06]]}, "refinement",
+                 id="repeated-rung"),
+    pytest.param({"S": [[128, 0.7], [512, 0.64]], "C": [[128, 1.06]]}, "refinement",
+                 id="skipped-doubling"),
     pytest.param("yes", "converged", id="str-converged"),
     pytest.param(1, "converged", id="int-converged"),
     pytest.param(5.0, "S_est", id="S_est-not-the-last-rung"),
@@ -214,7 +222,7 @@ def test_report_requires_its_refinement_and_verdict(params_1d):
     pytest.param(True, "converged", id="converged-on-one-rung"),
 ])
 def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, bad, key):
-    # A negative S_est made the 1D compactness threshold complex and a NaN
+    # A negative S_est once made the 1D compactness threshold complex and a NaN
     # passed through every comparison; both must fail at load time, and so
     # must a report without one of its keys, a bool for a number (bool is
     # an int to isinstance), a non-object for grid or params or for the
@@ -223,9 +231,11 @@ def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, ba
     # the key. So must a refinement that is not an object of two non-empty
     # [n, value] traces with grid sizes and positive values (the probe
     # sandwich reads its grid from the last S rung, and once raised inside
-    # verify's rows instead), and a converged that is not a JSON boolean. A
+    # verify's rows instead) or whose rungs are not the report grid's n,
+    # 2n, 4n, ... (the sandwich then probed a grid the ladder never ran),
+    # and a converged that is not a JSON boolean. A
     # report takes its numbers from its trace: S_est and C_est must be the
-    # last rungs' values (the threshold reads S_est), and converged what the
+    # last rungs' values (the sandwich rows read them), and converged what the
     # 5 percent drift test says of both traces (one rung never converges).
     raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
                           params=params_1d, refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]},

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from fracnlse import (Field, ModelParams, SolveConfig, compactness_threshold,
-                      diagnose, frac_laplacian, lp_norm_pow, make_grid, pohozaev,
-                      pohozaev_project, renormalize_mass, sample,
-                      solve_ground_state, summarize, sweep_eta)
+                      diagnose, frac_laplacian, gradient_field, lp_norm_pow,
+                      make_grid, pohozaev, pohozaev_project, renormalize_mass,
+                      sample, solve_ground_state, summarize, sweep_eta)
 from fracnlse import solver
 from fracnlse.fields import _summary_values
 from fracnlse.functionals import odd_power
@@ -312,6 +312,17 @@ def test_collapsed_solve_never_returns_a_report(params_2d, n, width):
     assert rep.summary.A >= 1e-12 * A0
 
 
+@pytest.mark.parametrize("call", [gradient_field, pohozaev_project],
+                         ids=lambda f: f.__name__)
+def test_other_dimension_params_fail_loudly(params_2d, call):
+    # 2D parameters on a 1D field fail as they do in summarize:
+    # pohozaev_project once raised a DegenerateFiberError from the fiber
+    # root, and gradient_field returned a field.
+    field = sample(make_grid(1, 128, 20.0), "gaussian", {"width": 1.0})
+    with pytest.raises(ValueError, match="params dimension 2 does not match grid dimension 1"):
+        call(field, params_2d)
+
+
 def test_anchor_2d_converges_to_pinned_level(anchor_2d, params_2d):
     rep = anchor_2d
     assert rep.converged
@@ -340,30 +351,37 @@ def test_anchor_2d_pde_residual_consistent(anchor_2d, params_2d):
     assert recomputed == pytest.approx(anchor_2d.pde_residual, rel=1e-10)
 
 
-def test_anchor_2d_diagnostics_all_ok(anchor_2d, constants_2d, params_2d):
-    diag = diagnose(anchor_2d, params_2d, constants_2d)
+def test_anchor_2d_diagnostics_all_ok(anchor_2d, params_2d):
+    diag = diagnose(anchor_2d, params_2d)
     assert diag.all_ok
     assert anchor_2d.mu < 0.0 and anchor_2d.energy_level > 0.0
+    # The 2D threshold at s = 1/2 is pi/4 (S = sqrt(pi)).
     assert diag.threshold_margin == pytest.approx(
-        compactness_threshold(params_2d, constants_2d)
-        - anchor_2d.energy_level, rel=1e-12)
-    # Without a constants report the verdict has no margin to judge.
-    bare = diagnose(anchor_2d, params_2d)
-    assert bare.all_ok
-    assert bare.threshold_margin is None
-    assert (bare.multiplier_identity_rel, bare.energy_identity_rel) == (
-        diag.multiplier_identity_rel, diag.energy_identity_rel)
+        math.pi / 4.0 - anchor_2d.energy_level, rel=1e-12)
+    # A level at or above the threshold fails the verdict.
+    high = replace(anchor_2d, energy_level=compactness_threshold(params_2d))
+    assert not diagnose(high, params_2d).all_ok
 
 
-def test_diagnose_requires_convergence(anchor_2d, constants_2d, params_2d,
-                                        params_1d):
+def test_diagnose_requires_convergence(params_1d):
     grid = make_grid(1, 128, 20.0)
     init = sample(grid, "gaussian", {"width": 1.0})
     stalled = solve_ground_state(init, params_1d,
                                  SolveConfig(grid=grid, max_iters=1))
-    for constants in (None, constants_2d):
-        with pytest.raises(ValueError, match="converged"):
-            diagnose(stalled, params_1d, constants)
+    with pytest.raises(ValueError, match="converged"):
+        diagnose(stalled, params_1d)
+
+
+def test_compactness_threshold_closed_form(params_1d, params_2d):
+    # s S^{N/2s} / N with the sharp Sobolev constant: pi/4 at (2, 1/2),
+    # and at (1, 0.4) the Gamma formula written out.
+    assert compactness_threshold(params_2d) == pytest.approx(math.pi / 4.0, abs=1e-15)
+    N, s = 1, 0.4
+    S = (2.0 ** (2 * s) * math.pi ** s * math.gamma((N + 2 * s) / 2) / math.gamma((N - 2 * s) / 2)
+         * (math.gamma(N / 2) / math.gamma(N)) ** (2 * s / N))
+    assert compactness_threshold(params_1d) == pytest.approx(s * S ** (N / (2 * s)) / N,
+                                                              rel=1e-14)
+    assert compactness_threshold(params_1d) == pytest.approx(0.16343593824100233, rel=1e-14)
 
 
 def test_anchor_1d_level_is_stable_despite_gradient_floor():

@@ -20,7 +20,6 @@ CONSTANT_DEPENDENT = {
     "geometry-radius-decay",
     "sobolev-inequality-with-estimate",
     "gn-inequality-with-estimate",
-    "compactness-threshold-margin",
 }
 
 
