@@ -1,22 +1,27 @@
-"""Estimation of the optimal Sobolev and Gagliardo-Nirenberg constants by
-scale-invariant quotient optimization.
+"""The Sobolev and Gagliardo-Nirenberg constants: S from its closed form,
+C by scale-invariant quotient optimization on a refinement ladder. S_est and
+C_est feed rho, geometry_lower_bound and the verify rows that take a
+constants report.
 
-On the periodic box both quotients degenerate through the constant mode:
-constants have zero seminorm, so the Sobolev quotient can descend to zero
-and the GN quotient diverges along nearly-constant fields. Neither limit
-exists on the whole space the inequalities live on, so both optimizers
-project iterates and gradients onto the mean-zero subspace at every step;
-that single restriction is the only regularization used. It does not keep
-the optima resolved: on a periodic grid both quotients are invariant under
-amplitude and dilation, so the optimum depends on n alone, and the ladder's
-optimizers are grid-scale spikes (one to three samples above half their
-maximum). The estimates are lattice constants, not continuum ones.
+estimate_sobolev reports the sharp Sobolev constant on R^N,
+functionals.sobolev_sharp_constant (Lieb; Cotsiolis-Tavoularis), on every
+rung of the ladder's grids, so its doubling gap is 0 by construction. A
+lattice descent of sobolev_quotient converges to grid-scale spikes instead,
+31 percent above the sharp constant in 1D (s = 0.4) and 2.6 percent below
+it in 2D (s = 1/2).
 
-The ladder descends the public quotients, sobolev_quotient and the negated
-gn_quotient, that the verify rows check, with the solver's mass projection
-(at unit mass) and trial pricing.
+On the periodic box the GN quotient diverges along nearly-constant fields,
+a limit that does not exist on the whole space, so the optimizer projects
+iterates and gradients onto the mean-zero subspace at every step; that is
+the only regularization used. It does not keep the optimum resolved: the
+quotient is invariant under amplitude and dilation, so on a periodic grid
+the optimum depends on n alone and the maximizers are grid-scale spikes
+(one to three samples above half their maximum). C_est is a lattice
+constant, not a continuum one. The ladder descends the negated public
+gn_quotient, whose values the verify rows check, with the solver's mass
+projection (at unit mass) and trial pricing.
 
-Both descents share one kernel, built like the solver's. The direction is
+The kernel is built like the solver's. The direction is
 the gradient preconditioned by 1 / (1 + |k|^{2s}), formed on the iterate's
 carried rfftn half spectrum, with its slope taken by Plancherel. A trial's A
 and M come from the quadratic laws in the step length, so a trial touches
@@ -33,30 +38,18 @@ _SLOPE_TOL |value| (first-order stationarity), or earlier if its line
 search finds no decreasing step. The slope is the squared gradient norm in
 the preconditioner's metric, which near a minimum is of the order of the
 decrease still available, so the remaining descent to the rounding floor
-moves a ladder value by at most 3.3e-10 relative (2D S at 256^2, 8.1e-11
-or less elsewhere) while taking about a quarter of its iterations.
+moves a ladder value by at most 8.1e-11 relative while taking about a
+quarter of its iterations.
 
 A rung with more than one start (the first rung's multistart pool) screens
 and then finishes. Every start descends only to slope <= _SCREEN_TOL |value|;
 the start with the lowest screened value then descends on to _SLOPE_TOL,
 restarting without its Barzilai-Borwein memory, and only that finished
-value enters the refinement trace. The screen cut the directions formed
-per quotient from 180/174/186/207 to 128/124/67/149 (1D S, 1D C, 2D S, 2D
-C on the benchmark ladders) and moved every rung by at most 9.2e-11
-relative. The price is the ranking: a screen ranks basins only to about
-_SCREEN_TOL relative, so of two distinct minima closer than that the
-higher one may be finished, and the ladder's 5 percent drift test would
-not see it.
-
-The Sobolev side has a closed form, functionals.sobolev_sharp_constant
-(Lieb; Cotsiolis-Tavoularis), which the compactness threshold reads; S_est
-lies 31 percent above it in 1D (s = 0.4) and 2.6 percent below it in 2D
-(s = 1/2). S_est and C_est feed rho, geometry_lower_bound and the verify
-rows that take a constants report.
-
-Estimates are grid-relative: the refinement ladder reruns the optimization
-at doubled resolution and the report's converged flag records whether the
-last doubling moved the estimate by less than 5 percent.
+value enters the refinement trace. The price is the ranking: a screen ranks
+basins only to about _SCREEN_TOL relative, so of two distinct minima closer
+than that the higher one may be finished, and the ladder's 5 percent drift
+test would not see it. The report's converged flag records whether the
+last doubling moved each estimate by less than 5 percent.
 """
 
 from __future__ import annotations
@@ -70,7 +63,7 @@ from numbers import Integral
 import numpy as np
 
 from .fields import FieldSummary, _lp_values, _plancherel, _quadratic_price, _renorm, sample
-from .functionals import odd_power
+from .functionals import odd_power, sobolev_sharp_constant
 from .grids import GridSpec, make_grid
 from .params import ModelParams
 
@@ -131,7 +124,9 @@ def load_constants(path) -> ConstantsReport:
     make_grid or ModelParams rejects, a grid and params of different
     dimensions, a refinement that is not an object whose S and C are
     non-empty ladders of [n, value] (n the report grid's n on the first
-    rung and doubled on each next, value finite and positive), or an S_est,
+    rung and doubled on each next, value finite and positive), an S rung
+    whose value is not sobolev_sharp_constant(N, s) (a lattice estimate
+    written by an older version), or an S_est,
     C_est or converged that is not what the estimators read off those
     traces raises ValueError naming the file and the key."""
     try:
@@ -150,6 +145,7 @@ def load_constants(path) -> ConstantsReport:
         if grid.dim != params.dim:
             raise ValueError("grid dimension %d and params dimension %d differ"
                              % (grid.dim, params.dim))
+        sharp = sobolev_sharp_constant(params.dim, params.s)
         for label in ("S", "C"):
             trace = raw["refinement"].get(label)
             if not (isinstance(trace, list) and trace
@@ -166,6 +162,10 @@ def load_constants(path) -> ConstantsReport:
                                      "report grid's n doubled per rung)"
                                      % (label, rung, n, grid.points_per_axis * 2 ** rung))
                 _check_positive("refinement %s value" % label, value)
+                if label == "S" and value != sharp:
+                    raise ValueError("refinement S rung %d value %r is not %r, the sharp "
+                                     "Sobolev constant of N=%d, s=%r"
+                                     % (rung, value, sharp, params.dim, params.s))
             if raw[label + "_est"] != trace[-1][1]:
                 raise ValueError("%s_est %r is not %r, the value of the last refinement %s "
                                  "rung" % (label, raw[label + "_est"], trace[-1][1], label))
@@ -205,7 +205,7 @@ class _Quotient:
     coefficients (a, b, c) of its L2 gradient a (-Delta)^s u + b u
     - c |u|^{r-2} u up to a positive factor, which the direction drops.
     sym is |k|^{2s} on the half spectrum and pre the preconditioner
-    1 / (1 + |k|^{2s}) both quotients share.
+    1 / (1 + |k|^{2s}).
     """
 
     def __init__(self, grid: GridSpec, s: float, r: float, value, gradient):
@@ -312,17 +312,6 @@ def _descend_quotient(u0: np.ndarray, quotient: _Quotient, slope_tol: float) -> 
     return val, _MAX_ITERS, False, u
 
 
-def _sobolev(grid: GridSpec, params: ModelParams) -> _Quotient:
-    """The Sobolev quotient A / B*^{2/q} on grid.
-
-    Its gradient is 2 B*^{-2/q} [(-Delta)^s u - (A/B*) |u|^{q-2} u]; the
-    constant in front is irrelevant to the direction and dropped.
-    """
-    return _Quotient(grid, params.s, params.two_star,
-                     value=lambda A, M, B: sobolev_quotient(FieldSummary(A, M, 0.0, B), params),
-                     gradient=lambda A, M, B: (1.0, 0.0, A / B))
-
-
 def _neg_gn(grid: GridSpec, params: ModelParams) -> _Quotient:
     """The negated GN quotient -Q, Q = gn_quotient = B_p / den with
     den = A^{p zeta/2} M^{p(1-zeta)/2}, on grid.
@@ -369,16 +358,20 @@ def _refine_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _run_ladder(grid: GridSpec, params: ModelParams, rungs: int, quotient_on) -> tuple:
-    """Shared ladder driver: multistart at the base grid, warm-started
-    doublings after that; quotient_on(grid, params) is the quotient
-    descended on each rung. A rung with more than one start screens them,
+def _check_rungs(rungs) -> None:
+    if isinstance(rungs, bool) or not isinstance(rungs, Integral) or rungs < 1:
+        raise ValueError("rungs must be an int >= 1, got %r" % (rungs,))
+
+
+def _run_ladder(grid: GridSpec, params: ModelParams, rungs: int) -> tuple:
+    """The GN ladder: multistart at the base grid, warm-started doublings
+    after that, descending the negated GN quotient on each rung. A rung
+    with more than one start screens them,
     descending each to slope <= _SCREEN_TOL |value|, and finishes only the
     one with the lowest screened value, descending it on to _SLOPE_TOL; a
     rung with one start descends it to _SLOPE_TOL. Only finished values
     enter the trace, which is returned."""
-    if isinstance(rungs, bool) or not isinstance(rungs, Integral) or rungs < 1:
-        raise ValueError("rungs must be an int >= 1, got %r" % (rungs,))
+    _check_rungs(rungs)
     trace = []
 
     def descend(u0, quotient, slope_tol):
@@ -394,7 +387,7 @@ def _run_ladder(grid: GridSpec, params: ModelParams, rungs: int, quotient_on) ->
     best_u = None
     for rung in range(rungs):
         starts = _starts(g, params) if rung == 0 else [best_u]
-        quotient = quotient_on(g, params)
+        quotient = _neg_gn(g, params)
         if len(starts) > 1:
             # a generator keeps only the lowest screened state alive
             screened = (descend(u0, quotient, _SCREEN_TOL) for u0 in starts)
@@ -421,14 +414,17 @@ def _ladder_converged(trace: list) -> bool:
 
 
 def estimate_sobolev(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
-    """Minimize the Sobolev quotient; refinement trace over the ladder."""
-    return _estimate(_run_ladder(grid, params, rungs, _sobolev))
+    """The sharp Sobolev constant of (N, s) on every rung of the ladder's
+    grids n, 2n, 4n, ...; S has a closed form, so no descent runs."""
+    _check_rungs(rungs)
+    sharp = sobolev_sharp_constant(params.dim, params.s)
+    return _estimate([(grid.points_per_axis * 2 ** k, sharp) for k in range(rungs)])
 
 
 def estimate_gn(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
     """Maximize the GN quotient; the constant estimate is the p-th root of
     the optimal quotient."""
-    trace = _run_ladder(grid, params, rungs, _neg_gn)
+    trace = _run_ladder(grid, params, rungs)
     return _estimate([(n, (-r) ** (1.0 / params.p)) for n, r in trace])
 
 

@@ -1,10 +1,11 @@
 """The invariant suite behind the verify subcommand.
 
 Each check exercises one quantitative contract of the laboratory and is
-keyed by a descriptive name. The four checks that read a constants report's
-S_est and C_est (the geometry rows and the two probe sandwiches) are skipped
-(not failed) when no report is supplied; the compactness-threshold row
-reads the sharp Sobolev constant's closed form and always runs.
+keyed by a descriptive name. The four checks that read a constants report
+(the geometry rows and the two probe sandwiches) are skipped (not failed)
+when none is supplied. A report's S_est is the sharp Sobolev constant, so
+the Sobolev sandwich checks resolved probes against the sharp inequality.
+The compactness-threshold row reads the closed form and always runs.
 Anchor solves are shared across checks through a lazy context so the whole
 table runs in well under a minute.
 """
@@ -485,7 +486,7 @@ def _check_sobolev_inequality(ctx):
     lo = math.inf
     for summary in _probe_summaries(ctx, rep):
         lo = min(lo, sobolev_quotient(summary, rep.params))
-    return lo > rep.S_est, ("min probe quotient %.4f vs estimate %.4f, margin %.3f"
+    return lo > rep.S_est, ("min probe quotient %.4f vs sharp S %.4f, margin %.3f"
                             % (lo, rep.S_est, lo - rep.S_est))
 
 

@@ -156,6 +156,8 @@ def test_criterion_09_geometry_gap(constants_2d, verdict):
 def test_criterion_10_constants_stability(constants_1d, constants_2d, verdict):
     # converged is the ladder's own test that the last doubling moved each
     # estimate by at most 5 percent; the gaps are printed for the record.
+    # The S gap is 0 by construction: every S rung is the sharp Sobolev
+    # constant's closed form.
     ok, parts = True, []
     for tag, rep in (("1d", constants_1d), ("2d", constants_2d)):
         gaps = []

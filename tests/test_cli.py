@@ -404,7 +404,9 @@ def test_constants_single_rung_exit_two(tmp_path):
     assert proc.returncode == 2
     assert "converged=False" in proc.stdout
     assert "S trace:" in proc.stdout
-    assert "sharp Sobolev constant 0.488686: relative deviation" in proc.stdout
+    assert "S trace: n=128 0.488686" in proc.stdout
+    assert "S is the sharp Sobolev constant's closed form" in proc.stdout
+    assert "relative deviation" not in proc.stdout
     report = json.loads((out / "constants.json").read_text())
     assert report["converged"] is False
     assert len(report["refinement"]["S"]) == 1
@@ -443,6 +445,10 @@ def test_constants_then_verify_full_pass(tmp_path):
     assert "24 pass, 0 fail, 0 skipped" in proc.stdout
 
 
+# The sharp Sobolev constant at (N, s) = (1, 0.4), the S of the report below.
+S_1D = fracnlse.sobolev_sharp_constant(1, 0.4)
+
+
 # A key of None stands for the whole report and a bad value of None for a
 # missing key; a whole report given as a str is the file's text. Each
 # message is the one error line after "constants report <path>: ".
@@ -470,12 +476,15 @@ def test_constants_then_verify_full_pass(tmp_path):
                  id="grid-and-params-dims-differ"),
     pytest.param("refinement", {}, "refinement S must be a non-empty list of [n, value], "
                  "got None", id="empty-refinement"),
-    pytest.param("refinement", {"S": [["a", 0.64]], "C": [[128, 1.06]]},
+    pytest.param("refinement", {"S": [["a", S_1D]], "C": [[128, 1.06]]},
                  "refinement S grid size: points per axis must be an integer, got 'a'",
                  id="str-n"),
-    pytest.param("refinement", {"S": [["128", 0.64]], "C": [[128, 1.06]]},
+    pytest.param("refinement", {"S": [["128", S_1D]], "C": [[128, 1.06]]},
                  "refinement S grid size: points per axis must be an integer, got '128'",
                  id="digit-str-n"),
+    pytest.param("refinement", {"S": [[128, 0.64]], "C": [[128, 1.06]]},
+                 "refinement S rung 0 value 0.64 is not %r, the sharp Sobolev constant of "
+                 "N=1, s=0.4" % S_1D, id="lattice-S-rung"),
     pytest.param("converged", "yes", "converged must be true or false, got 'yes'",
                  id="str-converged"),
 ])
@@ -485,11 +494,12 @@ def test_verify_rejects_malformed_constants_report(tmp_path, key, bad, message):
     # TypeError traceback; grid and params of different dimensions paired
     # 1D probes with 2D exponents; a malformed refinement made the
     # probe-sandwich rows fail with a raised KeyError or ValueError (exit 2),
-    # and a string converged passed (exit 0).
+    # and a string converged passed (exit 0). An S rung off the sharp
+    # constant is a lattice report of an older version.
     report = fracnlse.ConstantsReport(
-        S_est=0.64, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
+        S_est=S_1D, C_est=1.06, grid=fracnlse.make_grid(1, 128, 20.0),
         params=fracnlse.ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=1.0),
-        refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]}, converged=False).to_dict()
+        refinement={"S": [[128, S_1D]], "C": [[128, 1.06]]}, converged=False).to_dict()
     if key is None:
         report = bad
     elif bad is None:

@@ -14,17 +14,16 @@ from fracnlse import constants
 from fracnlse.constants import estimate_constants, estimate_gn, estimate_sobolev
 from fracnlse.fields import _lp_values, _renorm, _summary_values
 
-# Refinement-ladder values pinned from converged runs of this package; the
-# estimators are deterministic (fixed multistart set, fixed descent), so
-# these serve as regression anchors.
-S_LADDER_1D = [(512, 0.7051174497430102),
-               (1024, 0.6685545127256307),
-               (2048, 0.639448667799998)]
+# GN refinement-ladder values pinned from converged runs of this package;
+# the estimator is deterministic (fixed multistart set, fixed descent), so
+# these serve as regression anchors. The S rungs are the closed form.
 C_LADDER_1D = [(512, 1.0520989024117415),
                (1024, 1.0600641686698145),
                (2048, 1.0649851528334895)]
-S_LADDER_2D = [(128, 1.7396715452561593), (256, 1.7271133521317112)]
 C_LADDER_2D = [(128, 0.7587712609400542), (256, 0.7590886588635374)]
+# The sharp Sobolev constant at params_1d's (N, s) = (1, 0.4): the S value
+# of every hand-built 1D report below.
+S_1D = sobolev_sharp_constant(1, 0.4)
 
 
 def amplitude_scaled(s4, c, params):
@@ -66,9 +65,7 @@ def test_quotients_reject_degenerate_summaries(params_1d):
 def test_ladder_1d_regression(constants_1d):
     rep = constants_1d
     assert rep.converged
-    for (n_exp, v_exp), (n_got, v_got) in zip(S_LADDER_1D, rep.refinement["S"]):
-        assert n_got == n_exp
-        assert v_got == pytest.approx(v_exp, rel=1e-6)
+    assert rep.refinement["S"] == [[n, S_1D] for n in (512, 1024, 2048)]
     for (n_exp, v_exp), (n_got, v_got) in zip(C_LADDER_1D, rep.refinement["C"]):
         assert n_got == n_exp
         assert v_got == pytest.approx(v_exp, rel=1e-6)
@@ -79,12 +76,37 @@ def test_ladder_1d_regression(constants_1d):
 def test_ladder_2d_regression(constants_2d):
     rep = constants_2d
     assert rep.converged
-    for (n_exp, v_exp), (n_got, v_got) in zip(S_LADDER_2D, rep.refinement["S"]):
-        assert n_got == n_exp
-        assert v_got == pytest.approx(v_exp, rel=1e-6)
+    assert rep.refinement["S"] == [[n, sobolev_sharp_constant(2, 0.5)] for n in (128, 256)]
     for (n_exp, v_exp), (n_got, v_got) in zip(C_LADDER_2D, rep.refinement["C"]):
         assert n_got == n_exp
         assert v_got == pytest.approx(v_exp, rel=1e-6)
+
+
+@pytest.mark.parametrize("rungs", [1, 2, 3])
+def test_sobolev_ladder_is_the_closed_form(params_1d, params_2d, rungs):
+    # Every rung of the ladder's grids reads the sharp constant exactly, so
+    # the doubling gap is 0 and two rungs or more are converged.
+    for grid, params in ((make_grid(1, 512, 20.0), params_1d),
+                         (make_grid(2, 128, 20.0), params_2d)):
+        sharp = sobolev_sharp_constant(params.dim, params.s)
+        n = grid.points_per_axis
+        frag = estimate_sobolev(grid, params, rungs=rungs)
+        assert frag["refinement"] == [(n * 2 ** k, sharp) for k in range(rungs)]
+        assert frag["value"] == sharp
+        assert frag["converged"] is (rungs > 1)
+
+
+def test_constants_descend_only_the_gn_quotient(monkeypatch, params_1d):
+    # The ladder's kernel runs for C alone: the seven first-rung screens and
+    # one finish per rung, each on the negated GN quotient (a Sobolev
+    # descent would report a positive value).
+    grid = make_grid(1, 128, 20.0)
+    calls = ladder_calls(monkeypatch)
+    rep = estimate_constants(grid, params_1d, rungs=2)
+    assert len(calls) == len(constants._starts(grid, params_1d)) + 2
+    assert all(out[0] < 0.0 for _, _, _, out in calls)
+    assert rep.refinement["C"] == [[n, (-out[0]) ** (1.0 / params_1d.p)]
+                                   for _, n, _, out in calls[-2:]]
 
 
 @pytest.mark.parametrize("rungs", [0, -1, 1.5, True])
@@ -175,10 +197,10 @@ def test_report_requires_its_refinement_and_verdict(params_1d):
     # wrote and load_constants rejected.
     grid = make_grid(1, 128, 20.0)
     with pytest.raises(TypeError, match="'refinement' and 'converged'"):
-        ConstantsReport(S_est=0.64, C_est=1.06, grid=grid, params=params_1d)
+        ConstantsReport(S_est=S_1D, C_est=1.06, grid=grid, params=params_1d)
     with pytest.raises(TypeError, match="'converged'"):
-        ConstantsReport(S_est=0.64, C_est=1.06, grid=grid, params=params_1d,
-                        refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]})
+        ConstantsReport(S_est=S_1D, C_est=1.06, grid=grid, params=params_1d,
+                        refinement={"S": [[128, S_1D]], "C": [[128, 1.06]]})
 
 
 # None stands for a missing key.
@@ -196,25 +218,26 @@ def test_report_requires_its_refinement_and_verdict(params_1d):
     pytest.param({}, "refinement", id="empty-refinement"),
     pytest.param("x", "refinement", id="str-refinement"),
     pytest.param({"S": [], "C": [[128, 1.06]]}, "refinement", id="empty-S-trace"),
-    pytest.param({"S": [[128, 0.64]], "C": "x"}, "refinement", id="str-C-trace"),
+    pytest.param({"S": [[128, S_1D]], "C": "x"}, "refinement", id="str-C-trace"),
     pytest.param({"S": [[128]], "C": [[128, 1.06]]}, "refinement", id="short-rung"),
-    pytest.param({"S": [["a", 0.64]], "C": [[128, 1.06]]}, "refinement", id="str-n"),
-    pytest.param({"S": [[129, 0.64]], "C": [[128, 1.06]]}, "refinement", id="odd-n"),
-    pytest.param({"S": [[4, 0.64]], "C": [[128, 1.06]]}, "refinement", id="small-n"),
-    pytest.param({"S": [[128, 0.64]], "C": [[128, -1.0]]}, "refinement",
+    pytest.param({"S": [["a", S_1D]], "C": [[128, 1.06]]}, "refinement", id="str-n"),
+    pytest.param({"S": [[129, S_1D]], "C": [[128, 1.06]]}, "refinement", id="odd-n"),
+    pytest.param({"S": [[4, S_1D]], "C": [[128, 1.06]]}, "refinement", id="small-n"),
+    pytest.param({"S": [[128, S_1D]], "C": [[128, -1.0]]}, "refinement",
                  id="negative-rung-value"),
     pytest.param({"S": [[128, math.nan]], "C": [[128, 1.06]]}, "refinement",
                  id="nan-rung-value"),
     pytest.param({"S": [[128, True]], "C": [[128, 1.06]]}, "refinement",
                  id="bool-rung-value"),
-    pytest.param({"S": [[1024, 0.71], [256, 0.70]], "C": [[64, 1.05], [64, 1.06]]},
+    pytest.param({"S": [[1024, S_1D], [256, S_1D]], "C": [[64, 1.05], [64, 1.06]]},
                  "refinement", id="rungs-off-the-ladder"),
-    pytest.param({"S": [[256, 0.64]], "C": [[128, 1.06]]}, "refinement",
+    pytest.param({"S": [[256, S_1D]], "C": [[128, 1.06]]}, "refinement",
                  id="first-rung-off-the-grid"),
-    pytest.param({"S": [[128, 0.7], [128, 0.64]], "C": [[128, 1.06]]}, "refinement",
+    pytest.param({"S": [[128, S_1D], [128, S_1D]], "C": [[128, 1.06]]}, "refinement",
                  id="repeated-rung"),
-    pytest.param({"S": [[128, 0.7], [512, 0.64]], "C": [[128, 1.06]]}, "refinement",
+    pytest.param({"S": [[128, S_1D], [512, S_1D]], "C": [[128, 1.06]]}, "refinement",
                  id="skipped-doubling"),
+    pytest.param({"S": [[128, 0.64]], "C": [[128, 1.06]]}, "refinement", id="lattice-S-rung"),
     pytest.param("yes", "converged", id="str-converged"),
     pytest.param(1, "converged", id="int-converged"),
     pytest.param(5.0, "S_est", id="S_est-not-the-last-rung"),
@@ -233,12 +256,13 @@ def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, ba
     # sandwich reads its grid from the last S rung, and once raised inside
     # verify's rows instead) or whose rungs are not the report grid's n,
     # 2n, 4n, ... (the sandwich then probed a grid the ladder never ran),
-    # and a converged that is not a JSON boolean. A
+    # and a converged that is not a JSON boolean, or an S rung that is not
+    # the sharp Sobolev constant (a lattice report of an older version). A
     # report takes its numbers from its trace: S_est and C_est must be the
     # last rungs' values (the sandwich rows read them), and converged what the
     # 5 percent drift test says of both traces (one rung never converges).
-    raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
-                          params=params_1d, refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]},
+    raw = ConstantsReport(S_est=S_1D, C_est=1.06, grid=make_grid(1, 128, 20.0),
+                          params=params_1d, refinement={"S": [[128, S_1D]], "C": [[128, 1.06]]},
                           converged=False).to_dict()
     if key == "top level":
         raw = bad
@@ -269,8 +293,8 @@ def test_load_constants_names_the_file_in_grid_and_params_errors(tmp_path, param
     # make_grid and ModelParams reject these entries with their own
     # messages, as json does a file that is not JSON (a section of None:
     # bad is the file's text); the loader puts the file in front of them.
-    raw = ConstantsReport(S_est=0.64, C_est=1.06, grid=make_grid(1, 128, 20.0),
-                          params=params_1d, refinement={"S": [[128, 0.64]], "C": [[128, 1.06]]},
+    raw = ConstantsReport(S_est=S_1D, C_est=1.06, grid=make_grid(1, 128, 20.0),
+                          params=params_1d, refinement={"S": [[128, S_1D]], "C": [[128, 1.06]]},
                           converged=False).to_dict()
     path = tmp_path / "constants.json"
     if section is None:
@@ -299,7 +323,21 @@ def test_sobolev_sharp_constant_rejects_inadmissible_exponents(dim, s):
 # ----------------------------------------------------------------------
 # the descent kernel
 
-QUOTIENTS = {"S": (constants._sobolev, sobolev_quotient, 1.0),
+def sobolev_kernel_quotient(grid, params):
+    # The Sobolev quotient A / B*^{2/q} as a kernel quotient. The ladder no
+    # longer descends it (S is the closed form), but its gradient
+    # (-Delta)^s u - (A/B*) |u|^{q-2} u has no mass term, unlike -Q's, so it
+    # keeps that branch of the kernel under test.
+    return constants._Quotient(
+        grid, params.s, params.two_star,
+        value=lambda A, M, B: sobolev_quotient(FieldSummary(A, M, 0.0, B), params),
+        gradient=lambda A, M, B: (1.0, 0.0, A / B))
+
+
+# The quotients the kernel is tested on, each with its public value and the
+# sign that turns that value into the descended one: the ladder runs only
+# the negated GN quotient.
+QUOTIENTS = {"S": (sobolev_kernel_quotient, sobolev_quotient, 1.0),
              "C": (constants._neg_gn, gn_quotient, -1.0)}
 
 
@@ -315,7 +353,7 @@ def kernel_case(dim, params_1d, params_2d):
     return grid, params, constants._starts(grid, params)[start]
 
 
-@pytest.mark.parametrize("which", ["S", "C"])
+@pytest.mark.parametrize("which", QUOTIENTS)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_accepted_steps_strictly_lower_the_quotient(monkeypatch, params_1d, params_2d,
                                                     dim, which):
@@ -340,7 +378,7 @@ def test_accepted_steps_strictly_lower_the_quotient(monkeypatch, params_1d, para
     assert all(b < a for a, b in zip(seen, seen[1:]))
 
 
-@pytest.mark.parametrize("which", ["S", "C"])
+@pytest.mark.parametrize("which", QUOTIENTS)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_trial_pricing_matches_measured_parts(params_1d, params_2d, dim, which):
     # A(u - al d) and M(u - al d) from the quadratic laws must equal the
@@ -359,7 +397,7 @@ def test_trial_pricing_matches_measured_parts(params_1d, params_2d, dim, which):
         assert M_al == pytest.approx(measured.M, rel=1e-12)
 
 
-@pytest.mark.parametrize("which", ["S", "C"])
+@pytest.mark.parametrize("which", QUOTIENTS)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_transforms_per_accepted_step(monkeypatch, params_1d, params_2d, dim, which):
     # A direction transforms the nonlinear term forward and d back (2), a
@@ -397,7 +435,7 @@ def test_transforms_per_accepted_step(monkeypatch, params_1d, params_2d, dim, wh
         assert f1 - f0 <= 3 + rejected
 
 
-@pytest.mark.parametrize("which", ["S", "C"])
+@pytest.mark.parametrize("which", QUOTIENTS)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_trials_per_accepted_step(monkeypatch, params_1d, params_2d, dim, which):
     # From the second direction of a start on, the first trial is the
@@ -427,7 +465,7 @@ def test_trials_per_accepted_step(monkeypatch, params_1d, params_2d, dim, which)
     assert sum(accepted) / len(accepted) <= 1.5
 
 
-@pytest.mark.parametrize("which", ["S", "C"])
+@pytest.mark.parametrize("which", QUOTIENTS)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_start_ends_at_the_slope_tolerance(monkeypatch, params_1d, params_2d, dim, which):
     # A start ends at the first direction whose slope <g, d> is at most
@@ -460,10 +498,10 @@ def test_descent_budget_still_raises(monkeypatch, params_1d):
     # ends is an error.
     monkeypatch.setattr(constants, "_MAX_ITERS", 5)
     with pytest.raises(RuntimeError, match="still improving after 5 iterations"):
-        estimate_sobolev(make_grid(1, 128, 20.0), params_1d, rungs=1)
+        estimate_gn(make_grid(1, 128, 20.0), params_1d, rungs=1)
 
 
-@pytest.mark.parametrize("which", ["S", "C"])
+@pytest.mark.parametrize("which", QUOTIENTS)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_screen_ends_at_its_slope_tolerance(monkeypatch, params_1d, params_2d, dim, which):
     # slope_tol takes the place of _SLOPE_TOL in the slope test: a screen
@@ -500,15 +538,15 @@ def ladder_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("which", ["S", "C"])
+# Only the GN ladder descends (S is the closed form), so only its case is run.
+@pytest.mark.parametrize("which", ["C"])
 def test_first_rung_screens_every_start_then_finishes_the_lowest(monkeypatch, params_1d,
                                                                  which):
     # The first rung descends each start to _SCREEN_TOL, then the state of
     # the lowest screened value on to _SLOPE_TOL; each later rung descends
     # its one warm start to _SLOPE_TOL. Only finished values are traced.
     grid = make_grid(1, 128, 20.0)
-    estimate, to_trace = {"S": (estimate_sobolev, lambda v: v),
-                          "C": (estimate_gn, lambda v: (-v) ** (1.0 / params_1d.p))}[which]
+    estimate, to_trace = {"C": (estimate_gn, lambda v: (-v) ** (1.0 / params_1d.p))}[which]
     starts = constants._starts(grid, params_1d)
     calls = ladder_calls(monkeypatch)
     frag = estimate(grid, params_1d, rungs=3)
@@ -553,4 +591,4 @@ def test_a_screen_or_finish_out_of_budget_raises(monkeypatch, params_1d, stage):
 
     monkeypatch.setattr(constants, "_descend_quotient", spy)
     with pytest.raises(RuntimeError, match="still improving"):
-        estimate_sobolev(make_grid(1, 128, 20.0), params_1d, rungs=1)
+        estimate_gn(make_grid(1, 128, 20.0), params_1d, rungs=1)
