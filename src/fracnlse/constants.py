@@ -62,7 +62,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .fields import FieldSummary, _lp_values, _plancherel, _quadratic_price, _renorm, sample
+from .fields import (FieldSummary, _bandlimited, _lp_values, _plancherel, _quadratic_price,
+                     _renorm, _rfftn, sample)
 from .functionals import odd_power, sobolev_sharp_constant
 from .grids import GridSpec, make_grid
 from .params import ModelParams
@@ -218,7 +219,7 @@ def _measure(u: np.ndarray, quotient: _Quotient) -> tuple:
     """(uh, A, M) of real samples u, with uh their rfftn half spectrum:
     the one transform the kernel spends on a state it keeps."""
     grid = quotient.grid
-    uh = np.fft.rfftn(u)
+    uh = _rfftn(u)
     return uh, _plancherel(grid, uh, uh, quotient.sym), _lp_values(u, grid, 2.0)
 
 
@@ -238,7 +239,7 @@ def _direction(u, uh, parts, quotient):
     A, M, B = parts
     grid, sym = quotient.grid, quotient.sym
     a, b, c = quotient.gradient(A, M, B)
-    gh = (a * sym + b) * uh - c * np.fft.rfftn(odd_power(u, quotient.r))
+    gh = (a * sym + b) * uh - c * _rfftn(odd_power(u, quotient.r))
     gh.flat[0] = 0.0
     dh = gh * quotient.pre
     d = np.fft.irfftn(dh)
@@ -454,33 +455,45 @@ def probe_fields(grid: GridSpec, params: ModelParams, count: int = 50,
     quadrature and do not witness the continuum inequalities.
 
     The set is a prefix: the first k probes of any count >= k are the same
-    fields, bit for bit, so count only says where the sequence stops.
+    fields, bit for bit, so count only says where the sequence stops. Each
+    probe is one array, evaluated, centred and normalized in place; the
+    band-limited probes are sample's random_bandlimited fields, drawn
+    without building a Field.
     """
     rng = np.random.default_rng(seed)
     L = grid.half_length
     mesh = grid.meshgrid()
     r2 = sum(c * c for c in mesh)
 
+    def gaussian(sq, w, out=None):
+        out = np.negative(sq, out=out)
+        out /= 2.0 * w * w
+        return np.exp(out, out=out)
+
     def families():
         for w in np.geomspace(0.5, L / 6.0, 12):
-            yield np.exp(-r2 / (2.0 * w * w))
+            yield gaussian(r2, w)
         for eps in np.geomspace(0.5, 4.0, 8):
-            yield (eps * eps + r2) ** (-(grid.dim - 2.0 * params.s) / 2.0)
+            out = r2 + eps * eps
+            out **= -(grid.dim - 2.0 * params.s) / 2.0
+            yield out
         for _ in range(10):
             w = rng.uniform(0.8, L / 8.0)
             center = rng.uniform(-L / 4.0, L / 4.0, size=grid.dim)
             shifted = sum((c - x0) ** 2 for c, x0 in zip(mesh, center))
-            yield np.exp(-shifted / (2.0 * w * w))
+            yield gaussian(shifted, w, out=shifted)
         for _ in range(10):
             w = rng.uniform(1.0, L / 8.0)
             mode = rng.integers(1, max(2, grid.points_per_axis // 8), size=grid.dim)
             phase = sum(np.pi * m / L * c for m, c in zip(mode, mesh))
-            yield np.cos(phase) * np.exp(-r2 / (2.0 * w * w))
+            out = np.cos(phase, out=phase)
+            out *= gaussian(r2, w)
+            yield out
+        envelope = np.exp(-grid.radius() ** 2 / (2.0 * (L / 6.0) ** 2))
         while True:
             cutoff = rng.uniform(0.05, 0.25)
-            yield sample(grid, "random_bandlimited",
-                         {"cutoff": cutoff, "envelope_width": L / 6.0},
-                         seed=int(rng.integers(0, 2 ** 31))).values
+            yield _bandlimited(grid, cutoff, envelope, int(rng.integers(0, 2 ** 31)))
 
     for values in islice(families(), count):
-        yield _renorm(_mean_zero(values), grid, 1.0)
+        values -= np.mean(values)
+        yield _renorm(values, grid, 1.0, out=values)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, FieldSummary, _abs_power, _check_dim
+from .fields import Field, FieldSummary, _abs_power, _check_dim, _rfftn
 from .grids import GridSpec
 from .params import ModelParams
 
@@ -50,7 +50,7 @@ def _gradient_half(u: np.ndarray, uh: np.ndarray, grid: GridSpec, params: ModelP
     - eta |u|^{p-2} u - mu u, the multiplier-shifted L2 gradient at real
     samples u with half spectrum uh."""
     nonlinear = odd_power(u, params.two_star) + params.eta * odd_power(u, params.p)
-    return (grid.half_symbol(params.s) - mu) * uh - np.fft.rfftn(nonlinear)
+    return (grid.half_symbol(params.s) - mu) * uh - _rfftn(nonlinear)
 
 
 def gradient_field(field: Field, params: ModelParams) -> Field:
@@ -59,7 +59,7 @@ def gradient_field(field: Field, params: ModelParams) -> Field:
     gradient at mu = 0, transformed back."""
     _check_dim(field.grid, params)
     u = field.values
-    return Field(field.grid, np.fft.irfftn(_gradient_half(u, np.fft.rfftn(u), field.grid,
+    return Field(field.grid, np.fft.irfftn(_gradient_half(u, _rfftn(u), field.grid,
                                                           params, 0.0)))
 
 

@@ -61,7 +61,7 @@ import numpy as np
 
 from . import functionals
 from .fields import (Field, FieldSummary, _check_dim, _dilate_values, _guard_decay,
-                     _lp_values, _plancherel, _quadratic_price, _renorm,
+                     _lp_values, _plancherel, _quadratic_price, _renorm, _rfftn,
                      _seminorm_sq_values, _summary_values, sample)
 from .fiber import DegenerateFiberError, FiberProfile, fiber_root, scale_summary
 from .grids import GridSpec, make_grid
@@ -158,14 +158,14 @@ def _project(values: np.ndarray, grid: GridSpec, params: ModelParams, rounds: in
             dilations += 1
             rounds -= 1
     for _ in range(rounds):
-        spectrum = np.fft.rfftn(values)
+        spectrum = _rfftn(values)
         S = _summary_values(values, grid, params, spectrum)
         if abs(functionals.pohozaev(S, params)) <= tol * S.A:
             return values, spectrum, S, dilations
         xi = fiber_root(FiberProfile(S, params))
         values = _renorm(_dilate_values(values, grid, xi), grid, params.m)
         dilations += 1
-    spectrum = np.fft.rfftn(values)
+    spectrum = _rfftn(values)
     return values, spectrum, _summary_values(values, grid, params, spectrum), dilations
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: model parameters, constants ladders, anchor solves.
+"""Shared fixtures: model parameters, constants ladders, anchor solves,
+and a counter of spectral transforms.
 
 Everything expensive is session-scoped so the cost is paid once: the two
 constants ladders, the converged 2D anchor, the baseline 1D runs at two
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import fracnlse as F
+from fracnlse import constants, fields, functionals, solver
 
 
 @pytest.fixture(scope="session")
@@ -89,3 +91,34 @@ def acceptance_sweep(params_2d):
                         max_iters=900)
     etas = [float(e) for e in np.geomspace(10.0, 1000.0, 5)]
     return F.sweep_eta(params_2d, etas, cfg, width_ref=12.0)
+
+
+@pytest.fixture
+def transform_count(monkeypatch):
+    """A one-element list counting spectral transforms from here on: each
+    fields._rfftn is one transform, although it makes one numpy call per
+    axis, and every other np.fft call is one."""
+    count, inside = [0], [False]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            if not inside[0]:
+                count[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    forward = fields._rfftn
+
+    def rfftn(values):
+        count[0] += 1
+        inside[0] = True
+        try:
+            return forward(values)
+        finally:
+            inside[0] = False
+
+    for module in (fields, functionals, solver, constants):
+        monkeypatch.setattr(module, "_rfftn", rfftn)
+    return count

@@ -159,6 +159,29 @@ def test_probe_fields_are_a_prefix_of_longer_sets(params_1d, params_2d):
                 assert np.array_equal(u, v)
 
 
+def test_bandlimited_probes_are_the_public_sampler(monkeypatch, params_1d, params_2d):
+    # The probe path draws band-limited values without building a Field;
+    # each such probe must be sample's field for the same cutoff and seed,
+    # centred and normalized, bit for bit.
+    draws = []
+    bandlimited = constants._bandlimited
+
+    def spy(grid, cutoff, envelope, seed):
+        draws.append((cutoff, seed))
+        return bandlimited(grid, cutoff, envelope, seed)
+
+    monkeypatch.setattr(constants, "_bandlimited", spy)
+    for grid, params in ((make_grid(1, 512, 20.0), params_1d),
+                         (make_grid(2, 64, 20.0), params_2d)):
+        draws.clear()
+        probes = list(probe_fields(grid, params, count=60, seed=23))[40:]
+        assert len(draws) == len(probes) == 20
+        for u, (cutoff, seed) in zip(probes, draws):
+            ref = sample(grid, "random_bandlimited",
+                         {"cutoff": cutoff, "envelope_width": grid.half_length / 6.0}, seed)
+            assert np.array_equal(u, _renorm(constants._mean_zero(ref.values), grid, 1.0))
+
+
 def test_probes_witness_both_inequalities(params_1d, constants_1d):
     grid = make_grid(1, 512, 20.0)
     summaries = [_summary_values(u, grid, params_1d)
@@ -399,22 +422,14 @@ def test_trial_pricing_matches_measured_parts(params_1d, params_2d, dim, which):
 
 @pytest.mark.parametrize("which", QUOTIENTS)
 @pytest.mark.parametrize("dim", [1, 2])
-def test_transforms_per_accepted_step(monkeypatch, params_1d, params_2d, dim, which):
+def test_transforms_per_accepted_step(monkeypatch, transform_count, params_1d, params_2d,
+                                      dim, which):
     # A direction transforms the nonlinear term forward and d back (2), a
     # priced trial transforms nothing, and a measured trial one rfftn: an
     # accepted step costs at most 3 transforms plus one per trial that
     # passed on its priced value and failed on its measured one.
     grid, params, u0 = kernel_case(dim, params_1d, params_2d)
-    fft_calls, measures, steps = [0], [0], []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            fft_calls[0] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    fft_calls, measures, steps = transform_count, [0], []
     measure, direction = constants._measure, constants._direction
 
     def counting_measure(*args):

@@ -1,9 +1,10 @@
 """Tooling guards: every name imported in src/ and tests/ is used, the
 package's export list matches what it binds, every exported function has a
 caller outside its own module, every private module-level definition is
-used in src/, importing the package pulls in nothing past the standard
-library and numpy and none of the modules it loads on first use, and the
-README counts every row of the verify battery."""
+used in src/, only fields calls np.fft.rfftn, importing the package pulls
+in nothing past the standard library and numpy and none of the modules it
+loads on first use, and the README counts every row of the verify
+battery."""
 
 import ast
 import importlib
@@ -126,6 +127,18 @@ def test_every_private_definition_is_used_in_src():
     unused = sorted(node.name for node in private
                     if read[node.name] <= _references(node)[node.name])
     assert not unused, "private definitions nothing in src/ uses: %s" % unused
+
+
+def test_only_fields_calls_rfftn():
+    # fields._rfftn is the one forward real transform: a second home would
+    # escape its bit-identity test and the transform counts.
+    callers = []
+    for path in sorted((ROOT / "src" / "fracnlse").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.stem != "fields" and any(isinstance(node, ast.Attribute)
+                                         and node.attr == "rfftn" for node in ast.walk(tree)):
+            callers.append(path.name)
+    assert not callers, "np.fft.rfftn called outside fields: %s" % callers
 
 
 def test_readme_counts_every_battery_row():

@@ -132,21 +132,12 @@ def test_carried_spectrum_is_the_transform_of_the_iterate(monkeypatch, params_2d
     assert seen == [True] * rep.iterations
 
 
-def test_transforms_per_accepted_step(monkeypatch, params_2d):
+def test_transforms_per_accepted_step(monkeypatch, transform_count, params_2d):
     # An iteration transforms N(u) forward and d back (2), and each realized
     # projection transforms only the states it measures: every state a
     # dilation produces, or the priced trial itself when it already meets
     # the tolerance. The trial's first fiber root comes from the prescreen.
-    fft_calls = [0]
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            fft_calls[0] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    fft_calls = transform_count
     dilations = [0]
     dilate = solver._dilate_values
 

@@ -129,13 +129,13 @@ def test_sandwich_rows_share_one_probe_pass(monkeypatch, constants_2d):
     # Both rows read the same 50 probes (40 from the analytic families, 10
     # band-limited noise draws); one pass serves both rows.
     draws = []
-    true_sample = fracnlse.constants.sample
+    bandlimited = fracnlse.constants._bandlimited
 
-    def counting_sample(grid, family, *args, **kwargs):
-        draws.append(family)
-        return true_sample(grid, family, *args, **kwargs)
+    def counting_bandlimited(grid, *args):
+        draws.append("random_bandlimited")
+        return bandlimited(grid, *args)
 
-    monkeypatch.setattr(fracnlse.constants, "sample", counting_sample)
+    monkeypatch.setattr(fracnlse.constants, "_bandlimited", counting_bandlimited)
     rows = run_checks(constants=constants_2d, names=SANDWICH)
     assert [r.status for r in rows] == ["pass", "pass"]
     assert draws == ["random_bandlimited"] * 10
