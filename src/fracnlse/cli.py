@@ -304,7 +304,7 @@ def cmd_constants(args) -> int:
     for label, trace in sorted(report.refinement.items()):
         print("  %s trace: %s" % (label, ", ".join("n=%d %.6g" % (n, v)
                                                    for n, v in trace)))
-    print("  S is the sharp Sobolev constant's closed form; C is descended on each rung")
+    print("  S is the sharp Sobolev constant's closed form; C is maximized on each rung")
     return 0 if report.converged else 2
 
 

@@ -17,37 +17,37 @@ the only regularization used. It does not keep the optimum resolved: the
 quotient is invariant under amplitude and dilation, so on a periodic grid
 the optimum depends on n alone and the maximizers are grid-scale spikes
 (one to three samples above half their maximum). C_est is a lattice
-constant, not a continuum one. The ladder descends the negated public
-gn_quotient, whose values the verify rows check, with the solver's mass
-projection (at unit mass) and trial pricing.
+constant, not a continuum one. The ladder ascends the public gn_quotient
+Q, whose values the verify rows check, with the solver's mass projection
+(at unit mass) and trial pricing.
 
-The kernel is built like the solver's. The direction is
-the gradient preconditioned by 1 / (1 + |k|^{2s}), formed on the iterate's
-carried rfftn half spectrum, with its slope taken by Plancherel. A trial's A
-and M come from the quadratic laws in the step length, so a trial touches
-the grid only for its power sum; one that passes on this priced value is
-transformed once and accepted on its measured value. Both tests compare
-the decrease itself, so every accepted step strictly lowers the quotient.
-From a start's second iterate on, the first trial step is the
-preconditioned Barzilai-Borwein step <s, y> / <y, P y> of the last accepted
-step s and gradient change y (P the preconditioner), which the line search
-rarely halves: 1.02-1.10 trials per accepted step on the ladder grids,
-against about 1.9 when the last accepted step is doubled instead.
-A start ends at the first iterate whose slope <g, d> is at most
-_SLOPE_TOL |value| (first-order stationarity), or earlier if its line
-search finds no decreasing step. The slope is the squared gradient norm in
-the preconditioner's metric, which near a minimum is of the order of the
-decrease still available, so the remaining descent to the rounding floor
-moves a ladder value by at most 8.1e-11 relative while taking about a
-quarter of its iterations.
+The kernel is built like the solver's. Its direction d is the gradient of
+-Q preconditioned by 1 / (1 + |k|^{2s}), formed on the iterate's carried
+rfftn half spectrum, with its slope taken by Plancherel, so a trial
+u - al d raises Q. A trial's A and M come from the quadratic laws in the
+step length, so a trial touches the grid only for its power sum; one that
+passes on this priced value is transformed once and accepted on its
+measured value. Both tests compare the rise itself, so every accepted step
+strictly raises the quotient. From a start's second iterate on, the first
+trial step is the preconditioned Barzilai-Borwein step <s, y> / <y, P y>
+of the last accepted step s and gradient change y (P the preconditioner),
+which the line search rarely halves: 1.02-1.10 trials per accepted step on
+the ladder grids, against about 1.9 when the last accepted step is doubled
+instead. A start ends at the first iterate whose slope <g, d> is at most
+_SLOPE_TOL Q (first-order stationarity), or earlier if its line search
+finds no rising step. The slope is the squared gradient norm in the
+preconditioner's metric, which near a maximum is of the order of the rise
+still available, so the remaining ascent to the rounding floor moves a
+ladder value by at most 8.1e-11 relative while taking about a quarter of
+its iterations.
 
 A rung with more than one start (the first rung's multistart pool) screens
-and then finishes. Every start descends only to slope <= _SCREEN_TOL |value|;
-the start with the lowest screened value then descends on to _SLOPE_TOL,
+and then finishes. Every start ascends only to slope <= _SCREEN_TOL Q; the
+start with the highest screened value then ascends on to _SLOPE_TOL,
 restarting without its Barzilai-Borwein memory, and only that finished
 value enters the refinement trace. The price is the ranking: a screen ranks
-basins only to about _SCREEN_TOL relative, so of two distinct minima closer
-than that the higher one may be finished, and the ladder's 5 percent drift
+basins only to about _SCREEN_TOL relative, so of two distinct maxima closer
+than that the lower one may be finished, and the ladder's 5 percent drift
 test would not see it. The report's converged flag records whether the
 last doubling moved each estimate by less than 5 percent.
 """
@@ -62,8 +62,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .fields import (FieldSummary, _bandlimited, _lp_values, _plancherel, _quadratic_price,
-                     _renorm, _rfftn, sample)
+from .fields import (FieldSummary, _bandlimited, _check_dim, _lp_values, _plancherel,
+                     _quadratic_price, _renorm, _rfftn, sample)
 from .functionals import odd_power, sobolev_sharp_constant
 from .grids import GridSpec, make_grid
 from .params import ModelParams
@@ -188,7 +188,7 @@ def load_constants(path) -> ConstantsReport:
 
 _STEP_INIT = 0.5
 _ARMIJO = 1e-4
-_SLOPE_TOL = 1e-10      # a start ends once slope <= _SLOPE_TOL |value|
+_SLOPE_TOL = 1e-10      # a start ends once slope <= _SLOPE_TOL Q
 _SCREEN_TOL = 1e-3      # a multistart rung screens its starts to this slope
 _MAX_ITERS = 30000
 _LINE_SEARCH_MAX = 60
@@ -198,50 +198,39 @@ def _mean_zero(values: np.ndarray) -> np.ndarray:
     return values - np.mean(values)
 
 
-class _Quotient:
-    """A scale-invariant quotient of (A, M, B) on one grid, with
-    B = h^N sum |u|^r.
-
-    value(A, M, B) is the quotient, and gradient(A, M, B) gives the
-    coefficients (a, b, c) of its L2 gradient a (-Delta)^s u + b u
-    - c |u|^{r-2} u up to a positive factor, which the direction drops.
-    sym is |k|^{2s} on the half spectrum and pre the preconditioner
-    1 / (1 + |k|^{2s}).
-    """
-
-    def __init__(self, grid: GridSpec, s: float, r: float, value, gradient):
-        self.grid, self.r, self.value, self.gradient = grid, r, value, gradient
-        self.sym = grid.half_symbol(s)
-        self.pre = 1.0 / (1.0 + self.sym)
-
-
-def _measure(u: np.ndarray, quotient: _Quotient) -> tuple:
+def _measure(u: np.ndarray, grid: GridSpec, sym: np.ndarray) -> tuple:
     """(uh, A, M) of real samples u, with uh their rfftn half spectrum:
     the one transform the kernel spends on a state it keeps."""
-    grid = quotient.grid
     uh = _rfftn(u)
-    return uh, _plancherel(grid, uh, uh, quotient.sym), _lp_values(u, grid, 2.0)
+    return uh, _plancherel(grid, uh, uh, sym), _lp_values(u, grid, 2.0)
 
 
-def _direction(u, uh, parts, quotient):
-    """Preconditioned descent data at u, with uh its rfftn half spectrum
-    and parts its (A, M, B), formed in Fourier space like the solver's.
+def _direction(u, uh, parts, grid, params, sym, pre):
+    """Preconditioned ascent data at u, with uh its rfftn half spectrum and
+    parts its (A, M, Q), Q = gn_quotient = B_p / den with
+    den = A^{p zeta/2} M^{p(1-zeta)/2}, formed in Fourier space like the
+    solver's; sym is |k|^{2s} on the half spectrum and pre the
+    preconditioner 1 / (1 + |k|^{2s}).
 
-    The gradient's spectrum is g_hat = (a |k|^{2s} + b) uh - c F[|u|^{r-2} u]
-    with its zero mode removed (the mean-zero projection), and the
-    direction is d = F^-1[g_hat / (1 + |k|^{2s})]. Returns (slope, d,
-    price, gh, dh): slope = <g, d> by Plancherel, gh and dh are the half
-    spectra of g and d, and price(al) gives (A, M) of u - al d
+    The gradient of -Q is, up to a positive factor that the direction
+    drops, g = a (-Delta)^s u + b u - c |u|^{p-2} u with a = Q p zeta / A,
+    b = Q p (1 - zeta) / M and c = p / den. Its spectrum
+    g_hat = (a |k|^{2s} + b) uh - c F[|u|^{p-2} u] has its zero mode
+    removed (the mean-zero projection), and the direction is
+    d = F^-1[g_hat pre], so u - al d raises Q. Returns (slope, d, price,
+    gh, dh): slope = <g, d> by Plancherel, gh and dh are the half spectra
+    of g and d, and price(al) gives (A, M) of u - al d
     (fields._quadratic_price). Since (1 + (-Delta)^s) d = g, the seminorm
     terms are <u, d>_s = <u, g> - <u, d> and A(d) = <g, d> - M(d), and the
     M terms are sums over the grid.
     """
-    A, M, B = parts
-    grid, sym = quotient.grid, quotient.sym
-    a, b, c = quotient.gradient(A, M, B)
-    gh = (a * sym + b) * uh - c * _rfftn(odd_power(u, quotient.r))
+    A, M, Q = parts
+    p, zeta = params.p, params.zeta_p
+    a, b = Q * p * zeta / A, Q * p * (1.0 - zeta) / M
+    c = p / (A ** (p * zeta / 2.0) * M ** (p * (1.0 - zeta) / 2.0))
+    gh = (a * sym + b) * uh - c * _rfftn(odd_power(u, p))
     gh.flat[0] = 0.0
-    dh = gh * quotient.pre
+    dh = gh * pre
     d = np.fft.irfftn(dh)
     slope = _plancherel(grid, gh, dh)
     M_ud = grid.cell_volume * float(np.vdot(u, d))
@@ -251,18 +240,18 @@ def _direction(u, uh, parts, quotient):
     return slope, d, price, gh, dh
 
 
-def _descend_quotient(u0: np.ndarray, quotient: _Quotient, slope_tol: float) -> tuple:
-    """Preconditioned backtracking descent of a scale-invariant quotient
-    from u0, kept on the unit-mass, mean-zero subspace.
+def _ascend_gn(u0: np.ndarray, grid: GridSpec, params: ModelParams, slope_tol: float) -> tuple:
+    """Preconditioned backtracking ascent of the GN quotient Q from u0 on
+    grid, kept on the unit-mass, mean-zero subspace.
 
     Each iteration forms the direction on the carried half spectrum (one
     forward transform of the nonlinear term, one inverse transform for d).
     A trial lam (u - al d), with lam putting it back on unit mass, is
     priced: A and M from the quadratic laws, so it touches the grid only
-    for its power sum B. A trial whose priced value passes is measured
+    for its power sum B_p. A trial whose priced value passes is measured
     with one rfftn and accepted on the measured value. Both tests compare
-    the decrease itself, val - val_trial >= c al slope, so every accepted
-    step strictly lowers the measured quotient.
+    the rise itself, Q_trial - Q >= c al slope, so every accepted step
+    strictly raises the measured quotient.
 
     The first trial at the start's first iterate is _STEP_INIT. After an
     accepted step s = v - u, with y the change of the gradient and P y
@@ -271,21 +260,26 @@ def _descend_quotient(u0: np.ndarray, quotient: _Quotient, slope_tol: float) -> 
     product a Plancherel sum on the half spectra the kernel already has.
     Where <s, y> <= 0 the doubled last accepted step (capped) is used.
 
-    A start has two exits: the slope test slope <= slope_tol |val|, taken
+    A start has two exits: the slope test slope <= slope_tol Q, taken
     before any trial at the iterate, and a line search that halves
-    _LINE_SEARCH_MAX times without a decrease. Returns (value, iterations,
-    ended, field); iterations counts the directions formed, and ended is
-    False only when the iteration budget ran out first.
+    _LINE_SEARCH_MAX times without a rise. Returns (Q, iterations, ended,
+    field); iterations counts the directions formed, and ended is False
+    only when the iteration budget ran out first.
     """
-    grid, r, value = quotient.grid, quotient.r, quotient.value
+    p = params.p
+    sym = grid.half_symbol(params.s)
+    pre = 1.0 / (1.0 + sym)
+
+    def quotient(A, M, B):
+        return gn_quotient(FieldSummary(A, M, B, 0.0), params)
+
     u = _renorm(_mean_zero(u0), grid, 1.0)
-    uh, A, M = _measure(u, quotient)
-    parts = (A, M, _lp_values(u, grid, r))
-    val = value(*parts)
+    uh, A, M = _measure(u, grid, sym)
+    val = quotient(A, M, _lp_values(u, grid, p))
     al, last = _STEP_INIT, None
     for it in range(_MAX_ITERS):
-        slope, d, price, gh, dh = _direction(u, uh, parts, quotient)
-        if slope <= slope_tol * abs(val):
+        slope, d, price, gh, dh = _direction(u, uh, (A, M, val), grid, params, sym, pre)
+        if slope <= slope_tol * val:
             return val, it + 1, True, u
         if last is not None:
             sh, gh_old, dh_old = last
@@ -298,40 +292,19 @@ def _descend_quotient(u0: np.ndarray, quotient: _Quotient, slope_tol: float) -> 
             lam = 1.0 / math.sqrt(Mv)
             v = u - al * d
             v *= lam
-            Bv = _lp_values(v, grid, r)
-            if val - value(lam * lam * Av, lam * lam * Mv, Bv) >= _ARMIJO * al * slope:
-                vh, Aw, Mw = _measure(v, quotient)
-                val_v = value(Aw, Mw, Bv)
-                if val - val_v >= _ARMIJO * al * slope:
+            Bv = _lp_values(v, grid, p)
+            if quotient(lam * lam * Av, lam * lam * Mv, Bv) - val >= _ARMIJO * al * slope:
+                vh, Aw, Mw = _measure(v, grid, sym)
+                val_v = quotient(Aw, Mw, Bv)
+                if val_v - val >= _ARMIJO * al * slope:
                     break
             al *= 0.5
         else:
             return val, it + 1, True, u
         last = (vh - uh, gh, dh)
-        u, uh, parts, val = v, vh, (Aw, Mw, Bv), val_v
+        u, uh, A, M, val = v, vh, Aw, Mw, val_v
         al = min(2.0 * al, 1e2)
     return val, _MAX_ITERS, False, u
-
-
-def _neg_gn(grid: GridSpec, params: ModelParams) -> _Quotient:
-    """The negated GN quotient -Q, Q = gn_quotient = B_p / den with
-    den = A^{p zeta/2} M^{p(1-zeta)/2}, on grid.
-
-    Negation is exact in floating point: the value and the gradient
-    Q [p zeta (-Delta)^s u / A + p (1 - zeta) u / M] - p |u|^{p-2} u / den
-    are the exact negatives of those of the quotient, so descending it
-    takes the same steps as ascent on the quotient.
-    """
-    p, zeta = params.p, params.zeta_p
-    ea, eb = p * zeta / 2.0, p * (1.0 - zeta) / 2.0
-
-    def gradient(A, M, B):
-        Q = gn_quotient(FieldSummary(A, M, B, 0.0), params)
-        return Q * p * zeta / A, Q * p * (1.0 - zeta) / M, p / (A ** ea * M ** eb)
-
-    return _Quotient(grid, params.s, p,
-                     value=lambda A, M, B: -gn_quotient(FieldSummary(A, M, B, 0.0), params),
-                     gradient=gradient)
 
 
 def _starts(grid: GridSpec, params: ModelParams) -> list:
@@ -359,47 +332,9 @@ def _refine_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _check_rungs(rungs) -> None:
-    if isinstance(rungs, bool) or not isinstance(rungs, Integral) or rungs < 1:
-        raise ValueError("rungs must be an int >= 1, got %r" % (rungs,))
-
-
-def _run_ladder(grid: GridSpec, params: ModelParams, rungs: int) -> tuple:
-    """The GN ladder: multistart at the base grid, warm-started doublings
-    after that, descending the negated GN quotient on each rung. A rung
-    with more than one start screens them,
-    descending each to slope <= _SCREEN_TOL |value|, and finishes only the
-    one with the lowest screened value, descending it on to _SLOPE_TOL; a
-    rung with one start descends it to _SLOPE_TOL. Only finished values
-    enter the trace, which is returned."""
-    _check_rungs(rungs)
-    trace = []
-
-    def descend(u0, quotient, slope_tol):
-        val, iters, ended, u_opt = _descend_quotient(u0, quotient, slope_tol)
-        if not ended:
-            raise RuntimeError(
-                "quotient optimization still improving after %d iterations "
-                "(trace so far: %r)" % (iters, trace)
-            )
-        return val, u_opt
-
-    g = grid
-    best_u = None
-    for rung in range(rungs):
-        starts = _starts(g, params) if rung == 0 else [best_u]
-        quotient = _neg_gn(g, params)
-        if len(starts) > 1:
-            # a generator keeps only the lowest screened state alive
-            screened = (descend(u0, quotient, _SCREEN_TOL) for u0 in starts)
-            starts = [min(screened, key=lambda r: r[0])[1]]
-        val, best_u = descend(starts[0], quotient, _SLOPE_TOL)
-        trace.append((g.points_per_axis, val))
-        if rung + 1 < rungs:
-            big = make_grid(g.dim, 2 * g.points_per_axis, g.half_length)
-            best_u = _refine_values(best_u, g)
-            g = big
-    return trace
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError("%s must be an int >= 1, got %r" % (name, value))
 
 
 def _estimate(trace: list) -> dict:
@@ -416,17 +351,47 @@ def _ladder_converged(trace: list) -> bool:
 
 def estimate_sobolev(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
     """The sharp Sobolev constant of (N, s) on every rung of the ladder's
-    grids n, 2n, 4n, ...; S has a closed form, so no descent runs."""
-    _check_rungs(rungs)
+    grids n, 2n, 4n, ...; S has a closed form, so no ascent runs."""
+    _check_dim(grid, params)
+    _check_count("rungs", rungs)
     sharp = sobolev_sharp_constant(params.dim, params.s)
     return _estimate([(grid.points_per_axis * 2 ** k, sharp) for k in range(rungs)])
 
 
 def estimate_gn(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
-    """Maximize the GN quotient; the constant estimate is the p-th root of
-    the optimal quotient."""
-    trace = _run_ladder(grid, params, rungs)
-    return _estimate([(n, (-r) ** (1.0 / params.p)) for n, r in trace])
+    """Maximize the GN quotient on the ladder's grids n, 2n, 4n, ...; each
+    rung's constant estimate is the p-th root of its optimal quotient.
+
+    The first rung screens the multistart pool, ascending each start to
+    slope <= _SCREEN_TOL Q, and finishes only the one with the highest
+    screened value, ascending it on to _SLOPE_TOL; each later rung ascends
+    the previous optimum, refined to its grid, to _SLOPE_TOL. Only finished
+    values enter the trace."""
+    _check_dim(grid, params)
+    _check_count("rungs", rungs)
+    trace = []
+
+    def ascend(u0, g, slope_tol):
+        val, iters, ended, u_opt = _ascend_gn(u0, g, params, slope_tol)
+        if not ended:
+            raise RuntimeError(
+                "quotient optimization still improving after %d iterations "
+                "(trace so far: %r)" % (iters, trace)
+            )
+        return val, u_opt
+
+    g, best_u = grid, None
+    for rung in range(rungs):
+        if rung == 0:
+            # a generator keeps only the highest screened state alive
+            screened = (ascend(u0, g, _SCREEN_TOL) for u0 in _starts(g, params))
+            best_u = max(screened, key=lambda r: r[0])[1]
+        val, best_u = ascend(best_u, g, _SLOPE_TOL)
+        trace.append((g.points_per_axis, val ** (1.0 / params.p)))
+        if rung + 1 < rungs:
+            best_u = _refine_values(best_u, g)
+            g = make_grid(g.dim, 2 * g.points_per_axis, g.half_length)
+    return _estimate(trace)
 
 
 def estimate_constants(grid: GridSpec, params: ModelParams,
@@ -444,9 +409,11 @@ def estimate_constants(grid: GridSpec, params: ModelParams,
 
 def probe_fields(grid: GridSpec, params: ModelParams, count: int = 50,
                  seed: int = 0):
-    """Yield a deterministic sequence of resolved test fields as mean-zero,
-    unit-mass arrays, one at a time, stopping after count; nothing past the
-    last yielded probe is drawn.
+    """An iterator over a deterministic sequence of resolved test fields as
+    mean-zero, unit-mass arrays, one at a time, stopping after count (an
+    int >= 1); nothing past the last yielded probe is drawn. Params of
+    another dimension than the grid, or a malformed count, raise
+    ValueError at the call.
 
     Families: plain gaussians, bubbles, offset gaussians, cosine-modulated
     gaussians, and band-limited noise under a decaying envelope. Widths and
@@ -460,6 +427,8 @@ def probe_fields(grid: GridSpec, params: ModelParams, count: int = 50,
     band-limited probes are sample's random_bandlimited fields, drawn
     without building a Field.
     """
+    _check_dim(grid, params)
+    _check_count("count", count)
     rng = np.random.default_rng(seed)
     L = grid.half_length
     mesh = grid.meshgrid()
@@ -494,6 +463,9 @@ def probe_fields(grid: GridSpec, params: ModelParams, count: int = 50,
             cutoff = rng.uniform(0.05, 0.25)
             yield _bandlimited(grid, cutoff, envelope, int(rng.integers(0, 2 ** 31)))
 
-    for values in islice(families(), count):
-        values -= np.mean(values)
-        yield _renorm(values, grid, 1.0, out=values)
+    def probes():
+        for values in islice(families(), count):
+            values -= np.mean(values)
+            yield _renorm(values, grid, 1.0, out=values)
+
+    return probes()

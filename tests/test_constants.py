@@ -98,14 +98,12 @@ def test_sobolev_ladder_is_the_closed_form(params_1d, params_2d, rungs):
 
 def test_constants_descend_only_the_gn_quotient(monkeypatch, params_1d):
     # The ladder's kernel runs for C alone: the seven first-rung screens and
-    # one finish per rung, each on the negated GN quotient (a Sobolev
-    # descent would report a positive value).
+    # one finish per rung, each an ascent of the GN quotient.
     grid = make_grid(1, 128, 20.0)
     calls = ladder_calls(monkeypatch)
     rep = estimate_constants(grid, params_1d, rungs=2)
     assert len(calls) == len(constants._starts(grid, params_1d)) + 2
-    assert all(out[0] < 0.0 for _, _, _, out in calls)
-    assert rep.refinement["C"] == [[n, (-out[0]) ** (1.0 / params_1d.p)]
+    assert rep.refinement["C"] == [[n, out[0] ** (1.0 / params_1d.p)]
                                    for _, n, _, out in calls[-2:]]
 
 
@@ -114,6 +112,28 @@ def test_constants_descend_only_the_gn_quotient(monkeypatch, params_1d):
 def test_ladders_reject_a_malformed_rung_count(params_1d, estimate, rungs):
     with pytest.raises(ValueError, match="rungs"):
         estimate(make_grid(1, 128, 20.0), params_1d, rungs=rungs)
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, True])
+def test_probe_fields_reject_a_malformed_count(params_1d, count):
+    # -1 and 2.5 once raised islice's own error, and True drew one probe.
+    with pytest.raises(ValueError, match="count must be an int >= 1"):
+        probe_fields(make_grid(1, 128, 20.0), params_1d, count=count)
+
+
+@pytest.mark.parametrize("call", [estimate_sobolev, estimate_gn, estimate_constants,
+                                  probe_fields])
+def test_estimators_and_probes_reject_params_of_another_dimension(monkeypatch, params_2d,
+                                                                  call):
+    # 2D params on a 1D grid once ran the whole ladder and returned a
+    # converged report that load_constants rejects; now the call raises
+    # before any ascent.
+    def no_ascent(*args):
+        raise AssertionError("an ascent ran")
+
+    monkeypatch.setattr(constants, "_ascend_gn", no_ascent)
+    with pytest.raises(ValueError, match="params dimension 2 does not match grid dimension 1"):
+        call(make_grid(1, 128, 20.0), params_2d)
 
 
 def test_single_rung_is_not_converged(params_1d):
@@ -344,29 +364,11 @@ def test_sobolev_sharp_constant_rejects_inadmissible_exponents(dim, s):
 
 
 # ----------------------------------------------------------------------
-# the descent kernel
-
-def sobolev_kernel_quotient(grid, params):
-    # The Sobolev quotient A / B*^{2/q} as a kernel quotient. The ladder no
-    # longer descends it (S is the closed form), but its gradient
-    # (-Delta)^s u - (A/B*) |u|^{q-2} u has no mass term, unlike -Q's, so it
-    # keeps that branch of the kernel under test.
-    return constants._Quotient(
-        grid, params.s, params.two_star,
-        value=lambda A, M, B: sobolev_quotient(FieldSummary(A, M, 0.0, B), params),
-        gradient=lambda A, M, B: (1.0, 0.0, A / B))
-
-
-# The quotients the kernel is tested on, each with its public value and the
-# sign that turns that value into the descended one: the ladder runs only
-# the negated GN quotient.
-QUOTIENTS = {"S": (sobolev_kernel_quotient, sobolev_quotient, 1.0),
-             "C": (constants._neg_gn, gn_quotient, -1.0)}
-
+# the ascent kernel
 
 def kernel_case(dim, params_1d, params_2d):
     # Small grids of each dimension with a start from the multistart pool,
-    # so a whole descent runs in well under a second and still takes more
+    # so a whole ascent runs in well under a second and still takes more
     # than 20 directions: the width-1 gaussian in 1D, the band-limited noise
     # in 2D (the 2D gaussian reaches the slope tolerance in 17-18).
     if dim == 1:
@@ -376,42 +378,38 @@ def kernel_case(dim, params_1d, params_2d):
     return grid, params, constants._starts(grid, params)[start]
 
 
-@pytest.mark.parametrize("which", QUOTIENTS)
 @pytest.mark.parametrize("dim", [1, 2])
-def test_accepted_steps_strictly_lower_the_quotient(monkeypatch, params_1d, params_2d,
-                                                    dim, which):
-    # The decrease test compares val - val_trial, so a step that leaves the
+def test_accepted_steps_strictly_raise_the_quotient(monkeypatch, params_1d, params_2d, dim):
+    # The rise test compares val_trial - val, so a step that leaves the
     # measured quotient unchanged bit for bit is never accepted. The
     # quotient is re-measured here from the public summary of each iterate
     # the kernel forms a direction at (the start and every accepted step).
     grid, params, u0 = kernel_case(dim, params_1d, params_2d)
-    quotient_on, public, sign = QUOTIENTS[which]
     seen = []
 
-    def spy(u, uh, parts, quotient):
-        seen.append(sign * public(summarize(Field(grid, u), params), params))
-        return direction(u, uh, parts, quotient)
+    def spy(u, *args):
+        seen.append(gn_quotient(summarize(Field(grid, u), params), params))
+        return direction(u, *args)
 
     direction = constants._direction
     monkeypatch.setattr(constants, "_direction", spy)
-    val, iters, ended, _ = constants._descend_quotient(u0, quotient_on(grid, params),
-                                                        constants._SLOPE_TOL)
+    val, iters, ended, _ = constants._ascend_gn(u0, grid, params, constants._SLOPE_TOL)
     assert ended and iters == len(seen) > 20
     assert val == seen[-1]
-    assert all(b < a for a, b in zip(seen, seen[1:]))
+    assert all(b > a for a, b in zip(seen, seen[1:]))
 
 
-@pytest.mark.parametrize("which", QUOTIENTS)
 @pytest.mark.parametrize("dim", [1, 2])
-def test_trial_pricing_matches_measured_parts(params_1d, params_2d, dim, which):
+def test_trial_pricing_matches_measured_parts(params_1d, params_2d, dim):
     # A(u - al d) and M(u - al d) from the quadratic laws must equal the
     # summary measured on the trial itself.
     grid, params, u0 = kernel_case(dim, params_1d, params_2d)
-    quotient = QUOTIENTS[which][0](grid, params)
+    sym = grid.half_symbol(params.s)
     u = _renorm(constants._mean_zero(u0), grid, 1.0)
-    uh, A, M = constants._measure(u, quotient)
-    slope, d, price, _, _ = constants._direction(
-        u, uh, (A, M, _lp_values(u, grid, quotient.r)), quotient)
+    uh, A, M = constants._measure(u, grid, sym)
+    Q = gn_quotient(FieldSummary(A, M, _lp_values(u, grid, params.p), 0.0), params)
+    slope, d, price, _, _ = constants._direction(u, uh, (A, M, Q), grid, params, sym,
+                                                 1.0 / (1.0 + sym))
     assert slope > 0.0
     for al in (1e-6, 1e-3, 1e-1, 1.0, 10.0, 100.0):
         A_al, M_al = price(al)
@@ -420,10 +418,8 @@ def test_trial_pricing_matches_measured_parts(params_1d, params_2d, dim, which):
         assert M_al == pytest.approx(measured.M, rel=1e-12)
 
 
-@pytest.mark.parametrize("which", QUOTIENTS)
 @pytest.mark.parametrize("dim", [1, 2])
-def test_transforms_per_accepted_step(monkeypatch, transform_count, params_1d, params_2d,
-                                      dim, which):
+def test_transforms_per_accepted_step(monkeypatch, transform_count, params_1d, params_2d, dim):
     # A direction transforms the nonlinear term forward and d back (2), a
     # priced trial transforms nothing, and a measured trial one rfftn: an
     # accepted step costs at most 3 transforms plus one per trial that
@@ -442,17 +438,15 @@ def test_transforms_per_accepted_step(monkeypatch, transform_count, params_1d, p
 
     monkeypatch.setattr(constants, "_measure", counting_measure)
     monkeypatch.setattr(constants, "_direction", counting_direction)
-    _, iters, ended, _ = constants._descend_quotient(u0, QUOTIENTS[which][0](grid, params),
-                                                  constants._SLOPE_TOL)
+    _, iters, ended, _ = constants._ascend_gn(u0, grid, params, constants._SLOPE_TOL)
     assert ended and iters == len(steps) > 20
     for (f0, m0), (f1, m1) in zip(steps, steps[1:]):
         rejected = m1 - m0 - 1
         assert f1 - f0 <= 3 + rejected
 
 
-@pytest.mark.parametrize("which", QUOTIENTS)
 @pytest.mark.parametrize("dim", [1, 2])
-def test_trials_per_accepted_step(monkeypatch, params_1d, params_2d, dim, which):
+def test_trials_per_accepted_step(monkeypatch, params_1d, params_2d, dim):
     # From the second direction of a start on, the first trial is the
     # preconditioned Barzilai-Borwein step, which is well scaled: the line
     # search rarely halves it. Doubling the last accepted step instead costs
@@ -472,99 +466,88 @@ def test_trials_per_accepted_step(monkeypatch, params_1d, params_2d, dim, which)
         return slope, d, counted, gh, dh
 
     monkeypatch.setattr(constants, "_direction", spy)
-    _, iters, ended, _ = constants._descend_quotient(u0, QUOTIENTS[which][0](grid, params),
-                                                  constants._SLOPE_TOL)
+    _, iters, ended, _ = constants._ascend_gn(u0, grid, params, constants._SLOPE_TOL)
     assert ended and iters == len(trials) > 20
     # every direction but the last is followed by an accepted step
     accepted = trials[:-1]
     assert sum(accepted) / len(accepted) <= 1.5
 
 
-@pytest.mark.parametrize("which", QUOTIENTS)
-@pytest.mark.parametrize("dim", [1, 2])
-def test_start_ends_at_the_slope_tolerance(monkeypatch, params_1d, params_2d, dim, which):
-    # A start ends at the first direction whose slope <g, d> is at most
-    # _SLOPE_TOL |val|, and no direction is formed after it. Running on to
-    # the rounding floor (the exit at slope <= 0) moves the value by less
-    # than 1e-9 relative.
-    grid, params, u0 = kernel_case(dim, params_1d, params_2d)
-    quotient = QUOTIENTS[which][0](grid, params)
-    direction = constants._direction
-    stationary = []
+def slope_test_spy(monkeypatch, slope_tol):
+    """Record, per direction the kernel forms, whether its slope passes
+    slope <= slope_tol Q, with Q the quotient it is formed at."""
+    direction, passed = constants._direction, []
 
-    def spy(u, uh, parts, quotient):
-        out = direction(u, uh, parts, quotient)
-        stationary.append(out[0] <= constants._SLOPE_TOL * abs(quotient.value(*parts)))
+    def spy(u, uh, parts, *args):
+        out = direction(u, uh, parts, *args)
+        passed.append(out[0] <= slope_tol * parts[2])
         return out
 
     monkeypatch.setattr(constants, "_direction", spy)
-    val, iters, ended, _ = constants._descend_quotient(u0, quotient, constants._SLOPE_TOL)
+    return passed
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_start_ends_at_the_slope_tolerance(monkeypatch, params_1d, params_2d, dim):
+    # A start ends at the first direction whose slope <g, d> is at most
+    # _SLOPE_TOL Q, and no direction is formed after it. Running on to the
+    # rounding floor (the exit at slope <= 0) moves the value by less than
+    # 1e-9 relative.
+    grid, params, u0 = kernel_case(dim, params_1d, params_2d)
+    stationary = slope_test_spy(monkeypatch, constants._SLOPE_TOL)
+    val, iters, ended, _ = constants._ascend_gn(u0, grid, params, constants._SLOPE_TOL)
     assert ended and iters == len(stationary)
     assert stationary[-1] and not any(stationary[:-1])
 
-    floor_val, floor_iters, floor_ended, _ = constants._descend_quotient(u0, quotient, 0.0)
+    floor_val, floor_iters, floor_ended, _ = constants._ascend_gn(u0, grid, params, 0.0)
     assert floor_ended and floor_iters > iters
     assert val == pytest.approx(floor_val, rel=1e-9)
 
 
 def test_descent_budget_still_raises(monkeypatch, params_1d):
     # Each start needs more than 5 iterations to reach the slope tolerance
-    # or run its line search out; a start still descending when the budget
+    # or run its line search out; a start still ascending when the budget
     # ends is an error.
     monkeypatch.setattr(constants, "_MAX_ITERS", 5)
     with pytest.raises(RuntimeError, match="still improving after 5 iterations"):
         estimate_gn(make_grid(1, 128, 20.0), params_1d, rungs=1)
 
 
-@pytest.mark.parametrize("which", QUOTIENTS)
 @pytest.mark.parametrize("dim", [1, 2])
-def test_screen_ends_at_its_slope_tolerance(monkeypatch, params_1d, params_2d, dim, which):
+def test_screen_ends_at_its_slope_tolerance(monkeypatch, params_1d, params_2d, dim):
     # slope_tol takes the place of _SLOPE_TOL in the slope test: a screen
-    # ends at the first direction with slope <= _SCREEN_TOL |val|, well
-    # before the same start reaches _SLOPE_TOL.
+    # ends at the first direction with slope <= _SCREEN_TOL Q, well before
+    # the same start reaches _SLOPE_TOL.
     grid, params, u0 = kernel_case(dim, params_1d, params_2d)
-    quotient = QUOTIENTS[which][0](grid, params)
-    direction = constants._direction
-    screened = []
-
-    def spy(u, uh, parts, quotient):
-        out = direction(u, uh, parts, quotient)
-        screened.append(out[0] <= constants._SCREEN_TOL * abs(quotient.value(*parts)))
-        return out
-
-    monkeypatch.setattr(constants, "_direction", spy)
-    _, iters, ended, _ = constants._descend_quotient(u0, quotient, constants._SCREEN_TOL)
+    screened = slope_test_spy(monkeypatch, constants._SCREEN_TOL)
+    _, iters, ended, _ = constants._ascend_gn(u0, grid, params, constants._SCREEN_TOL)
     assert ended and iters == len(screened)
     assert screened[-1] and not any(screened[:-1])
-    _, full_iters, _, _ = constants._descend_quotient(u0, quotient, constants._SLOPE_TOL)
+    _, full_iters, _, _ = constants._ascend_gn(u0, grid, params, constants._SLOPE_TOL)
     assert full_iters > iters
 
 
 def ladder_calls(monkeypatch):
     """Record (u0, n, slope_tol, result) of every kernel call."""
-    descend, calls = constants._descend_quotient, []
+    ascend, calls = constants._ascend_gn, []
 
-    def spy(u0, quotient, slope_tol):
-        out = descend(u0, quotient, slope_tol)
-        calls.append((u0, quotient.grid.points_per_axis, slope_tol, out))
+    def spy(u0, grid, params, slope_tol):
+        out = ascend(u0, grid, params, slope_tol)
+        calls.append((u0, grid.points_per_axis, slope_tol, out))
         return out
 
-    monkeypatch.setattr(constants, "_descend_quotient", spy)
+    monkeypatch.setattr(constants, "_ascend_gn", spy)
     return calls
 
 
-# Only the GN ladder descends (S is the closed form), so only its case is run.
-@pytest.mark.parametrize("which", ["C"])
-def test_first_rung_screens_every_start_then_finishes_the_lowest(monkeypatch, params_1d,
-                                                                 which):
-    # The first rung descends each start to _SCREEN_TOL, then the state of
-    # the lowest screened value on to _SLOPE_TOL; each later rung descends
+def test_first_rung_screens_every_start_then_finishes_the_highest(monkeypatch, params_1d):
+    # The first rung ascends each start to _SCREEN_TOL, then the state of
+    # the highest screened value on to _SLOPE_TOL; each later rung ascends
     # its one warm start to _SLOPE_TOL. Only finished values are traced.
     grid = make_grid(1, 128, 20.0)
-    estimate, to_trace = {"C": (estimate_gn, lambda v: (-v) ** (1.0 / params_1d.p))}[which]
     starts = constants._starts(grid, params_1d)
     calls = ladder_calls(monkeypatch)
-    frag = estimate(grid, params_1d, rungs=3)
+    frag = estimate_gn(grid, params_1d, rungs=3)
     assert len(calls) == len(starts) + 3
     screens, finishes = calls[:len(starts)], calls[len(starts):]
     for (u0, n, tol, _), start in zip(screens, starts):
@@ -572,16 +555,16 @@ def test_first_rung_screens_every_start_then_finishes_the_lowest(monkeypatch, pa
         assert np.array_equal(u0, start)
     values = [out[0] for _, _, _, out in screens]
     assert min(values) < max(values)
-    lowest = min(screens, key=lambda call: call[3][0])[3]
-    assert finishes[0][0] is lowest[3]
+    highest = max(screens, key=lambda call: call[3][0])[3]
+    assert finishes[0][0] is highest[3]
     assert [(n, tol) for _, n, tol, _ in finishes] == [
         (128, constants._SLOPE_TOL), (256, constants._SLOPE_TOL), (512, constants._SLOPE_TOL)]
-    assert frag["refinement"] == [(n, to_trace(out[0])) for _, n, _, out in finishes]
+    assert frag["refinement"] == [(n, out[0] ** (1.0 / params_1d.p)) for _, n, _, out in finishes]
 
 
 def test_screening_keeps_the_ladder_values(monkeypatch, params_1d):
-    # Finishing only the lowest screened start lands, rung by rung, where
-    # descending every start to _SLOPE_TOL does.
+    # Finishing only the highest screened start lands, rung by rung, where
+    # ascending every start to _SLOPE_TOL does.
     grid = make_grid(1, 128, 20.0)
     screened = estimate_constants(grid, params_1d, rungs=2)
     monkeypatch.setattr(constants, "_SCREEN_TOL", constants._SLOPE_TOL)
@@ -598,12 +581,12 @@ def test_screening_keeps_the_ladder_values(monkeypatch, params_1d):
 def test_a_screen_or_finish_out_of_budget_raises(monkeypatch, params_1d, stage):
     # A start that reports its budget spent is an error in either stage.
     spent = constants._SCREEN_TOL if stage == "screen" else constants._SLOPE_TOL
-    descend = constants._descend_quotient
+    ascend = constants._ascend_gn
 
-    def spy(u0, quotient, slope_tol):
-        val, iters, ended, u = descend(u0, quotient, slope_tol)
+    def spy(u0, grid, params, slope_tol):
+        val, iters, ended, u = ascend(u0, grid, params, slope_tol)
         return val, iters, ended and slope_tol != spent, u
 
-    monkeypatch.setattr(constants, "_descend_quotient", spy)
+    monkeypatch.setattr(constants, "_ascend_gn", spy)
     with pytest.raises(RuntimeError, match="still improving"):
         estimate_gn(make_grid(1, 128, 20.0), params_1d, rungs=1)
