@@ -58,7 +58,6 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import islice
-from numbers import Integral
 
 import numpy as np
 
@@ -66,20 +65,21 @@ from .fields import (FieldSummary, _bandlimited, _check_dim, _lp_values, _planch
                      _quadratic_price, _renorm, _rfftn, sample)
 from .functionals import odd_power, sobolev_sharp_constant
 from .grids import GridSpec, make_grid
-from .params import ModelParams
+from .params import ModelParams, _count, _positive
 
 
 def sobolev_quotient(summary: FieldSummary, params: ModelParams) -> float:
     """A / B_star^{2/2*_s}; its infimum over nonzero fields is S."""
-    if summary.B_star <= 0.0:
-        raise ValueError("Sobolev quotient undefined on the zero field")
+    if not (0.0 <= summary.A < math.inf and 0.0 < summary.B_star < math.inf):
+        raise ValueError("Sobolev quotient undefined on the zero field or a non-finite summary")
     return summary.A / summary.B_star ** (2.0 / params.two_star)
 
 
 def gn_quotient(summary: FieldSummary, params: ModelParams) -> float:
     """B_p / (A^{p zeta/2} M^{p(1-zeta)/2}); its supremum is C^p."""
-    if summary.A <= 0.0 or summary.M <= 0.0 or summary.B_p <= 0.0:
-        raise ValueError("GN quotient undefined on a degenerate summary")
+    if not (0.0 < summary.A < math.inf and 0.0 < summary.M < math.inf
+            and 0.0 < summary.B_p < math.inf):
+        raise ValueError("GN quotient undefined on a degenerate or non-finite summary")
     zeta = params.zeta_p
     return summary.B_p / (summary.A ** (params.p * zeta / 2.0)
                           * summary.M ** (params.p * (1.0 - zeta) / 2.0))
@@ -113,12 +113,6 @@ def save_constants(report: ConstantsReport, path) -> None:
         fh.write("\n")
 
 
-def _check_positive(name: str, value) -> None:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (math.isfinite(value) and value > 0.0)):
-        raise ValueError("%s must be a finite positive number, got %r" % (name, value))
-
-
 def load_constants(path) -> ConstantsReport:
     """Read a report written by save_constants. A file that is not JSON, a
     report that is not an object, lacks a key, holds a grid or params that
@@ -136,7 +130,7 @@ def load_constants(path) -> ConstantsReport:
         if not isinstance(raw, dict):
             raise ValueError("the top level must be a JSON object, got %r" % (raw,))
         for key in ("S_est", "C_est"):
-            _check_positive(key, raw[key])
+            _positive(key, raw[key])
         for key in ("grid", "params", "refinement"):
             if not isinstance(raw[key], dict):
                 raise ValueError("%s must be a JSON object, got %r" % (key, raw[key]))
@@ -162,7 +156,7 @@ def load_constants(path) -> ConstantsReport:
                     raise ValueError("refinement %s rung %d has grid size %r, not %d (the "
                                      "report grid's n doubled per rung)"
                                      % (label, rung, n, grid.points_per_axis * 2 ** rung))
-                _check_positive("refinement %s value" % label, value)
+                _positive("refinement %s value" % label, value)
                 if label == "S" and value != sharp:
                     raise ValueError("refinement S rung %d value %r is not %r, the sharp "
                                      "Sobolev constant of N=%d, s=%r"
@@ -332,11 +326,6 @@ def _refine_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ValueError("%s must be an int >= 1, got %r" % (name, value))
-
-
 def _estimate(trace: list) -> dict:
     """An estimator's result, read off its trace as load_constants checks."""
     return {"value": trace[-1][1], "refinement": trace, "converged": _ladder_converged(trace)}
@@ -353,7 +342,7 @@ def estimate_sobolev(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dic
     """The sharp Sobolev constant of (N, s) on every rung of the ladder's
     grids n, 2n, 4n, ...; S has a closed form, so no ascent runs."""
     _check_dim(grid, params)
-    _check_count("rungs", rungs)
+    _count("rungs", rungs)
     sharp = sobolev_sharp_constant(params.dim, params.s)
     return _estimate([(grid.points_per_axis * 2 ** k, sharp) for k in range(rungs)])
 
@@ -368,7 +357,7 @@ def estimate_gn(grid: GridSpec, params: ModelParams, rungs: int = 3) -> dict:
     the previous optimum, refined to its grid, to _SLOPE_TOL. Only finished
     values enter the trace."""
     _check_dim(grid, params)
-    _check_count("rungs", rungs)
+    _count("rungs", rungs)
     trace = []
 
     def ascend(u0, g, slope_tol):
@@ -428,7 +417,7 @@ def probe_fields(grid: GridSpec, params: ModelParams, count: int = 50,
     without building a Field.
     """
     _check_dim(grid, params)
-    _check_count("count", count)
+    _count("count", count)
     rng = np.random.default_rng(seed)
     L = grid.half_length
     mesh = grid.meshgrid()

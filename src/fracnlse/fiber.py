@@ -28,7 +28,8 @@ from .params import ModelParams
 
 
 class DegenerateFiberError(ValueError):
-    """The summary has no fiber maximum: A = 0 or no nonlinear term left."""
+    """The summary has no fiber maximum: A = 0, no nonlinear term left, or
+    a component that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,11 @@ class FiberProfile:
     params: ModelParams
 
     def __post_init__(self):
-        if self.base.A <= 0.0 or (self.base.B_star <= 0.0 and self.base.B_p <= 0.0):
-            raise DegenerateFiberError(
-                "degenerate fiber profile (needs A > 0 and a nonzero nonlinear term)"
-            )
+        A, M, B_p, B_star = self.base.as_tuple()
+        if not (0.0 < A < math.inf and math.isfinite(M) and math.isfinite(B_p)
+                and math.isfinite(B_star) and (B_star > 0.0 or B_p > 0.0)):
+            raise DegenerateFiberError("degenerate fiber profile (needs a finite summary "
+                                       "with A > 0 and a nonzero nonlinear term)")
 
 
 def scale_summary(summary: FieldSummary, xi: float, params: ModelParams) -> FieldSummary:

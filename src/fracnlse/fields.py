@@ -68,13 +68,12 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cache
-from numbers import Real
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import GridSpec, _read_only, make_grid
-from .params import ModelParams
+from .params import ModelParams, _positive, _real
 
 XI_MAX = 3.0
 DECAY_GUARD_DEFAULT = 1e-8
@@ -154,25 +153,23 @@ def sample(grid: GridSpec, family: str, family_params: dict | None = None,
     fp = dict(family_params or {})
     r2 = grid.radius() ** 2
     if family == "gaussian":
-        w = _checked(fp.pop("width", 1.0), lambda w: 0.0 < w < math.inf,
-                     "gaussian width must be finite and positive, got %r")
+        w = _positive("gaussian width", fp.pop("width", 1.0))
         _reject_extras(family, fp)
         return Field(grid, np.exp(-r2 / (2.0 * w * w)))
     if family == "bubble":
-        eps = _checked(fp.pop("epsilon", 1.0), lambda e: 0.0 < e < math.inf,
-                       "bubble scale must be finite and positive, got %r")
-        s = _checked(fp.pop("s"), lambda s: 0.0 < s < 1.0 and 2.0 * s < grid.dim,
-                     "bubble exponent needs 0 < s < 1 and 2s < N, got s=%r")
+        eps = _positive("bubble scale", fp.pop("epsilon", 1.0))
+        s = _real(fp.pop("s"), lambda s: 0.0 < s < 1.0 and 2.0 * s < grid.dim,
+                  "bubble exponent needs 0 < s < 1 and 2s < N, got s=%r")
         _reject_extras(family, fp)
         power = -(grid.dim - 2.0 * s) / 2.0
         return Field(grid, (eps * eps + r2) ** power)
     if family == "random_bandlimited":
-        cutoff = _checked(fp.pop("cutoff", 0.25), lambda c: 0.0 < c <= 1.0,
-                          "cutoff fraction must lie in (0, 1], got %r")
+        cutoff = _real(fp.pop("cutoff", 0.25), lambda c: 0.0 < c <= 1.0,
+                       "cutoff fraction must lie in (0, 1], got %r")
         env = fp.pop("envelope_width", None)
         if env is not None:
-            env = _checked(env, lambda w: 0.0 < w < math.inf,
-                           "envelope width must be None or finite and positive, got %r")
+            env = _real(env, lambda w: 0.0 < w < math.inf,
+                        "envelope width must be None or finite and positive, got %r")
         _reject_extras(family, fp)
         envelope = None if env is None else np.exp(-r2 / (2.0 * env ** 2))
         return Field(grid, _bandlimited(grid, cutoff, envelope, seed))
@@ -197,13 +194,6 @@ def _bandlimited(grid: GridSpec, cutoff: float, envelope: np.ndarray | None,
     if peak > 0:
         vals /= peak
     return vals
-
-
-def _checked(value, ok, message: str) -> float:
-    """float(value) if ok accepts it, else, or for a bool, ValueError(message % value)."""
-    if isinstance(value, bool) or not ok(float(value)):
-        raise ValueError(message % (value,))
-    return float(value)
 
 
 def _reject_extras(family: str, leftover: dict):
@@ -293,8 +283,7 @@ def _seminorm_sq_values(values: np.ndarray, grid: GridSpec, s: float,
 
 
 def lp_norm_pow(field: Field, q: float) -> float:
-    if q < 1.0:
-        raise ValueError("norm exponent must satisfy q >= 1, got %r" % (q,))
+    _real(q, lambda q: 1.0 <= q < math.inf, "norm exponent must be finite with q >= 1, got %r")
     return _lp_values(field.values, field.grid, q)
 
 
@@ -532,15 +521,14 @@ def dilate(field: Field, xi: float,
     decay_guard is the admissible boundary mass fraction, a real number in
     (0, 1]; pass None to skip the check (only sensible for callers that
     police decay themselves). Anything else, a bool included, raises
-    ValueError.
+    ValueError, and so does a xi that is not a finite real number.
     """
+    _real(xi, math.isfinite, "dilation parameter xi must be a finite real number, got %r")
     if abs(xi) > XI_MAX:
         raise ValueError("dilation parameter |xi| = %g exceeds the limit %g" % (abs(xi), XI_MAX))
     if decay_guard is not None:
-        if (isinstance(decay_guard, bool) or not isinstance(decay_guard, Real)
-                or not 0.0 < decay_guard <= 1.0):
-            raise ValueError("decay_guard must be a boundary mass fraction in (0, 1], "
-                             "or None to skip the guard; got %r" % (decay_guard,))
+        _real(decay_guard, lambda b: 0.0 < b <= 1.0, "decay_guard must be a boundary mass "
+              "fraction in (0, 1], or None to skip the guard; got %r")
         _guard_decay(field, decay_guard)
     return Field(field.grid, _dilate_values(field.values, field.grid, xi))
 
@@ -586,5 +574,4 @@ def load_field(path) -> tuple:
 
 
 def _check_s(s: float):
-    if not (0.0 < s < 1.0):
-        raise ValueError("fractional order s must lie in (0, 1), got %r" % (s,))
+    _real(s, lambda s: 0.0 < s < 1.0, "fractional order s must lie in (0, 1), got %r")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import Field, FieldSummary, _abs_power, _check_dim, _rfftn
 from .grids import GridSpec
-from .params import ModelParams
+from .params import ModelParams, _positive
 
 
 def energy(summary: FieldSummary, params: ModelParams) -> float:
@@ -116,9 +116,7 @@ def rho(params: ModelParams, constants) -> GeometryReport:
 
     with branch 1 the eta-dependent term and branch 2 the Sobolev term.
     """
-    S, C = float(constants.S_est), float(constants.C_est)
-    if S <= 0.0 or C <= 0.0:
-        raise ValueError("constants estimates must be positive, got S=%r C=%r" % (S, C))
+    S, C = _positive("S_est", constants.S_est), _positive("C_est", constants.C_est)
     zeta, q = params.zeta_p, params.two_star
     n, s, p = params.dim, params.s, params.p
     b1 = (p / (8.0 * params.eta * C ** p * 2.0 ** (p * zeta / 2.0)

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from numbers import Integral, Real
 
 import numpy as np
+
+from .params import _dimension, _positive, _real
 
 
 @dataclass(frozen=True)
@@ -101,18 +102,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def make_grid(dim: int, points_per_axis: int, half_length: float) -> GridSpec:
     """Validated GridSpec constructor."""
-    if isinstance(dim, bool) or not isinstance(dim, Integral) or dim not in (1, 2, 3):
-        raise ValueError("unsupported dimension %r (must be 1, 2, or 3)" % (dim,))
-    n = points_per_axis
-    if isinstance(n, bool) or not (isinstance(n, Integral)
-                                   or isinstance(n, Real) and float(n).is_integer()):
-        raise ValueError("points per axis must be an integer, got %r" % (n,))
-    n = int(n)
+    _dimension(dim)
+    _real(points_per_axis, float.is_integer, "points per axis must be an integer, got %r")
+    n = int(points_per_axis)
     if n % 2 != 0:
         raise ValueError("odd grid size %r (points per axis must be even)" % (points_per_axis,))
     if n < 8:
         raise ValueError("grid size %d too small (need at least 8 points per axis)" % n)
-    L = float(half_length)
-    if not (L > 0.0) or not np.isfinite(L):
-        raise ValueError("half length must be finite and positive, got %r" % (half_length,))
+    L = _positive("half length", half_length)
     return GridSpec(dim=dim, points_per_axis=n, half_length=L)

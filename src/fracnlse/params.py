@@ -10,13 +10,47 @@ exponent,
 which makes zeta_p = (Np - 2N)/(2ps) lie in (0, 1) with zeta_p * p > 2.
 ModelParams computes its derived exponents once, while validating p, and
 every law of the package reads them there.
+
+The helpers below are the one home of the package's scalar input checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
+
+
+def _real(value, ok, message: str) -> float:
+    """float(value) for a real number, not a bool, that ok accepts as a
+    float; anything else, an int past the float range included, raises
+    ValueError(message % value)."""
+    try:
+        x = None if isinstance(value, bool) or not isinstance(value, Real) else float(value)
+    except OverflowError:
+        x = None
+    if x is None or not ok(x):
+        raise ValueError(message % (value,))
+    return x
+
+
+def _positive(name: str, value) -> float:
+    """float(value) for a finite real number > 0, not a bool."""
+    return _real(value, lambda x: 0.0 < x < math.inf,
+                 name + " must be finite and positive, got %r")
+
+
+def _count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless value is an int >= least and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError("%s must be an int >= %d, got %r" % (name, least, value))
+
+
+def _dimension(dim) -> None:
+    """Raise ValueError unless dim is an int of 1, 2 or 3 and not a bool:
+    the dimension rule of ModelParams and make_grid."""
+    if isinstance(dim, bool) or not isinstance(dim, Integral) or dim not in (1, 2, 3):
+        raise ValueError("unsupported dimension %r (must be 1, 2, or 3)" % (dim,))
 
 
 @dataclass(frozen=True)
@@ -34,19 +68,15 @@ class ModelParams:
     level_decay_exponent: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if (isinstance(self.dim, bool) or not isinstance(self.dim, Integral)
-                or self.dim not in (1, 2, 3)):
-            raise ValueError("unsupported dimension %r (must be 1, 2, or 3)" % (self.dim,))
-        if not (0.0 < self.s < 1.0):
-            raise ValueError("s must lie in (0, 1), got %r" % (self.s,))
+        _dimension(self.dim)
+        _real(self.s, lambda s: 0.0 < s < 1.0, "s must lie in (0, 1), got %r")
         if not (2.0 * self.s < self.dim):
             raise ValueError(
                 "2s must be smaller than the dimension: 2*%g >= %d" % (self.s, self.dim)
             )
-        if isinstance(self.eta, bool) or not (0.0 < self.eta < math.inf):
-            raise ValueError("eta must be finite and positive, got %r" % (self.eta,))
-        if isinstance(self.m, bool) or not (0.0 < self.m < math.inf):
-            raise ValueError("mass parameter m must be finite and positive, got %r" % (self.m,))
+        _real(self.p, math.isfinite, "p must be a finite real number, got %r")
+        _positive("eta", self.eta)
+        _positive("mass parameter m", self.m)
         n, s, p = float(self.dim), self.s, self.p
         two_star = 2.0 * n / (n - 2.0 * s)
         zeta_p = (n * p - 2.0 * n) / (2.0 * p * s)

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -65,7 +64,7 @@ from .fields import (Field, FieldSummary, _check_dim, _dilate_values, _guard_dec
                      _seminorm_sq_values, _summary_values, sample)
 from .fiber import DegenerateFiberError, FiberProfile, fiber_root, scale_summary
 from .grids import GridSpec, make_grid
-from .params import ModelParams
+from .params import ModelParams, _count, _positive, _real
 
 _STEP_INIT = 1e-2       # first line-search step
 _ARMIJO = 1e-4          # sufficient-decrease coefficient
@@ -86,18 +85,12 @@ class SolveConfig:
 
     def __post_init__(self):
         for name in ("tol_grad", "tol_pohozaev"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not 0.0 < value < math.inf:
-                raise ValueError("tolerances must be finite and positive, got %s=%r"
-                                 % (name, value))
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
-                or self.max_iters < 1):
-            raise ValueError("max_iters must be an int >= 1, got %r" % (self.max_iters,))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ValueError("seed must be an int >= 0, got %r" % (self.seed,))
-        if isinstance(self.init_noise, bool) or not 0.0 <= self.init_noise < math.inf:
-            raise ValueError("init_noise must be finite and at least 0, got %r"
-                             % (self.init_noise,))
+            _real(getattr(self, name), lambda x: 0.0 < x < math.inf,
+                  "tolerances must be finite and positive, got %s=%%r" % name)
+        _count("max_iters", self.max_iters)
+        _count("seed", self.seed, least=0)
+        _real(self.init_noise, lambda x: 0.0 <= x < math.inf,
+              "init_noise must be finite and at least 0, got %r")
 
 
 @dataclass
@@ -128,6 +121,7 @@ class SolveReport:
 
 
 def renormalize_mass(u: Field, m: float) -> Field:
+    _positive("mass parameter m", m)
     return Field(u.grid, _renorm(u.values, u.grid, m))
 
 
@@ -182,8 +176,7 @@ def pohozaev_project(u: Field, params: ModelParams, rounds: int = 8,
     if not isinstance(decay_guard, bool):
         raise ValueError("pohozaev_project takes decay_guard=True or False, got %r; "
                          "a boundary mass bound is dilate's decay_guard" % (decay_guard,))
-    if isinstance(rounds, bool) or not isinstance(rounds, Integral) or rounds < 1:
-        raise ValueError("rounds must be an int >= 1, got %r" % (rounds,))
+    _count("rounds", rounds)
     _check_dim(u.grid, params)
     if decay_guard:
         _guard_decay(u)
@@ -414,9 +407,11 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
     etas = list(eta_list)
     if not etas:
         raise ValueError("eta list must not be empty")
-    if not all(not isinstance(e, bool) and 0.0 < float(e) < math.inf for e in etas):
-        raise ValueError("eta values must be finite and positive numbers, got %r" % (etas,))
-    etas = [float(e) for e in etas]
+    try:
+        etas = [_positive("eta", e) for e in etas]
+    except ValueError:
+        raise ValueError("eta values must be finite and positive numbers, got %r"
+                         % (etas,)) from None
     if not all(a < b for a, b in zip(etas, etas[1:])):
         raise ValueError("eta list must be sorted strictly ascending, got %r" % (etas,))
     if config.grid is None:
@@ -424,13 +419,11 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
 
     decay = params_base.level_decay_exponent
     growth = decay / (2.0 * params_base.s)
-    eta_ref = float(eta_ref if eta_ref is not None else etas[0])
-    if not 0.0 < eta_ref <= etas[0]:
-        raise ValueError("eta_ref must be positive and at most the smallest eta %g, got %g"
-                         % (etas[0], eta_ref))
+    eta_ref = _real(etas[0] if eta_ref is None else eta_ref, lambda e: 0.0 < e <= etas[0],
+                    "eta_ref must be positive and at most the smallest eta %g, got %%r" % etas[0])
     L_ref = config.grid.half_length
     n = config.grid.points_per_axis
-    width_ref = float(width_ref if width_ref is not None else L_ref / 40.0)
+    width_ref = L_ref / 40.0 if width_ref is None else _positive("width_ref", width_ref)
 
     entries = []
     for eta in etas:

@@ -453,9 +453,9 @@ S_1D = fracnlse.sobolev_sharp_constant(1, 0.4)
 # missing key; a whole report given as a str is the file's text. Each
 # message is the one error line after "constants report <path>: ".
 @pytest.mark.parametrize("key, bad, message", [
-    pytest.param("S_est", -0.5, "S_est must be a finite positive number, got -0.5",
+    pytest.param("S_est", -0.5, "S_est must be finite and positive, got -0.5",
                  id="S_est--0.5"),
-    pytest.param("C_est", float("nan"), "C_est must be a finite positive number, got nan",
+    pytest.param("C_est", float("nan"), "C_est must be finite and positive, got nan",
                  id="C_est-nan"),
     pytest.param("grid", None, "missing key 'grid'", id="missing-grid"),
     pytest.param("grid", [1, 128, 20], "grid must be a JSON object, got [1, 128, 20]",
@@ -465,10 +465,9 @@ S_1D = fracnlse.sobolev_sharp_constant(1, 0.4)
     pytest.param(None, [1, 2], "the top level must be a JSON object, got [1, 2]",
                  id="report-not-object"),
     pytest.param("params", {"dim": 1, "s": "x", "p": 6.0, "eta": 1.0, "m": 1.0},
-                 "'<' not supported between instances of 'float' and 'str'", id="string-s"),
+                 "s must lie in (0, 1), got 'x'", id="string-s"),
     pytest.param("grid", {"dim": 1, "n": 128, "L": None},
-                 "float() argument must be a string or a real number, not 'NoneType'",
-                 id="null-L"),
+                 "half length must be finite and positive, got None", id="null-L"),
     pytest.param(None, "{bad", "Expecting property name enclosed in double quotes: "
                  "line 1 column 2 (char 1)", id="not-json"),
     pytest.param("params", {"dim": 2, "s": 0.4, "p": 3.0, "eta": 1.0, "m": 1.0},

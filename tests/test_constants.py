@@ -60,6 +60,17 @@ def test_quotients_reject_degenerate_summaries(params_1d):
                          params_1d)
     with pytest.raises(ValueError):
         gn_quotient(FieldSummary(A=0.0, M=1.0, B_p=1.0, B_star=1.0), params_1d)
+    # A NaN summary once gave a NaN quotient, and A = inf an infinite one.
+    for base in (FieldSummary(A=math.nan, M=1.0, B_p=1.0, B_star=1.0),
+                 FieldSummary(A=1.0, M=math.inf, B_p=1.0, B_star=1.0),
+                 FieldSummary(A=1.0, M=1.0, B_p=math.nan, B_star=1.0)):
+        with pytest.raises(ValueError, match="GN quotient undefined"):
+            gn_quotient(base, params_1d)
+    for base in (FieldSummary(A=math.inf, M=1.0, B_p=1.0, B_star=1.0),
+                 FieldSummary(A=math.nan, M=1.0, B_p=1.0, B_star=1.0),
+                 FieldSummary(A=1.0, M=1.0, B_p=1.0, B_star=math.inf)):
+        with pytest.raises(ValueError, match="Sobolev quotient undefined"):
+            sobolev_quotient(base, params_1d)
 
 
 def test_ladder_1d_regression(constants_1d):
@@ -327,8 +338,9 @@ def test_load_constants_rejects_nonpositive_or_nonfinite(tmp_path, params_1d, ba
                  id="grid-n-string"),
     pytest.param("params", "dim", 1.0, "unsupported dimension 1.0", id="params-dim"),
     pytest.param("params", "s", 1.5, "s must lie in (0, 1)", id="params-s"),
-    pytest.param("params", "s", "x", "'<' not supported between", id="params-s-string"),
-    pytest.param("grid", "L", None, "float() argument must be", id="grid-L-null"),
+    pytest.param("params", "s", "x", "s must lie in (0, 1), got 'x'", id="params-s-string"),
+    pytest.param("grid", "L", None, "half length must be finite and positive, got None",
+                 id="grid-L-null"),
     pytest.param(None, None, "{bad", "Expecting property name", id="not-json"),
 ])
 def test_load_constants_names_the_file_in_grid_and_params_errors(tmp_path, params_1d,

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fracnlse import (DegenerateFiberError, FiberProfile, FieldSummary,
+from fracnlse import (DegenerateFiberError, Field, FiberProfile, FieldSummary,
                       ModelParams, fiber_derivative_residual, fiber_energy,
-                      fiber_pohozaev, fiber_root, scale_summary)
+                      fiber_pohozaev, fiber_root, make_grid, sample, scale_summary,
+                      summarize)
 
 
 def random_summary(rng):
@@ -230,6 +231,19 @@ def test_degenerate_profiles_rejected(params_1d):
     with pytest.raises(DegenerateFiberError, match="degenerate fiber"):
         FiberProfile(base=FieldSummary(A=1.0, M=1.0, B_p=0.0, B_star=0.0),
                      params=params_1d)
+    # A non-finite component has no fiber maximum either. The summary of a
+    # finite gaussian of amplitude 1e40 has B_star = inf, and its profile
+    # once gave xi = -233.9 with a NaN fiber energy; a NaN A or B_p gave
+    # xi = 0.
+    grid = make_grid(1, 64, 10.0)
+    loud = Field(grid, 1e40 * sample(grid, "gaussian", {"width": 1.0}).values)
+    with np.errstate(over="ignore"):
+        huge = summarize(loud, params_1d)
+    assert huge.B_star == math.inf
+    for base in (huge, FieldSummary(A=math.nan, M=1.0, B_p=1.0, B_star=1.0),
+                 FieldSummary(A=1.0, M=1.0, B_p=math.nan, B_star=1.0)):
+        with pytest.raises(DegenerateFiberError, match="degenerate fiber"):
+            FiberProfile(base=base, params=params_1d)
     assert issubclass(DegenerateFiberError, ValueError)
 
 

@@ -55,6 +55,10 @@ def test_lp_norm_requires_q_at_least_one():
     u = gaussian(grid, 1.0)
     with pytest.raises(ValueError):
         lp_norm_pow(u, 0.5)
+    # NaN once died converting to an int inside the power.
+    for q in (math.nan, math.inf, True, "2"):
+        with pytest.raises(ValueError, match="norm exponent"):
+            lp_norm_pow(u, q)
 
 
 def test_seminorm_regression_pin(params_1d):
@@ -391,6 +395,10 @@ def test_dilation_rejects_large_parameter():
     u = gaussian(grid, 1.0)
     with pytest.raises(ValueError, match="exceeds the limit"):
         dilate(u, 3.5)
+    # NaN once died converting to an int in the kernel, and True dilated by 1.
+    for xi in (math.nan, math.inf, True, "0.1"):
+        with pytest.raises(ValueError, match="dilation parameter xi must be a finite real number"):
+            dilate(u, xi)
 
 
 def test_dilation_decay_guard_fires_on_wide_fields():
@@ -440,7 +448,8 @@ def test_boundary_mass_fraction_localized_vs_wide():
 
 def test_sample_gaussian_rejects_bad_width():
     grid = make_grid(1, 64, 10.0)
-    for width in (0.0, math.nan, math.inf, True):
+    # A string once sampled as the number it spells.
+    for width in (0.0, math.nan, math.inf, True, "2"):
         with pytest.raises(ValueError, match="width"):
             sample(grid, "gaussian", {"width": width})
 

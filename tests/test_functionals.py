@@ -1,5 +1,7 @@
 """Energy, Pohozaev, multiplier, manifold identity, and the geometry gap."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -117,10 +119,13 @@ def test_rho_coupling_branch_closed_form():
 
 
 def test_rho_rejects_nonpositive_constants(params_2d):
-    with pytest.raises(ValueError, match="must be positive"):
-        rho(params_2d, constants_report(0.0, 1.0, params_2d))
-    with pytest.raises(ValueError, match="must be positive"):
-        rho(params_2d, constants_report(1.0, -2.0, params_2d))
+    # A NaN C once fell through both comparisons of the minimum and
+    # returned branch 2 with a finite rho.
+    for bad in (0.0, -2.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="S_est must be finite and positive"):
+            rho(params_2d, constants_report(bad, 1.0, params_2d))
+        with pytest.raises(ValueError, match="C_est must be finite and positive"):
+            rho(params_2d, constants_report(1.0, bad, params_2d))
 
 
 def test_lower_bound_positive_up_to_rho(params_2d, constants_2d):

@@ -107,6 +107,7 @@ def test_make_grid_rejects_bad_half_length():
         make_grid(1, 64, 0.0)
     with pytest.raises(ValueError, match="half length"):
         make_grid(1, 64, -3.0)
-    for L in (float("nan"), float("inf")):
+    # True and "10" once built boxes of half length 1 and 10.
+    for L in (float("nan"), float("inf"), True, "10", None):
         with pytest.raises(ValueError, match="half length must be finite"):
             make_grid(1, 64, L)

@@ -3,8 +3,8 @@ package's export list matches what it binds, every exported function has a
 caller outside its own module, every private module-level definition is
 used in src/, only fields calls np.fft.rfftn, importing the package pulls
 in nothing past the standard library and numpy and none of the modules it
-loads on first use, and the README counts every row of the verify
-battery."""
+loads on first use, the README counts every row of the verify battery,
+and only the params helpers test for a bool where a number is due."""
 
 import ast
 import importlib
@@ -139,6 +139,39 @@ def test_only_fields_calls_rfftn():
                                          and node.attr == "rfftn" for node in ast.walk(tree)):
             callers.append(path.name)
     assert not callers, "np.fft.rfftn called outside fields: %s" % callers
+
+
+# Where src/ may test isinstance(x, bool): the scalar-check helpers, and
+# the two inputs that must themselves be bools.
+_BOOL_TESTS = {("params", "_real"), ("params", "_count"), ("params", "_dimension"),
+               ("solver", "pohozaev_project"), ("constants", "load_constants")}
+
+
+def _bool_tests(tree: ast.Module):
+    """The names of the module-level functions and classes of tree whose
+    bodies call isinstance(x, bool), bool alone or in a tuple, once each."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                kinds = node.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                    yield getattr(top, "name", "<module>")
+                    break
+
+
+def test_scalar_checks_have_one_home():
+    # "a finite real in range, not a bool" is written once, in params'
+    # helpers; a new inline copy drifts from them in wording or in what it
+    # lets through (float() reads a bool as 0 or 1 and a numeric string as
+    # its number).
+    found = []
+    for path in sorted((ROOT / "src" / "fracnlse").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s.%s" % (path.stem, name) for name in _bool_tests(tree)
+                  if (path.stem, name) not in _BOOL_TESTS]
+    assert not found, "isinstance(x, bool) outside the params helpers: %s" % found
 
 
 def test_readme_counts_every_battery_row():

@@ -63,6 +63,9 @@ def test_params_validation_s_range():
         ModelParams(dim=1, s=1.2, p=6.0, eta=1.0, m=1.0)
     with pytest.raises(ValueError):
         ModelParams(dim=1, s=0.0, p=6.0, eta=1.0, m=1.0)
+    # A string once raised a TypeError from the comparison.
+    with pytest.raises(ValueError, match="s must lie in \\(0, 1\\), got '0.4'"):
+        ModelParams(dim=1, s="0.4", p=6.0, eta=1.0, m=1.0)
     # 2s < N is required for the critical exponent to exist.
     with pytest.raises(ValueError):
         ModelParams(dim=1, s=0.6, p=6.0, eta=1.0, m=1.0)
@@ -78,6 +81,8 @@ def test_params_validation_p_window():
     # One ulp above 2 + 4s/N, where zeta_p * p rounds to exactly 2.
     with pytest.raises(ValueError, match="p must exceed"):
         ModelParams(dim=3, s=0.89, p=3.186666666666667, eta=1.0, m=1.0)
+    with pytest.raises(ValueError, match="p must be a finite real number, got '6'"):
+        ModelParams(dim=1, s=0.4, p="6", eta=1.0, m=1.0)
 
 
 def test_params_validation_eta_and_mass_positive():
@@ -96,6 +101,9 @@ def test_params_validation_eta_and_mass_positive():
         ModelParams(dim=1, s=0.4, p=6.0, eta=True, m=1.0)
     with pytest.raises(ValueError, match="m must be finite and positive, got True"):
         ModelParams(dim=1, s=0.4, p=6.0, eta=1.0, m=True)
+    # An int past the float range compares below inf, and passed.
+    with pytest.raises(ValueError, match="eta must be finite and positive"):
+        ModelParams(dim=1, s=0.4, p=6.0, eta=10 ** 400, m=1.0)
 
 
 def test_mass_critical_sits_inside_admissible_window():

@@ -216,6 +216,10 @@ def test_solve_validates_inputs(params_1d, params_2d):
     flat = Field(grid, np.full(grid.shape, 0.3))
     with pytest.raises(ValueError, match="zero seminorm"):
         solve_ground_state(flat, params_1d, SolveConfig())
+    # -1 once returned -u/||u||, and NaN failed as non-finite field values.
+    for m in (0.0, -1.0, math.nan, math.inf, True, "1"):
+        with pytest.raises(ValueError, match="mass parameter m must be finite and positive"):
+            renormalize_mass(init, m)
 
 
 def test_solve_config_validation():
@@ -418,6 +422,12 @@ def test_sweep_validations(params_2d):
     # Below eta_ref the box would shrink and the scaled tolerance loosen.
     with pytest.raises(ValueError, match="eta_ref"):
         sweep_eta(params_2d, [1.0, 3.0, 10.0], cfg, eta_ref=10.0, width_ref=6.0)
+    # These once ran as eta_ref = 1, width_ref = 1 and width_ref = 1.5.
+    with pytest.raises(ValueError, match="eta_ref .* got True"):
+        sweep_eta(params_2d, [10.0], cfg, eta_ref=True)
+    for width in (True, "1.5", 0.0, math.nan):
+        with pytest.raises(ValueError, match="width_ref must be finite and positive"):
+            sweep_eta(params_2d, [10.0], cfg, width_ref=width)
 
 
 def test_mini_sweep_slope_and_scaling(params_2d):
