@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 # configuration assembly
 
 # The solver knobs are the fields of SolveConfig besides its grid. Each is
-# one [solve] key and one flag of solve and sweep (with the same type);
+# one [solve] key and one flag of solve and sweep, of its field's type;
 # init_width rides along with them.
 _SOLVE_KNOBS = {f.name: type(f.default) for f in dataclass_fields(SolveConfig)
                 if f.name != "grid"}
@@ -106,22 +106,20 @@ def _load_config(path: str | None) -> dict:
 
 
 def _apply_flags(conf: dict, args: argparse.Namespace) -> dict:
-    """conf with each flag's value written over it as typed (a --grid or
+    """conf with each flag given written over it as typed (a --grid or
     --params value split into its tokens); _parse_run converts them."""
     for dest, (sep, form, keys) in _SPLIT_FLAGS.items():
         raw = getattr(args, dest, None)
-        if raw:
+        if raw is not None:
             tokens = raw.split(sep)
             if len(tokens) != len(keys):
                 raise CliError("bad --%s value %r (want %s)" % (dest, raw, form))
             for (sec, key), tok in zip(keys, tokens):
                 conf[sec][key] = tok.strip()
-    # A number counts even when it is 0; a string (--eta, --out) only when
-    # it is non-empty.
     for dest, (sec, key) in _FLAG_KEYS.items():
         val = getattr(args, dest, None)
-        if val is not None and val != "":
-            conf[sec][key] = str(val)
+        if val is not None:
+            conf[sec][key] = val
     return conf
 
 
@@ -138,12 +136,9 @@ def _parse_run(conf: dict, command: str) -> tuple:
     every INI value is converted here."""
     val = {sec: {key: _convert(sec, key, kind, conf[sec][key]) for key, (_, kind) in keys.items()}
            for sec, keys in _INI.items()}
-    try:
-        params = ModelParams(**val["params"])
-        grid = make_grid(params.dim, val["grid"]["n"], val["grid"]["L"])
-        solve_cfg = SolveConfig(grid=grid, **{name: val["solve"][name] for name in _SOLVE_KNOBS})
-    except ValueError as exc:
-        raise CliError(str(exc))
+    params = ModelParams(**val["params"])
+    grid = make_grid(params.dim, val["grid"]["n"], val["grid"]["L"])
+    solve_cfg = SolveConfig(grid=grid, **{name: val["solve"][name] for name in _SOLVE_KNOBS})
     return (params, grid, solve_cfg, val["solve"]["init_width"], val["sweep"]["eta"],
             val["constants"]["rungs"], Path(val["output"]["dir"] or "runs/%s" % command))
 
@@ -252,10 +247,7 @@ def cmd_sweep(args) -> int:
     if not etas:
         raise CliError("sweep needs a non-empty eta list (--eta or [sweep] eta)")
 
-    try:
-        sweep = sweep_eta(params, etas, solve_cfg, width_ref=init_width)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    sweep = sweep_eta(params, etas, solve_cfg, width_ref=init_width)
 
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "sweep.csv", "w", newline="") as fh:
@@ -356,8 +348,8 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
-    for name, kind in _SOLVE_FLAGS.items():
-        sub.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
+    for name in _SOLVE_FLAGS:
+        sub.add_argument("--" + name.replace("_", "-"), dest=name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             sub.add_argument("--eta", help="comma-separated coupling list")
         if name == "constants":
-            sub.add_argument("--rungs", type=int, help="refinement ladder length")
+            sub.add_argument("--rungs", help="refinement ladder length")
         sub.set_defaults(func=fn)
     return parser
 

@@ -118,8 +118,8 @@ def load_constants(path) -> ConstantsReport:
     report that is not an object, lacks a key, holds a grid or params that
     make_grid or ModelParams rejects, a grid and params of different
     dimensions, a refinement that is not an object whose S and C are
-    non-empty ladders of [n, value] (n the report grid's n on the first
-    rung and doubled on each next, value finite and positive), an S rung
+    non-empty ladders of [n, value] (n an int, the report grid's n on the
+    first rung and doubled on each next, value finite and positive), an S rung
     whose value is not sobolev_sharp_constant(N, s) (a lattice estimate
     written by an older version), or an S_est,
     C_est or converged that is not what the estimators read off those
@@ -137,9 +137,7 @@ def load_constants(path) -> ConstantsReport:
         g, pr = raw["grid"], raw["params"]
         grid = make_grid(g["dim"], g["n"], g["L"])
         params = ModelParams(dim=pr["dim"], s=pr["s"], p=pr["p"], eta=pr["eta"], m=pr["m"])
-        if grid.dim != params.dim:
-            raise ValueError("grid dimension %d and params dimension %d differ"
-                             % (grid.dim, params.dim))
+        _check_dim(grid, params)
         sharp = sobolev_sharp_constant(params.dim, params.s)
         for label in ("S", "C"):
             trace = raw["refinement"].get(label)
@@ -148,10 +146,7 @@ def load_constants(path) -> ConstantsReport:
                 raise ValueError("refinement %s must be a non-empty list of [n, value], "
                                  "got %r" % (label, trace))
             for rung, (n, value) in enumerate(trace):
-                try:
-                    make_grid(grid.dim, n, grid.half_length)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError("refinement %s grid size: %s" % (label, exc)) from None
+                _count("refinement %s grid size" % label, n)
                 if n != grid.points_per_axis * 2 ** rung:
                     raise ValueError("refinement %s rung %d has grid size %r, not %d (the "
                                      "report grid's n doubled per rung)"
@@ -401,8 +396,8 @@ def probe_fields(grid: GridSpec, params: ModelParams, count: int = 50,
     """An iterator over a deterministic sequence of resolved test fields as
     mean-zero, unit-mass arrays, one at a time, stopping after count (an
     int >= 1); nothing past the last yielded probe is drawn. Params of
-    another dimension than the grid, or a malformed count, raise
-    ValueError at the call.
+    another dimension than the grid, or a count or a seed (an int >= 0)
+    that is malformed, raise ValueError at the call.
 
     Families: plain gaussians, bubbles, offset gaussians, cosine-modulated
     gaussians, and band-limited noise under a decaying envelope. Widths and
@@ -418,6 +413,7 @@ def probe_fields(grid: GridSpec, params: ModelParams, count: int = 50,
     """
     _check_dim(grid, params)
     _count("count", count)
+    _count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     L = grid.half_length
     mesh = grid.meshgrid()

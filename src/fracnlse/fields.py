@@ -73,7 +73,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import GridSpec, _read_only, make_grid
-from .params import ModelParams, _positive, _real
+from .params import ModelParams, _count, _order, _positive, _real
 
 XI_MAX = 3.0
 DECAY_GUARD_DEFAULT = 1e-8
@@ -145,10 +145,12 @@ def sample(grid: GridSpec, family: str, family_params: dict | None = None,
 
     gaussian:           exp(-|x|^2 / (2 w^2)),  params {"width": w}
     bubble:             (eps^2 + |x|^2)^{-(N-2s)/2},  params {"epsilon": eps, "s": s}
+                        with s in the window of ModelParams, 0 < s < 1 and 2s < N
     random_bandlimited: white noise with modes above cutoff*k_max removed,
                         params {"cutoff": f in (0,1], "envelope_width": w or None},
-                        deterministic given seed; a finite w > 0 applies
-                        the envelope exp(-|x|^2 / (2 w^2))
+                        deterministic given a seed (an int >= 0; None draws
+                        fresh noise); a finite w > 0 applies the envelope
+                        exp(-|x|^2 / (2 w^2))
     """
     fp = dict(family_params or {})
     r2 = grid.radius() ** 2
@@ -158,8 +160,7 @@ def sample(grid: GridSpec, family: str, family_params: dict | None = None,
         return Field(grid, np.exp(-r2 / (2.0 * w * w)))
     if family == "bubble":
         eps = _positive("bubble scale", fp.pop("epsilon", 1.0))
-        s = _real(fp.pop("s"), lambda s: 0.0 < s < 1.0 and 2.0 * s < grid.dim,
-                  "bubble exponent needs 0 < s < 1 and 2s < N, got s=%r")
+        s = _order(fp.pop("s", None), grid.dim)
         _reject_extras(family, fp)
         power = -(grid.dim - 2.0 * s) / 2.0
         return Field(grid, (eps * eps + r2) ** power)
@@ -168,8 +169,9 @@ def sample(grid: GridSpec, family: str, family_params: dict | None = None,
                        "cutoff fraction must lie in (0, 1], got %r")
         env = fp.pop("envelope_width", None)
         if env is not None:
-            env = _real(env, lambda w: 0.0 < w < math.inf,
-                        "envelope width must be None or finite and positive, got %r")
+            env = _positive("envelope width", env)
+        if seed is not None:
+            _count("seed", seed, least=0)
         _reject_extras(family, fp)
         envelope = None if env is None else np.exp(-r2 / (2.0 * env ** 2))
         return Field(grid, _bandlimited(grid, cutoff, envelope, seed))
@@ -218,7 +220,7 @@ def _rfftn(values: np.ndarray) -> np.ndarray:
 
 def frac_laplacian(field: Field, s: float) -> Field:
     """Apply (-Delta)^s as the Fourier multiplier |k|^{2s} on the half spectrum."""
-    _check_s(s)
+    _order(s)
     grid = field.grid
     return Field(grid, np.fft.irfftn(grid.half_symbol(s) * _rfftn(field.values)))
 
@@ -251,7 +253,7 @@ def dense_oracle_frac_laplacian(field: Field, s: float) -> Field:
     half-spectrum path (matrix conjugation of the diagonal multiplier) so
     the two can cross-check each other. Guarded to small grids.
     """
-    _check_s(s)
+    _order(s)
     grid = field.grid
     n, d = grid.points_per_axis, grid.dim
     total = grid.num_points
@@ -269,7 +271,7 @@ def dense_oracle_frac_laplacian(field: Field, s: float) -> Field:
 
 
 def seminorm_sq(field: Field, s: float) -> float:
-    _check_s(s)
+    _order(s)
     return _seminorm_sq_values(field.values, field.grid, s)
 
 
@@ -549,29 +551,28 @@ _HEADER = struct.Struct("<qqdd")  # dim, n, L, s
 def save_field(field: Field, path, s: float) -> None:
     """Flat binary container: header (dim, n, L, s), then row-major
     little-endian float64 samples."""
+    s = _order(s, field.grid.dim)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(field.grid.dim, field.grid.points_per_axis,
-                              field.grid.half_length, float(s)))
+                              field.grid.half_length, s))
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
 def load_field(path) -> tuple:
-    """Inverse of save_field; returns (field, s). The file must hold the
-    header and exactly the payload the header implies."""
+    """Inverse of save_field; returns (field, s). The file must hold a
+    header that make_grid and the order rule of save_field accept, and
+    exactly the payload the header implies."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise ValueError("truncated field container header")
         dim, n, L, s = _HEADER.unpack(head)
         grid = make_grid(int(dim), int(n), float(L))
+        s = _order(s, grid.dim)
         size = 8 * grid.num_points
         left = os.fstat(fh.fileno()).st_size - _HEADER.size
         if left != size:
             raise ValueError("field container payload is %d bytes, its header implies %d"
                              " (truncated or trailing data)" % (left, size))
         values = np.frombuffer(fh.read(size), dtype="<f8").reshape(grid.shape)
-    return Field(grid, values), float(s)
-
-
-def _check_s(s: float):
-    _real(s, lambda s: 0.0 < s < 1.0, "fractional order s must lie in (0, 1), got %r")
+    return Field(grid, values), s

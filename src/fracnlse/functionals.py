@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import Field, FieldSummary, _abs_power, _check_dim, _rfftn
 from .grids import GridSpec
-from .params import ModelParams, _positive
+from .params import ModelParams, _dimension, _order, _positive
 
 
 def energy(summary: FieldSummary, params: ModelParams) -> float:
@@ -91,10 +91,10 @@ def manifold_identity_residual(summary: FieldSummary, params: ModelParams) -> fl
 def sobolev_sharp_constant(dim: int, s: float) -> float:
     """The sharp constant S of ||(-Delta)^{s/2} u||^2 >= S ||u||_{2*_s}^2 on
     R^N (Lieb, Ann. Math. 118 (1983); Cotsiolis-Tavoularis, JMAA 295 (2004)):
-    2^{2s} pi^s Gamma((N+2s)/2) / Gamma((N-2s)/2) (Gamma(N/2) / Gamma(N))^{2s/N}."""
-    if not (0.0 < s < 1.0) or not (2.0 * s < dim):
-        raise ValueError("sharp Sobolev constant needs 0 < s < 1 and 2s < N, got "
-                         "N=%r, s=%r" % (dim, s))
+    2^{2s} pi^s Gamma((N+2s)/2) / Gamma((N-2s)/2) (Gamma(N/2) / Gamma(N))^{2s/N},
+    for (N, s) in the window of ModelParams."""
+    _dimension(dim)
+    s = _order(s, dim)
     return (2.0 ** (2.0 * s) * math.pi ** s
             * math.gamma((dim + 2.0 * s) / 2.0) / math.gamma((dim - 2.0 * s) / 2.0)
             * (math.gamma(dim / 2.0) / math.gamma(dim)) ** (2.0 * s / dim))
@@ -108,6 +108,11 @@ class GeometryReport:
     branch: int
 
 
+def _sobolev_gn(constants) -> tuple:
+    """(S, C) of a constants report, each finite and positive."""
+    return _positive("S_est", constants.S_est), _positive("C_est", constants.C_est)
+
+
 def rho(params: ModelParams, constants) -> GeometryReport:
     """Radius of the small-seminorm region where the energy stays positive:
 
@@ -116,7 +121,7 @@ def rho(params: ModelParams, constants) -> GeometryReport:
 
     with branch 1 the eta-dependent term and branch 2 the Sobolev term.
     """
-    S, C = _positive("S_est", constants.S_est), _positive("C_est", constants.C_est)
+    S, C = _sobolev_gn(constants)
     zeta, q = params.zeta_p, params.two_star
     n, s, p = params.dim, params.s, params.p
     b1 = (p / (8.0 * params.eta * C ** p * 2.0 ** (p * zeta / 2.0)
@@ -130,10 +135,14 @@ def rho(params: ModelParams, constants) -> GeometryReport:
 def geometry_lower_bound(A, params: ModelParams, constants):
     """Closed-form lower bound for the energy at seminorm A on the mass
     sphere: A/2 minus the two inequality-controlled nonlinear terms. The
-    radius rho is engineered so this stays positive on (0, rho]."""
-    S, C = float(constants.S_est), float(constants.C_est)
+    radius rho is engineered so this stays positive on (0, rho]. Every A
+    must be finite and at least 0."""
+    S, C = _sobolev_gn(constants)
     zeta, q = params.zeta_p, params.two_star
     A = np.asarray(A, dtype=float)
+    bad = A[~((A >= 0.0) & (A < math.inf))]
+    if bad.size:
+        raise ValueError("seminorm A must be finite and at least 0, got %r" % (float(bad[0]),))
     crit = (2.0 ** (q / 2.0) / (q * S ** (q / 2.0))) * A ** (q / 2.0)
     sub = ((params.eta * C ** params.p / params.p) * 2.0 ** (params.p * zeta / 2.0)
            * params.m ** (params.p * (1.0 - zeta)) * A ** (params.p * zeta / 2.0))

@@ -53,6 +53,15 @@ def _dimension(dim) -> None:
         raise ValueError("unsupported dimension %r (must be 1, 2, or 3)" % (dim,))
 
 
+def _order(s, dim=None) -> float:
+    """float(s) for a fractional order s in (0, 1), a real number and not a
+    bool; given a dimension, also 2s < dim, the paper's window."""
+    x = _real(s, lambda x: 0.0 < x < 1.0, "s must lie in (0, 1), got %r")
+    if dim is not None and not 2.0 * x < dim:
+        raise ValueError("2s must be smaller than the dimension: 2*%g >= %d" % (x, dim))
+    return x
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Validated problem parameters (N, s, p, eta, m); the derived exponents
@@ -69,11 +78,7 @@ class ModelParams:
 
     def __post_init__(self):
         _dimension(self.dim)
-        _real(self.s, lambda s: 0.0 < s < 1.0, "s must lie in (0, 1), got %r")
-        if not (2.0 * self.s < self.dim):
-            raise ValueError(
-                "2s must be smaller than the dimension: 2*%g >= %d" % (self.s, self.dim)
-            )
+        _order(self.s, self.dim)
         _real(self.p, math.isfinite, "p must be a finite real number, got %r")
         _positive("eta", self.eta)
         _positive("mass parameter m", self.m)

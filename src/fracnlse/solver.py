@@ -84,9 +84,8 @@ class SolveConfig:
     init_noise: float = 0.0
 
     def __post_init__(self):
-        for name in ("tol_grad", "tol_pohozaev"):
-            _real(getattr(self, name), lambda x: 0.0 < x < math.inf,
-                  "tolerances must be finite and positive, got %s=%%r" % name)
+        _positive("tol_grad", self.tol_grad)
+        _positive("tol_pohozaev", self.tol_pohozaev)
         _count("max_iters", self.max_iters)
         _count("seed", self.seed, least=0)
         _real(self.init_noise, lambda x: 0.0 <= x < math.inf,
@@ -407,11 +406,7 @@ def sweep_eta(params_base: ModelParams, eta_list, config: SolveConfig,
     etas = list(eta_list)
     if not etas:
         raise ValueError("eta list must not be empty")
-    try:
-        etas = [_positive("eta", e) for e in etas]
-    except ValueError:
-        raise ValueError("eta values must be finite and positive numbers, got %r"
-                         % (etas,)) from None
+    etas = [_positive("eta", e) for e in etas]
     if not all(a < b for a, b in zip(etas, etas[1:])):
         raise ValueError("eta list must be sorted strictly ascending, got %r" % (etas,))
     if config.grid is None:

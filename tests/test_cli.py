@@ -64,7 +64,7 @@ def test_solve_report_contents(solve_run):
     config = manifest["config"]
     assert config["params"] == {"dim": "2", "s": "0.5", "p": "3.5", "eta": "10", "m": "1"}
     assert config["grid"] == {"n": "128", "L": "120"}
-    assert config["solve"]["tol_grad"] == "0.02"
+    assert config["solve"]["tol_grad"] == "2e-2"
     report = json.loads((out / "report.json").read_text())
     assert set(report) == {"report", "diagnostics"}
     body = report["report"]
@@ -208,7 +208,7 @@ def test_degenerate_solve_exit_one_without_traceback(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["solve", "--max-iters", "abc"], "invalid int value: 'abc'"),
+    (["solve", "--max-iters", "abc"], "[solve] max_iters must be an integer, got 'abc'"),
     (["solve", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     ([], "the following arguments are required: command"),
     (["solve", "--radial-every", "10"], "unrecognized arguments: --radial-every 10"),
@@ -251,7 +251,7 @@ def test_bad_init_noise_exit_one(tmp_path, noise):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--init-width", "nan", "gaussian width must be finite and positive"),
-    ("--tol-grad", "inf", "tolerances must be finite and positive"),
+    ("--tol-grad", "inf", "tol_grad must be finite and positive, got inf"),
     ("--params", "0.4,6,inf,1", "eta must be finite and positive"),
     ("--grid", "1:128:nan", "half length must be finite and positive"),
     ("--init-noise", "1e308", "init_noise"),
@@ -308,7 +308,7 @@ def test_config_file_with_flag_overrides(tmp_path):
     assert config["params"]["dim"] == "2"
     assert config["grid"] == {"n": "128", "L": "120"}
     # The flag beats the config value.
-    assert config["solve"]["tol_grad"] == "0.02"
+    assert config["solve"]["tol_grad"] == "2e-2"
     assert config["solve"]["tol_pohozaev"] == "1e-9"
 
 
@@ -388,6 +388,14 @@ def test_sweep_requires_eta_list(tmp_path):
     proc = run_cli("sweep", *SOLVE_2D, "--out", str(tmp_path / "s"))
     assert proc.returncode == 1
     assert "non-empty eta list" in proc.stderr
+    # An empty --eta is the empty list; it once fell back to the config's.
+    config = tmp_path / "run.ini"
+    config.write_text("[sweep]\neta = 10\n")
+    proc = run_cli("sweep", *SOLVE_2D, "--config", str(config), "--eta", "",
+                   "--out", str(tmp_path / "s"))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: sweep needs a non-empty eta list (--eta or [sweep] eta)\n"
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_rejects_malformed_eta(tmp_path):
@@ -471,16 +479,18 @@ S_1D = fracnlse.sobolev_sharp_constant(1, 0.4)
     pytest.param(None, "{bad", "Expecting property name enclosed in double quotes: "
                  "line 1 column 2 (char 1)", id="not-json"),
     pytest.param("params", {"dim": 2, "s": 0.4, "p": 3.0, "eta": 1.0, "m": 1.0},
-                 "grid dimension 1 and params dimension 2 differ",
+                 "params dimension 2 does not match grid dimension 1",
                  id="grid-and-params-dims-differ"),
     pytest.param("refinement", {}, "refinement S must be a non-empty list of [n, value], "
                  "got None", id="empty-refinement"),
     pytest.param("refinement", {"S": [["a", S_1D]], "C": [[128, 1.06]]},
-                 "refinement S grid size: points per axis must be an integer, got 'a'",
+                 "refinement S grid size must be an int >= 1, got 'a'",
                  id="str-n"),
     pytest.param("refinement", {"S": [["128", S_1D]], "C": [[128, 1.06]]},
-                 "refinement S grid size: points per axis must be an integer, got '128'",
+                 "refinement S grid size must be an int >= 1, got '128'",
                  id="digit-str-n"),
+    pytest.param("refinement", {"S": [[128.0, S_1D]], "C": [[128, 1.06]]},
+                 "refinement S grid size must be an int >= 1, got 128.0", id="float-n"),
     pytest.param("refinement", {"S": [[128, 0.64]], "C": [[128, 1.06]]},
                  "refinement S rung 0 value 0.64 is not %r, the sharp Sobolev constant of "
                  "N=1, s=0.4" % S_1D, id="lattice-S-rung"),

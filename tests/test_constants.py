@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,14 @@ def test_probe_fields_reject_a_malformed_count(params_1d, count):
     # -1 and 2.5 once raised islice's own error, and True drew one probe.
     with pytest.raises(ValueError, match="count must be an int >= 1"):
         probe_fields(make_grid(1, 128, 20.0), params_1d, count=count)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "3", -1, None])
+def test_probe_fields_reject_a_malformed_seed(params_1d, seed):
+    # True once drew seed 1's probes and None fresh ones; 1.5, "3" and -1
+    # raised numpy's errors.
+    with pytest.raises(ValueError, match=re.escape("seed must be an int >= 0, got %r" % (seed,))):
+        probe_fields(make_grid(1, 128, 20.0), params_1d, seed=seed)
 
 
 @pytest.mark.parametrize("call", [estimate_sobolev, estimate_gn, estimate_constants,
@@ -369,9 +378,16 @@ def test_sobolev_sharp_constant_closed_form(dim, s, expected):
     assert sobolev_sharp_constant(dim, s) == pytest.approx(expected, abs=1e-6)
 
 
-@pytest.mark.parametrize("dim, s", [(1, 0.5), (1, 0.0), (2, 1.0)])
-def test_sobolev_sharp_constant_rejects_inadmissible_exponents(dim, s):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("dim, s, message", [
+    pytest.param(1, 0.5, "2s must be smaller than the dimension: 2*0.5 >= 1", id="1-0.5"),
+    pytest.param(1, 0.0, "s must lie in (0, 1), got 0.0", id="1-0.0"),
+    pytest.param(2, 1.0, "s must lie in (0, 1), got 1.0", id="2-1.0"),
+    # Once the 1D constant and a TypeError.
+    pytest.param(True, 0.4, "unsupported dimension True (must be 1, 2, or 3)", id="True-0.4"),
+    pytest.param(1, "0.4", "s must lie in (0, 1), got '0.4'", id="1-str"),
+])
+def test_sobolev_sharp_constant_rejects_inadmissible_exponents(dim, s, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         sobolev_sharp_constant(dim, s)
 
 

@@ -1,6 +1,7 @@
 """Fields: sampling, norms, the spectral operator, dilation, serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,9 +188,10 @@ def test_integer_power_chains_match_pow(q):
 def test_operator_rejects_bad_order():
     grid = make_grid(1, 64, 10.0)
     u = gaussian(grid, 1.0)
-    for s in (0.0, 1.0, -0.3):
-        with pytest.raises(ValueError, match="fractional order"):
-            frac_laplacian(u, s)
+    for s in (0.0, 1.0, -0.3, True, "0.4"):
+        for op in (frac_laplacian, seminorm_sq, dense_oracle_frac_laplacian):
+            with pytest.raises(ValueError, match=re.escape("s must lie in (0, 1), got %r" % s)):
+                op(u, s)
 
 
 # ----------------------------------------------------------------------
@@ -462,8 +464,13 @@ def test_sample_bubble_profile_and_validation():
     for epsilon in (0.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="scale"):
             sample(grid, "bubble", {"epsilon": epsilon, "s": 0.5})
-    with pytest.raises(ValueError, match="2s < N"):
+    # The window of ModelParams; a missing s was a KeyError.
+    with pytest.raises(ValueError, match=re.escape("2s must be smaller than the dimension: "
+                                                   "2*0.6 >= 1")):
         sample(make_grid(1, 64, 10.0), "bubble", {"epsilon": 1.0, "s": 0.6})
+    for s in (None, 1.0, True):
+        with pytest.raises(ValueError, match=re.escape("s must lie in (0, 1), got %r" % s)):
+            sample(grid, "bubble", {"epsilon": 1.0} if s is None else {"epsilon": 1.0, "s": s})
 
 
 def test_sample_bandlimited_deterministic_and_bounded():
@@ -478,6 +485,11 @@ def test_sample_bandlimited_deterministic_and_bounded():
         sample(grid, "random_bandlimited", {"cutoff": 1.5})
     with pytest.raises(ValueError, match="cutoff fraction must lie in \\(0, 1\\], got True"):
         sample(grid, "random_bandlimited", {"cutoff": True})
+    # True once drew seed 1's field; 1.5, "3" and -1 raised numpy's errors.
+    for seed in (True, 1.5, "3", -1):
+        with pytest.raises(ValueError, match=re.escape("seed must be an int >= 0, got %r"
+                                                       % (seed,))):
+            sample(grid, "random_bandlimited", {"cutoff": 0.25}, seed=seed)
 
 
 def test_sample_bandlimited_envelope_width():
@@ -493,8 +505,8 @@ def test_sample_bandlimited_envelope_width():
     expected = plain.values * np.exp(-grid.radius() ** 2 / 8.0)
     assert np.max(np.abs(wrapped - expected / np.max(np.abs(expected)))) <= 1e-15
     for width in (0.0, -2.0, math.nan, math.inf, True):
-        with pytest.raises(ValueError, match="envelope width must be None or finite "
-                                             "and positive, got"):
+        with pytest.raises(ValueError, match=re.escape("envelope width must be finite and "
+                                                       "positive, got %r" % width)):
             sample(grid, "random_bandlimited", {"cutoff": 0.25, "envelope_width": width})
 
 
@@ -545,6 +557,26 @@ def test_field_container_round_trip(tmp_path):
     assert s == 0.5
     assert v.grid == grid
     assert np.array_equal(v.values, u.values)
+
+
+@pytest.mark.parametrize("s, message", [
+    (math.nan, "s must lie in (0, 1), got nan"),
+    (3.0, "s must lie in (0, 1), got 3.0"),
+    (0.75, "2s must be smaller than the dimension: 2*0.75 >= 1"),
+])
+def test_field_container_checks_the_order(tmp_path, s, message):
+    # The header's s obeys the window of ModelParams when it is written and
+    # when it is read; a NaN or 3.0 was once written and read back.
+    u = gaussian(make_grid(1, 32, 5.0), 1.0)
+    path = tmp_path / "field.bin"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_field(u, path, s=s)
+    assert not path.exists()
+    save_field(u, path, s=0.4)
+    raw = path.read_bytes()
+    path.write_bytes(F.fields._HEADER.pack(1, 32, 5.0, s) + raw[F.fields._HEADER.size:])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_field(path)
 
 
 def test_field_container_truncation_detected(tmp_path):

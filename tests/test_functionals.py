@@ -120,12 +120,23 @@ def test_rho_coupling_branch_closed_form():
 
 def test_rho_rejects_nonpositive_constants(params_2d):
     # A NaN C once fell through both comparisons of the minimum and
-    # returned branch 2 with a finite rho.
+    # returned branch 2 with a finite rho. The lower bound read S = -1 as
+    # a finite, wrong bound, S = NaN as NaN, and a negative A raised
+    # numpy's RuntimeWarning.
     for bad in (0.0, -2.0, math.nan, math.inf, True):
-        with pytest.raises(ValueError, match="S_est must be finite and positive"):
-            rho(params_2d, constants_report(bad, 1.0, params_2d))
-        with pytest.raises(ValueError, match="C_est must be finite and positive"):
-            rho(params_2d, constants_report(1.0, bad, params_2d))
+        for call in (lambda rep: rho(params_2d, rep),
+                     lambda rep: geometry_lower_bound(0.1, params_2d, rep)):
+            with pytest.raises(ValueError, match="S_est must be finite and positive, got %r"
+                                                 % bad):
+                call(constants_report(bad, 1.0, params_2d))
+            with pytest.raises(ValueError, match="C_est must be finite and positive, got %r"
+                                                 % bad):
+                call(constants_report(1.0, bad, params_2d))
+    good = constants_report(1.0, 1.0, params_2d)
+    for A in (-1.0, math.nan, math.inf, [0.1, -0.2]):
+        with pytest.raises(ValueError, match="seminorm A must be finite and at least 0, "
+                                             "got %r" % float(np.ravel(A)[-1])):
+            geometry_lower_bound(A, params_2d, good)
 
 
 def test_lower_bound_positive_up_to_rho(params_2d, constants_2d):

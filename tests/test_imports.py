@@ -4,7 +4,8 @@ caller outside its own module, every private module-level definition is
 used in src/, only fields calls np.fft.rfftn, importing the package pulls
 in nothing past the standard library and numpy and none of the modules it
 loads on first use, the README counts every row of the verify battery,
-and only the params helpers test for a bool where a number is due."""
+and only the params helpers test for a bool where a number is due or word
+a scalar rule."""
 
 import ast
 import importlib
@@ -172,6 +173,35 @@ def test_scalar_checks_have_one_home():
         found += ["%s.%s" % (path.stem, name) for name in _bool_tests(tree)
                   if (path.stem, name) not in _BOOL_TESTS]
     assert not found, "isinstance(x, bool) outside the params helpers: %s" % found
+
+
+# The wording of the scalar rules that the params helpers state.
+_RULE_WORDS = ("finite and positive", "lie in (0, 1)", "0 < s < 1")
+
+
+def _docstrings(tree: ast.Module) -> set:
+    """The ids of the docstring constants of a module and its functions and
+    classes."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def test_rule_wording_has_one_home():
+    # A message that words a rule of the params helpers outside params is
+    # an inline copy of the rule, which drifts from it: the copies of
+    # 0 < s < 1 once let a bool and a string through, or raised a KeyError.
+    found = []
+    for path in sorted((ROOT / "src" / "fracnlse").glob("*.py")):
+        if path.stem == "params":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docs = _docstrings(tree)
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docs and any(w in node.value for w in _RULE_WORDS)]
+    assert not found, "scalar rule worded outside params: %s" % found
 
 
 def test_readme_counts_every_battery_row():
