@@ -256,7 +256,7 @@ def _ascend_gn(u0: np.ndarray, grid: GridSpec, params: ModelParams, slope_tol: f
     only when the iteration budget ran out first.
     """
     p = params.p
-    sym = grid.half_symbol(params.s)
+    sym = grid.symbol(params.s)
     pre = 1.0 / (1.0 + sym)
 
     def quotient(A, M, B):

@@ -15,8 +15,8 @@ keeps only its rfftn half: the last axis runs over k = 0 .. n/2. A sum over
 the full spectrum of a Hermitian-even quantity is then the half sum with
 weight 1 on the k = 0 and k = n/2 columns of the last axis and 2 on the
 others, whose mirror images the half spectrum omits. The half transforms
-cost a fraction of the complex ones on the same samples, the symbol is a
-view of the full one and the weight a 1-D vector, so no second n-D array
+cost a fraction of the complex ones on the same samples, the symbol is
+kept on the half spectrum and the weight a 1-D vector: no full n-D array
 is cached. Every forward transform is _rfftn: an rfft along the last axis
 into one fresh buffer, then the leading axes' complex FFTs in place in
 that buffer, with no second allocation. np.fft.rfftn writes the leading
@@ -26,7 +26,7 @@ vCPUs). The split is the same transform bit for bit. Grids have an even
 n, so irfftn recovers all n samples of the last axis without being told
 n. The public frac_laplacian applies the half-spectrum symbol that the
 solver's gradient multiplies by, so the dense oracle checks the operator
-the descent runs.
+the descent runs, with a multiplier of its own.
 
 Dilation (xi * u)(x) = e^{N xi / 2} u(e^xi x) is realized by evaluating the
 trigonometric interpolant of u at the scaled points, one axis at a time with
@@ -73,7 +73,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import GridSpec, _read_only, make_grid
-from .params import ModelParams, _count, _order, _positive, _real
+from .params import ModelParams, _count, _order, _positive, _real, _real_array
 
 XI_MAX = 3.0
 DECAY_GUARD_DEFAULT = 1e-8
@@ -105,15 +105,14 @@ class Field:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
+        values = _real_array("field values", values)
         if values.shape != grid.shape:
             raise ValueError(
                 "values shape %r does not match grid shape %r" % (values.shape, grid.shape)
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
+        values = _read_only(values.copy())
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -188,7 +187,7 @@ def _bandlimited(grid: GridSpec, cutoff: float, envelope: np.ndarray | None,
     # |k| on the half spectrum: symbol(0.5) is |k|^2 ** 0.5, bit for bit
     # np.sqrt, and an even mask keeps the filtered spectrum Hermitian.
     spectrum = _rfftn(noise)
-    spectrum *= grid.half_symbol(0.5) <= cutoff * kmax
+    spectrum *= grid.symbol(0.5) <= cutoff * kmax
     vals = np.fft.irfftn(spectrum)
     if envelope is not None:
         vals *= envelope
@@ -222,7 +221,7 @@ def frac_laplacian(field: Field, s: float) -> Field:
     """Apply (-Delta)^s as the Fourier multiplier |k|^{2s} on the half spectrum."""
     _order(s)
     grid = field.grid
-    return Field(grid, np.fft.irfftn(grid.half_symbol(s) * _rfftn(field.values)))
+    return Field(grid, np.fft.irfftn(grid.symbol(s) * _rfftn(field.values)))
 
 
 def _plancherel(grid: GridSpec, a: np.ndarray, b: np.ndarray,
@@ -250,8 +249,8 @@ def dense_oracle_frac_laplacian(field: Field, s: float) -> Field:
     """Reference operator built from the explicit dense DFT matrix.
 
     Semantically identical to frac_laplacian; kept independent of the
-    half-spectrum path (matrix conjugation of the diagonal multiplier) so
-    the two can cross-check each other. Guarded to small grids.
+    half-spectrum path (its own full multiplier, conjugated by the DFT
+    matrix) so the two can cross-check each other. Guarded to small grids.
     """
     _order(s)
     grid = field.grid
@@ -264,7 +263,7 @@ def dense_oracle_frac_laplacian(field: Field, s: float) -> Field:
     dft = w
     for _ in range(d - 1):
         dft = np.kron(dft, w)
-    mult = grid.symbol(s).reshape(-1)
+    mult = (grid.wavenumber_sq() ** s).reshape(-1)
     op = (dft.conj() / total) @ (mult[:, None] * dft)
     out = op @ field.values.reshape(-1)
     return Field(grid, out.real.reshape(grid.shape))
@@ -281,7 +280,7 @@ def _seminorm_sq_values(values: np.ndarray, grid: GridSpec, s: float,
     given)."""
     if spectrum is None:
         spectrum = _rfftn(values)
-    return _plancherel(grid, spectrum, spectrum, grid.half_symbol(s))
+    return _plancherel(grid, spectrum, spectrum, grid.symbol(s))
 
 
 def lp_norm_pow(field: Field, q: float) -> float:

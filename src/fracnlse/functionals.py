@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import Field, FieldSummary, _abs_power, _check_dim, _rfftn
 from .grids import GridSpec
-from .params import ModelParams, _dimension, _order, _positive
+from .params import ModelParams, _dimension, _order, _positive, _real_array
 
 
 def energy(summary: FieldSummary, params: ModelParams) -> float:
@@ -50,7 +50,7 @@ def _gradient_half(u: np.ndarray, uh: np.ndarray, grid: GridSpec, params: ModelP
     - eta |u|^{p-2} u - mu u, the multiplier-shifted L2 gradient at real
     samples u with half spectrum uh."""
     nonlinear = odd_power(u, params.two_star) + params.eta * odd_power(u, params.p)
-    return (grid.half_symbol(params.s) - mu) * uh - _rfftn(nonlinear)
+    return (grid.symbol(params.s) - mu) * uh - _rfftn(nonlinear)
 
 
 def gradient_field(field: Field, params: ModelParams) -> Field:
@@ -139,7 +139,7 @@ def geometry_lower_bound(A, params: ModelParams, constants):
     must be finite and at least 0."""
     S, C = _sobolev_gn(constants)
     zeta, q = params.zeta_p, params.two_star
-    A = np.asarray(A, dtype=float)
+    A = _real_array("seminorm A", A)
     bad = A[~((A >= 0.0) & (A < math.inf))]
     if bad.size:
         raise ValueError("seminorm A must be finite and at least 0, got %r" % (float(bad[0]),))

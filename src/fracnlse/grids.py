@@ -7,16 +7,17 @@ Derived arrays that operator evaluations reuse (coordinates, the multiplier
 |k|^{2s}, the boundary mask) are cached on the grid's methods: GridSpec is
 frozen and hashable, so equal grids share one cached array, which is
 therefore read-only (an in-place write raises instead of corrupting every
-equal grid). |k|^2 is read only to build a symbol or the classical-limit
-check, so it is computed on demand; a band-limited sample reads |k| as the
-half symbol of order 1/2. The cell volume
-h^N, a factor of every quadrature sum, is computed once per grid.
+equal grid). The multiplier is cached on the rfftn half spectrum, all that
+an operator reads. The full |k|^2, computed on demand, builds it, the dense
+oracle's own multiplier and the classical-limit check. Meshes are open: one
+array per axis, shaped to broadcast. The cell volume h^N, a factor of every
+quadrature sum, is computed once per grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -59,8 +60,8 @@ class GridSpec:
         return _read_only(-self.half_length + self.spacing * np.arange(self.points_per_axis))
 
     def meshgrid(self) -> tuple:
-        x = self.axis_coordinates()
-        return np.meshgrid(*([x] * self.dim), indexing="ij")
+        """Open coordinate mesh: one array per axis, shaped to broadcast."""
+        return np.meshgrid(*([self.axis_coordinates()] * self.dim), indexing="ij", sparse=True)
 
     def radius(self) -> np.ndarray:
         """Euclidean distance from the origin at every grid point."""
@@ -69,30 +70,21 @@ class GridSpec:
 
     def wavenumber_sq(self) -> np.ndarray:
         """|k|^2 on the full N-dimensional frequency grid (not cached)."""
-        k = self.frequencies
-        mesh = np.meshgrid(*([k] * self.dim), indexing="ij")
+        mesh = np.meshgrid(*([self.frequencies] * self.dim), indexing="ij", sparse=True)
         return sum(c * c for c in mesh)
 
     @cache
     def symbol(self, s: float) -> np.ndarray:
-        """Fourier multiplier |k|^{2s} of the fractional Laplacian."""
-        return _read_only(self.wavenumber_sq() ** float(s))
-
-    def half_symbol(self, s: float) -> np.ndarray:
-        """|k|^{2s} on the rfftn half spectrum: a view of symbol(s) over the
-        first n//2 + 1 frequencies of the last axis. The last of them is
-        -n/2 in DFT order and +n/2 in rfft order; the symbol is even, so the
-        two agree."""
-        return self.symbol(s)[..., : self.points_per_axis // 2 + 1]
+        """Multiplier |k|^{2s} of (-Delta)^s on the rfftn half spectrum, the
+        last axis's first n//2 + 1 frequencies: its last is -n/2 in DFT order
+        and +n/2 in rfft order, which the even symbol does not tell apart."""
+        return _read_only(self.wavenumber_sq()[..., : self.points_per_axis // 2 + 1] ** float(s))
 
     @cache
     def boundary_tail_mask(self) -> np.ndarray:
         """Boolean mask of points with |x|_inf > L/2 (the outer shell)."""
-        mesh = self.meshgrid()
-        amax = np.abs(mesh[0])
-        for c in mesh[1:]:
-            amax = np.maximum(amax, np.abs(c))
-        return _read_only(amax > 0.5 * self.half_length)
+        return _read_only(reduce(np.maximum, map(np.abs, self.meshgrid()))
+                          > 0.5 * self.half_length)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

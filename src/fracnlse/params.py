@@ -11,7 +11,7 @@ which makes zeta_p = (Np - 2N)/(2ps) lie in (0, 1) with zeta_p * p > 2.
 ModelParams computes its derived exponents once, while validating p, and
 every law of the package reads them there.
 
-The helpers below are the one home of the package's scalar input checks.
+The helpers below are the one home of the package's input checks.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
+
+import numpy as np
 
 
 def _real(value, ok, message: str) -> float:
@@ -32,6 +34,14 @@ def _real(value, ok, message: str) -> float:
     if x is None or not ok(x):
         raise ValueError(message % (value,))
     return x
+
+
+def _real_array(name: str, values) -> np.ndarray:
+    """values as a float array; only an integer or float dtype passes."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError("%s must have an integer or float dtype, got %s" % (name, array.dtype))
+    return array.astype(float, copy=False)
 
 
 def _positive(name: str, value) -> float:

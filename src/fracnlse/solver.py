@@ -233,7 +233,7 @@ def _direction(u, uh, S, params, grid):
     (|g|^2, d, price), where price(al) gives (A, M) of u - al d
     (fields._quadratic_price).
     """
-    sym = grid.half_symbol(params.s)
+    sym = grid.symbol(params.s)
     mu = functionals.lagrange_multiplier(S, params)
     gh = functionals._gradient_half(u, uh, grid, params, mu)
     gh -= (_plancherel(grid, gh, uh) / S.M) * uh

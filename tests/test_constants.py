@@ -432,7 +432,7 @@ def test_trial_pricing_matches_measured_parts(params_1d, params_2d, dim):
     # A(u - al d) and M(u - al d) from the quadratic laws must equal the
     # summary measured on the trial itself.
     grid, params, u0 = kernel_case(dim, params_1d, params_2d)
-    sym = grid.half_symbol(params.s)
+    sym = grid.symbol(params.s)
     u = _renorm(constants._mean_zero(u0), grid, 1.0)
     uh, A, M = constants._measure(u, grid, sym)
     Q = gn_quotient(FieldSummary(A, M, _lp_values(u, grid, params.p), 0.0), params)

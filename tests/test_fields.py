@@ -142,7 +142,7 @@ def test_half_spectrum_seminorm_matches_full_dft(dim, n, L, s):
     grid = make_grid(dim, n, L)
     for u in half_spectrum_inputs(grid):
         full = (grid.cell_volume / grid.num_points
-                * np.sum(grid.symbol(s) * np.abs(np.fft.fftn(u.values)) ** 2))
+                * np.sum(grid.wavenumber_sq() ** s * np.abs(np.fft.fftn(u.values)) ** 2))
         half = F.fields._seminorm_sq_values(u.values, grid, s)
         assert half == pytest.approx(full, rel=1e-12)
         spectrum = np.fft.rfftn(u.values)
@@ -153,7 +153,7 @@ def test_half_spectrum_seminorm_matches_full_dft(dim, n, L, s):
 def test_half_spectrum_operator_matches_full_dft(dim, n, L, s):
     grid = make_grid(dim, n, L)
     for u in half_spectrum_inputs(grid):
-        full = np.fft.ifftn(grid.symbol(s) * np.fft.fftn(u.values)).real
+        full = np.fft.ifftn(grid.wavenumber_sq() ** s * np.fft.fftn(u.values)).real
         half = frac_laplacian(u, s).values
         assert half.shape == grid.shape
         assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
@@ -542,6 +542,20 @@ def test_field_validates_shape():
     grid = make_grid(2, 16, 5.0)
     with pytest.raises(ValueError):
         Field(grid, np.zeros((16,)))
+    # Only integer and float samples pass: strings were once parsed, bools
+    # read as 0 and 1, and a complex array lost its imaginary part with no
+    # more than a ComplexWarning.
+    grid = make_grid(1, 8, 2.0)
+    for values in (np.array(["0.5"] * 8), ["0.5"] * 8, np.ones(8, bool),
+                   np.ones(8, complex), [1j] * 8, np.array([0.5] * 8, dtype=object)):
+        with pytest.raises(ValueError, match="field values must have an integer or float"
+                                             " dtype, got "):
+            Field(grid, values)
+    for values in (np.arange(8), np.arange(8, dtype=np.uint8), [0.5] * 8,
+                   np.linspace(0.0, 1.0, 8, dtype=np.float32)):
+        u = Field(grid, values)
+        assert u.values.dtype == np.float64
+        assert np.array_equal(u.values, np.asarray(values, dtype=float))
 
 
 # ----------------------------------------------------------------------

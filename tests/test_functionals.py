@@ -137,6 +137,11 @@ def test_rho_rejects_nonpositive_constants(params_2d):
         with pytest.raises(ValueError, match="seminorm A must be finite and at least 0, "
                                              "got %r" % float(np.ravel(A)[-1])):
             geometry_lower_bound(A, params_2d, good)
+    # A string, a bool or an array of strings once gave a finite bound.
+    for A in ("0.4", True, np.array(["0.1", "0.2"]), 0.1 + 0j):
+        with pytest.raises(ValueError, match="seminorm A must have an integer or float dtype, "
+                                             "got "):
+            geometry_lower_bound(A, params_2d, good)
 
 
 def test_lower_bound_positive_up_to_rho(params_2d, constants_2d):

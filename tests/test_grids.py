@@ -24,10 +24,15 @@ def test_axis_coordinates_cover_half_open_box():
 
 
 def test_meshgrid_and_radius():
+    # The mesh is open: one coordinate array per axis, shaped to broadcast.
     g = make_grid(2, 16, 2.0)
     X, Y = g.meshgrid()
-    assert X.shape == (16, 16)
+    x = g.axis_coordinates()
+    assert X.shape == (16, 1) and Y.shape == (1, 16)
+    assert np.array_equal(X[:, 0], x) and np.array_equal(Y[0], x)
     r = g.radius()
+    assert r.shape == (16, 16)
+    assert np.array_equal(r, np.sqrt(x[:, None] ** 2 + x[None, :] ** 2))
     assert r[0, 0] == pytest.approx(np.hypot(2.0, 2.0))
     origin = np.unravel_index(np.argmin(r), r.shape)
     assert r[origin] == 0.0
@@ -41,17 +46,27 @@ def test_frequencies_are_integer_multiples_of_pi_over_L():
 
 
 def test_symbol_matches_wavenumber_power():
-    g = make_grid(1, 32, 5.0)
+    # The symbol lives on the rfftn half spectrum: the last axis keeps the
+    # first n/2 + 1 frequencies, and its values are those of the full power
+    # there, bit for bit. The last column is -n/2 in DFT order and +n/2 for
+    # rfftn; on the last axis alone both give (pi n / (2 L))^{2s}.
     s = 0.4
-    assert np.allclose(g.symbol(s), g.wavenumber_sq() ** s)
-    assert g.symbol(s)[0] == 0.0
+    for dim, n in ((1, 32), (2, 16), (3, 8)):
+        g = make_grid(dim, n, 5.0)
+        sym = g.symbol(s)
+        assert sym.shape == (n,) * (dim - 1) + (n // 2 + 1,)
+        assert sym.shape == np.fft.rfftn(np.zeros(g.shape)).shape
+        assert sym.flags.c_contiguous
+        assert np.array_equal(sym, (g.wavenumber_sq() ** s)[..., : n // 2 + 1])
+        assert sym.flat[0] == 0.0
+        nyquist = (np.pi * n / (2.0 * g.half_length)) ** 2
+        assert sym[(0,) * (dim - 1) + (-1,)] == pytest.approx(nyquist ** s, rel=1e-15)
 
 
 def test_equal_grids_share_one_cached_symbol():
     a, b = make_grid(2, 16, 5.0), make_grid(2, 16, 5.0)
     assert a is not b and a == b
     assert b.symbol(0.4) is a.symbol(0.4)
-    assert b.half_symbol(0.4).base is a.symbol(0.4)
 
 
 def test_cached_grid_arrays_are_read_only():
@@ -59,8 +74,7 @@ def test_cached_grid_arrays_are_read_only():
     # would change every operator on the others. Index 32 is x = 0 and the
     # Nyquist frequency, where -1 differs from every cached value.
     def cached(g):
-        return (g.symbol(0.4), g.half_symbol(0.4), g.axis_coordinates(),
-                g.boundary_tail_mask())
+        return (g.symbol(0.4), g.axis_coordinates(), g.boundary_tail_mask())
 
     a = make_grid(1, 64, 10.0)
     before = [c.copy() for c in cached(a)]

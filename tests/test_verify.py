@@ -12,7 +12,7 @@ import fracnlse.fiber
 import fracnlse.functionals
 import fracnlse.solver
 import fracnlse.verify
-from fracnlse import run_checks
+from fracnlse import GridSpec, run_checks
 from fracnlse.verify import CHECKS
 
 CONSTANT_DEPENDENT = {
@@ -107,6 +107,16 @@ def test_battery_detects_broken_identities(monkeypatch):
         patch.setattr(fracnlse.solver, "_direction", off_sphere)
         rows = run_checks(names=["tangent-projection-orthogonality"])
         assert rows[0].status == "fail", rows[0].detail
+
+
+def test_dense_oracle_does_not_read_the_cached_symbol(monkeypatch):
+    # The oracle builds its own multiplier, so a fault in the cached symbol
+    # that the fast operator reads shows as a deviation. When both read the
+    # cached array, a 1% error passed at 1.3e-14.
+    true_symbol = GridSpec.symbol
+    monkeypatch.setattr(GridSpec, "symbol", lambda grid, s: 1.01 * true_symbol(grid, s))
+    row, = run_checks(names=["operator-dense-oracle"])
+    assert row.status == "fail", row.detail
 
 
 def test_seed_controls_randomized_rows(monkeypatch):
